@@ -1,11 +1,29 @@
 //! §3.1 ablation: the specialised queue structures against the naive
-//! mutex-protected queue that the unoptimised runtime uses.
+//! mutex-protected queue that the unoptimised runtime uses.  Consumers
+//! poll (`try_dequeue`) and yield while their queue is empty.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qs_queues::{spsc_channel, Dequeue, MutexQueue, QueueOfQueues};
+use qs_queues::{spsc_channel, Closed, MutexQueue, QueueOfQueues};
 
 const ITEMS: usize = 20_000;
 const PRODUCERS: usize = 4;
+
+/// Polls `try_dequeue` until `expected` items arrived or the queue closed;
+/// returns how many did.
+fn consume<T>(
+    expected: usize,
+    mut try_dequeue: impl FnMut() -> Result<Option<T>, Closed>,
+) -> usize {
+    let mut count = 0usize;
+    while count < expected {
+        match try_dequeue() {
+            Ok(Some(_)) => count += 1,
+            Ok(None) => std::thread::yield_now(),
+            Err(Closed) => break,
+        }
+    }
+    count
+}
 
 fn spsc_throughput() {
     let (tx, rx) = spsc_channel();
@@ -16,11 +34,8 @@ fn spsc_throughput() {
             }
             tx.close();
         });
-        let mut count = 0usize;
-        while let Dequeue::Item(_) = rx.dequeue() {
-            count += 1;
-        }
-        assert_eq!(count, ITEMS);
+        // One more than was sent: runs until the close, exactly-once checked.
+        assert_eq!(consume(ITEMS + 1, || rx.try_dequeue()), ITEMS);
     });
 }
 
@@ -36,12 +51,8 @@ fn mpsc_throughput() {
             });
         }
         scope.spawn(|| {
-            let mut count = 0usize;
-            while count < (ITEMS / PRODUCERS) * PRODUCERS {
-                if let Dequeue::Item(_) = queue.dequeue() {
-                    count += 1;
-                }
-            }
+            let expected = (ITEMS / PRODUCERS) * PRODUCERS;
+            assert_eq!(consume(expected, || queue.try_dequeue()), expected);
             queue.close();
         });
     });
@@ -59,12 +70,8 @@ fn mutex_throughput() {
             });
         }
         scope.spawn(|| {
-            let mut count = 0usize;
-            while count < (ITEMS / PRODUCERS) * PRODUCERS {
-                if let Dequeue::Item(_) = queue.dequeue() {
-                    count += 1;
-                }
-            }
+            let expected = (ITEMS / PRODUCERS) * PRODUCERS;
+            assert_eq!(consume(expected, || queue.try_dequeue()), expected);
             queue.close();
         });
     });

@@ -1,15 +1,13 @@
-//! Scheduling-layer ablation: the shared-queue [`qs_exec::ThreadPool`] versus
-//! the per-worker-deque [`qs_exec::StealPool`] on balanced and imbalanced
-//! fork/join workloads (the §6 related-work comparison point: Cilk-style
-//! work stealing versus a central queue), plus the *handler* scheduling
-//! ablation — dedicated cached threads versus the M:N pool — on a fan-out /
-//! fan-in workload over live handlers.
+//! Scheduling-layer ablation: the [`qs_exec::ThreadPool`] on balanced and
+//! imbalanced fork/join workloads, plus the *handler* scheduling ablation —
+//! the dedicated-thread driver versus the M:N pool — on a fan-out / fan-in
+//! workload over live handlers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qs_exec::{spawn_local, StealPool, ThreadPool};
+use qs_exec::ThreadPool;
 use qs_runtime::{OptimizationLevel, Runtime, SchedulerMode};
 
 const TASKS: usize = 512;
@@ -38,41 +36,7 @@ fn balanced_shared_pool(pool: &ThreadPool) -> u64 {
     total.load(Ordering::Relaxed)
 }
 
-fn balanced_steal_pool(pool: &StealPool) -> u64 {
-    let total = Arc::new(AtomicU64::new(0));
-    for _ in 0..TASKS {
-        let total = Arc::clone(&total);
-        pool.spawn(move || {
-            total.fetch_add(busy_work(WORK) & 1, Ordering::Relaxed);
-        });
-    }
-    pool.wait_idle();
-    total.load(Ordering::Relaxed)
-}
-
-/// Imbalanced: one seed task fans out all the real work from inside the pool,
-/// so without stealing it would all run on one worker.
-fn imbalanced_steal_pool(pool: &Arc<StealPool>) -> u64 {
-    let total = Arc::new(AtomicU64::new(0));
-    {
-        let total = Arc::clone(&total);
-        let inner = Arc::clone(pool);
-        pool.spawn(move || {
-            for _ in 0..TASKS {
-                let total = Arc::clone(&total);
-                spawn_local(
-                    move || {
-                        total.fetch_add(busy_work(WORK) & 1, Ordering::Relaxed);
-                    },
-                    &inner,
-                );
-            }
-        });
-    }
-    pool.wait_idle();
-    total.load(Ordering::Relaxed)
-}
-
+/// Imbalanced: one seed task fans out all the real work from inside the pool.
 fn imbalanced_shared_pool(pool: &Arc<ThreadPool>) -> u64 {
     let total = Arc::new(AtomicU64::new(0));
     {
@@ -94,7 +58,6 @@ fn imbalanced_shared_pool(pool: &Arc<ThreadPool>) -> u64 {
 fn ablation_scheduler(c: &mut Criterion) {
     let threads = qs_exec::default_parallelism().min(8);
     let shared = Arc::new(ThreadPool::new(threads));
-    let stealing = Arc::new(StealPool::new(threads));
 
     let mut group = c.benchmark_group("ablation_scheduler");
     group.sample_size(10);
@@ -107,19 +70,9 @@ fn ablation_scheduler(c: &mut Criterion) {
         |b, pool| b.iter(|| balanced_shared_pool(pool)),
     );
     group.bench_with_input(
-        BenchmarkId::new("balanced", "work_stealing"),
-        &stealing,
-        |b, pool| b.iter(|| balanced_steal_pool(pool)),
-    );
-    group.bench_with_input(
         BenchmarkId::new("imbalanced", "shared_queue"),
         &shared,
         |b, pool| b.iter(|| imbalanced_shared_pool(pool)),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("imbalanced", "work_stealing"),
-        &stealing,
-        |b, pool| b.iter(|| imbalanced_steal_pool(pool)),
     );
     group.finish();
 }

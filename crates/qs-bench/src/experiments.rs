@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use qs_baselines::Paradigm;
-use qs_runtime::{reserve, OptimizationLevel, Runtime, RuntimeConfig, SchedulerMode, WaitConfig};
+use qs_runtime::{reserve, OptimizationLevel, Runtime, RuntimeConfig, SchedulerMode};
 use qs_workloads::concurrent::{
     run_concurrent, run_concurrent_scoop, ConcurrentParams, ConcurrentTask,
 };
@@ -488,45 +488,11 @@ pub fn backpressure_sweep(blocks: usize, rounds: usize) -> (BackpressurePoint, B
 }
 
 // ---------------------------------------------------------------------------
-// Guarded waits: event-driven parking versus the retry-polling baseline
+// Guarded waits: clients parked on `reserve(...).when(...)` conditions
 // ---------------------------------------------------------------------------
 
-/// Which wait loop `reserve(...).when(...)` runs in a wait experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitStrategy {
-    /// The default event-driven loop: park on the handlers' guard-waiter
-    /// registries, resume on signals.
-    Parked,
-    /// The legacy retry-polling loop, forced through a bounded-attempt
-    /// policy (`max_retries: usize::MAX` never fires, but its presence
-    /// selects the polling path) — the differential baseline.
-    Polling,
-}
-
-impl WaitStrategy {
-    /// Display label for tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            WaitStrategy::Parked => "parked",
-            WaitStrategy::Polling => "polling",
-        }
-    }
-
-    /// The `WaitConfig` selecting this strategy.
-    pub fn config(self) -> WaitConfig {
-        match self {
-            WaitStrategy::Parked => WaitConfig::default(),
-            WaitStrategy::Polling => WaitConfig {
-                max_retries: Some(usize::MAX),
-                ..WaitConfig::default()
-            },
-        }
-    }
-}
-
 /// Gap between producer state changes in the resume-latency experiment —
-/// long enough that the waiter is parked (or deep in the polling loop's
-/// sleep phase) when the change lands.
+/// long enough that the waiter is parked when the change lands.
 pub const WAIT_LATENCY_GAP: Duration = Duration::from_millis(1);
 
 /// One measured point of the wake-latency experiment: a single waiter
@@ -536,8 +502,6 @@ pub const WAIT_LATENCY_GAP: Duration = Duration::from_millis(1);
 pub struct WaitLatencyPoint {
     /// Scheduling mode label ("Dedicated" / "Pooled").
     pub mode: String,
-    /// Wait strategy label ("parked" / "polling").
-    pub strategy: String,
     /// Measured rounds.
     pub rounds: usize,
     /// Median latency from the handler applying the state change to the
@@ -547,18 +511,14 @@ pub struct WaitLatencyPoint {
     pub p95_resume_micros: f64,
     /// Condition evaluations over the whole run.
     pub wait_condition_checks: u64,
-    /// Wake-ups of parked waiters by guard signals (0 under polling).
+    /// Wake-ups of parked waiters by guard signals.
     pub guard_wakeups: u64,
 }
 
 /// Measures waiter resume latency: the producer stamps the instant the
 /// state change is applied on the handler, and the waiter's body reads the
 /// stamp's age — signal, unpark, re-reservation and sync included.
-pub fn wait_latency_point(
-    mode: SchedulerMode,
-    strategy: WaitStrategy,
-    rounds: usize,
-) -> WaitLatencyPoint {
+pub fn wait_latency_point(mode: SchedulerMode, rounds: usize) -> WaitLatencyPoint {
     struct LatencyCell {
         value: u64,
         stamp: Option<Instant>,
@@ -584,9 +544,7 @@ pub fn wait_latency_point(
     for round in 0..rounds as u64 {
         let resumed = reserve(&cell)
             .when(move |c: &LatencyCell| c.value > round)
-            .timeout(strategy.config())
-            .try_run(|guard| guard.query(|c| c.stamp.expect("producer stamped").elapsed()))
-            .expect("the latency wait never times out");
+            .run(|guard| guard.query(|c| c.stamp.expect("producer stamped").elapsed()));
         resumes_micros.push(resumed.as_secs_f64() * 1e6);
     }
     producer.join().unwrap();
@@ -594,7 +552,6 @@ pub fn wait_latency_point(
     let snap = rt.stats_snapshot();
     WaitLatencyPoint {
         mode: mode.label().to_string(),
-        strategy: strategy.label().to_string(),
         rounds,
         median_resume_micros: resumes_micros[rounds / 2],
         p95_resume_micros: resumes_micros[(rounds * 95 / 100).min(rounds - 1)],
@@ -607,21 +564,21 @@ pub fn wait_latency_point(
 pub const WAIT_SCALING_WAITERS: usize = 100;
 /// Producer steps driving the scaling experiment's condition true.
 pub const WAIT_SCALING_STEPS: u64 = 10;
-/// Gap between producer steps — the window in which parked waiters cost
-/// nothing and polling waiters burn evaluations.
+/// Gap between producer steps — the window in which parked waiters must
+/// cost nothing.
 pub const WAIT_SCALING_STEP_GAP: Duration = Duration::from_millis(35);
 
 /// One measured point of the waiter-scaling experiment:
 /// [`WAIT_SCALING_WAITERS`] clients parked on one handler while a producer
 /// advances the condition in [`WAIT_SCALING_STEPS`] spaced steps.  The
-/// interesting figure is `wait_condition_checks`: O(waiters × signals) when
-/// parked, O(waiters × elapsed / 1ms) when polling.
+/// interesting figure is `wait_condition_checks` per wake-up: a parked
+/// waiter evaluates once per signal plus its spin window, so the ratio stays
+/// a small constant; anything that re-evaluates on a timer grows it with
+/// elapsed time.
 #[derive(Debug, Clone)]
 pub struct WaitScalingPoint {
     /// Scheduling mode label ("Dedicated" / "Pooled").
     pub mode: String,
-    /// Wait strategy label ("parked" / "polling").
-    pub strategy: String,
     /// Concurrent waiters.
     pub waiters: usize,
     /// Wall-clock time until every waiter resolved.
@@ -630,16 +587,19 @@ pub struct WaitScalingPoint {
     pub wait_condition_checks: u64,
     /// Conservative guard signals fired by the runtime.
     pub guard_signals: u64,
-    /// Wake-ups of parked waiters (0 under polling).
+    /// Wake-ups of parked waiters.
     pub guard_wakeups: u64,
 }
 
-/// Runs the waiter-scaling workload under one mode and strategy.
-pub fn wait_scaling_point(
-    mode: SchedulerMode,
-    strategy: WaitStrategy,
-    waiters: usize,
-) -> WaitScalingPoint {
+impl WaitScalingPoint {
+    /// Condition evaluations per wake-up of a parked waiter.
+    pub fn checks_per_wakeup(&self) -> f64 {
+        self.wait_condition_checks as f64 / (self.guard_wakeups as f64).max(1.0)
+    }
+}
+
+/// Runs the waiter-scaling workload under one mode.
+pub fn wait_scaling_point(mode: SchedulerMode, waiters: usize) -> WaitScalingPoint {
     let rt = Runtime::new(RuntimeConfig::all_optimizations().with_scheduler(mode));
     let counter = rt.spawn_handler(0u64);
     let start = Instant::now();
@@ -649,9 +609,7 @@ pub fn wait_scaling_point(
             std::thread::spawn(move || {
                 reserve(&counter)
                     .when(|c: &u64| *c >= WAIT_SCALING_STEPS)
-                    .timeout(strategy.config())
-                    .try_run(|_| ())
-                    .expect("the scaling wait never times out");
+                    .run(|_| ());
             })
         })
         .collect();
@@ -669,7 +627,6 @@ pub fn wait_scaling_point(
     let snap = rt.stats_snapshot();
     WaitScalingPoint {
         mode: mode.label().to_string(),
-        strategy: strategy.label().to_string(),
         waiters,
         elapsed,
         wait_condition_checks: snap.wait_condition_checks,

@@ -11,7 +11,7 @@
 //! balanced system.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use qs_sync::SpinLock;
@@ -20,10 +20,6 @@ struct DequeShared<T> {
     items: SpinLock<VecDeque<T>>,
     /// Cached length so thieves can skip empty deques without locking.
     len: AtomicUsize,
-    /// Number of successful steals (statistics).
-    steals: AtomicU64,
-    /// Number of owner pops (statistics).
-    owner_pops: AtomicU64,
 }
 
 /// The owner half of a work-stealing deque.  Not `Clone`: exactly one worker
@@ -50,8 +46,6 @@ pub fn steal_deque<T>() -> (Worker<T>, Stealer<T>) {
     let shared = Arc::new(DequeShared {
         items: SpinLock::new(VecDeque::new()),
         len: AtomicUsize::new(0),
-        steals: AtomicU64::new(0),
-        owner_pops: AtomicU64::new(0),
     });
     (
         Worker {
@@ -77,9 +71,6 @@ impl<T> Worker<T> {
         let mut items = self.shared.items.lock();
         let value = items.pop_back();
         self.shared.len.store(items.len(), Ordering::Release);
-        if value.is_some() {
-            self.shared.owner_pops.fetch_add(1, Ordering::Relaxed);
-        }
         value
     }
 
@@ -92,23 +83,6 @@ impl<T> Worker<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// A stealer handle for this deque.
-    pub fn stealer(&self) -> Stealer<T> {
-        Stealer {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Number of tasks taken by thieves so far.
-    pub fn steal_count(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
-    }
-
-    /// Number of tasks the owner popped locally so far.
-    pub fn owner_pop_count(&self) -> u64 {
-        self.shared.owner_pops.load(Ordering::Relaxed)
-    }
 }
 
 impl<T> Stealer<T> {
@@ -120,32 +94,7 @@ impl<T> Stealer<T> {
         let mut items = self.shared.items.lock();
         let value = items.pop_front();
         self.shared.len.store(items.len(), Ordering::Release);
-        if value.is_some() {
-            self.shared.steals.fetch_add(1, Ordering::Relaxed);
-        }
         value
-    }
-
-    /// Steals up to half of the queued tasks in one grab (batch stealing
-    /// reduces contention on very imbalanced loads).
-    pub fn steal_batch(&self, limit: usize) -> Vec<T> {
-        if limit == 0 || self.shared.len.load(Ordering::Acquire) == 0 {
-            return Vec::new();
-        }
-        let mut items = self.shared.items.lock();
-        let take = (items.len() / 2).clamp(usize::from(!items.is_empty()), limit);
-        let mut stolen = Vec::with_capacity(take);
-        for _ in 0..take {
-            match items.pop_front() {
-                Some(value) => stolen.push(value),
-                None => break,
-            }
-        }
-        self.shared.len.store(items.len(), Ordering::Release);
-        self.shared
-            .steals
-            .fetch_add(stolen.len() as u64, Ordering::Relaxed);
-        stolen
     }
 
     /// Whether the deque looks empty (racy snapshot).
@@ -173,7 +122,7 @@ mod tests {
     }
 
     #[test]
-    fn lengths_and_counters_track_operations() {
+    fn lengths_track_operations() {
         let (worker, stealer) = steal_deque();
         assert!(worker.is_empty() && stealer.is_empty());
         for i in 0..10 {
@@ -183,26 +132,6 @@ mod tests {
         worker.pop();
         stealer.steal();
         assert_eq!(worker.len(), 8);
-        assert_eq!(worker.owner_pop_count(), 1);
-        assert_eq!(worker.steal_count(), 1);
-    }
-
-    #[test]
-    fn batch_steal_takes_about_half() {
-        let (worker, stealer) = steal_deque();
-        for i in 0..16 {
-            worker.push(i);
-        }
-        let stolen = stealer.steal_batch(64);
-        assert_eq!(stolen, (0..8).collect::<Vec<_>>());
-        assert_eq!(worker.len(), 8);
-        // Limit caps the batch.
-        let stolen = stealer.steal_batch(2);
-        assert_eq!(stolen.len(), 2);
-        // A single remaining item is still stolen (never rounds down to 0).
-        let (w2, s2) = steal_deque();
-        w2.push(42);
-        assert_eq!(s2.steal_batch(8), vec![42]);
     }
 
     #[test]

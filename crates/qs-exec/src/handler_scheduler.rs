@@ -26,6 +26,10 @@
 //!
 //! Producers therefore do not need to detect empty→nonempty transitions;
 //! they notify on every enqueue and the flag collapses the duplicates.
+//! Nor do they owe the protocol any ordering beyond publishing before they
+//! notify: `notify` and the step entry carry the sequentially consistent
+//! fences that make "a notify that saw `Scheduled` is covered by the run it
+//! saw scheduled" true.
 //!
 //! # The pressure lane
 //!
@@ -66,7 +70,7 @@
 //! long-pinned step as blocked.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -186,6 +190,16 @@ impl TaskHandle {
     /// transitioned the task from idle to scheduled (a "handler wakeup");
     /// duplicates and notifies against running/done tasks return `false`.
     pub fn notify(&self) -> bool {
+        // The caller has just published work, typically with a Release
+        // store into a queue, and the fast paths below only *load* the
+        // flag.  Without this fence that load may be satisfied before the
+        // publication is visible (StoreLoad): the producer reads a stale
+        // `Scheduled`/`Notified` and returns while the worker, already
+        // `Running`, polls the queue, misses the item and goes `Idle` — a
+        // lost wake.  Pairs with the fence after the `Running` store in
+        // `run_task`/`run_inline`: either this load sees that store, or
+        // that step's polls see the publication.
+        fence(Ordering::SeqCst);
         loop {
             match self.state.flag.load(Ordering::SeqCst) {
                 IDLE => {
@@ -283,6 +297,8 @@ fn run_inline(state: &Arc<TaskState>) {
         // it requested is happening right now.
         state.pressure.store(false, Ordering::SeqCst);
         state.flag.store(RUNNING, Ordering::SeqCst);
+        // Pairs with the fence in `TaskHandle::notify`.
+        fence(Ordering::SeqCst);
         let outcome = catch_unwind(AssertUnwindSafe(|| task.step())).unwrap_or(StepOutcome::Done);
         match outcome {
             StepOutcome::Done => {
@@ -481,6 +497,9 @@ fn run_task(shared: &Arc<Shared>, local: Option<&Worker<Arc<TaskState>>>, state:
     };
     shared.steps.fetch_add(1, Ordering::SeqCst);
     state.flag.store(RUNNING, Ordering::SeqCst);
+    // Pairs with the fence in `TaskHandle::notify`: the step's queue polls
+    // must not be satisfied before `Running` is visible to producers.
+    fence(Ordering::SeqCst);
     let outcome = catch_unwind(AssertUnwindSafe(|| task.step())).unwrap_or_else(|_| {
         shared.panics.fetch_add(1, Ordering::Relaxed);
         StepOutcome::Done

@@ -20,10 +20,8 @@
 //!   [`PooledTask`]s multiplexed onto a fixed work-stealing worker pool with
 //!   a lost-wakeup-free re-arming protocol and blocked-worker compensation,
 //!   so handler count is no longer bounded by OS thread count;
-//! * [`deque`]/[`stealing`] — per-worker work-stealing deques (owner-LIFO,
-//!   thief-FIFO) and a Cilk-style stealing scheduler built on them, used by
-//!   the handler scheduler, as the comparison point for the §6 related-work
-//!   discussion and by the scheduling ablation benchmarks.
+//! * [`deque`] — the per-worker work-stealing deques (owner-LIFO,
+//!   thief-FIFO) the handler scheduler's workers run on.
 
 #![warn(missing_docs)]
 
@@ -31,14 +29,12 @@ pub mod deque;
 pub mod handler_scheduler;
 pub mod pool;
 pub mod scope;
-pub mod stealing;
 pub mod thread_cache;
 
 pub use deque::{steal_deque, Stealer, Worker};
 pub use handler_scheduler::{HandlerScheduler, PooledTask, StepOutcome, TaskHandle};
 pub use pool::ThreadPool;
 pub use scope::{parallel_chunks, parallel_for, Scope};
-pub use stealing::{spawn_local, StealPool, StealStats};
 pub use thread_cache::{CachedThread, ThreadCache};
 
 /// Returns the number of worker threads to use by default: the amount of

@@ -1,15 +1,11 @@
-//! Shared batch-draining loops.
+//! The shared batch-draining loop.
 //!
-//! Every consumer flavour (unbounded SPSC, bounded ring, mutex queue) offers
-//! the same two operations — a non-blocking `try_drain_batch` and a blocking
-//! `drain_batch` — with identical semantics: draining a batch observes
-//! exactly the items that repeated single dequeues would have, in the same
-//! order.  The loops live here once so a fix (e.g. to the close protocol or
-//! the spin-then-park policy) cannot drift between flavours.
+//! Both lock-free consumer flavours (unbounded SPSC, bounded ring) offer the
+//! same `try_drain_batch`: draining a batch observes exactly the items that
+//! repeated single `try_dequeue`s would have, in the same order.  The loop
+//! lives here once so a fix to the close protocol cannot drift between them.
 
-use qs_sync::Backoff;
-
-use crate::{Closed, Dequeue};
+use crate::Closed;
 
 /// Drains up to `max` immediately available items into `out` via repeated
 /// `try_dequeue`, stopping at the first empty/closed observation.  Returns
@@ -37,31 +33,4 @@ pub(crate) fn try_drain_with<T>(
         }
     }
     Ok(drained)
-}
-
-/// The blocking drain loop: spin-then-park (via `park`) until `try_drain`
-/// yields at least one item (`Dequeue::Item(n)`, `n >= 1`) or reports the
-/// queue closed and drained ([`Dequeue::Closed`]).
-pub(crate) fn drain_batch_with<T>(
-    out: &mut Vec<T>,
-    max: usize,
-    mut try_drain: impl FnMut(&mut Vec<T>, usize) -> Result<usize, Closed>,
-    mut park: impl FnMut(),
-) -> Dequeue<usize> {
-    let max = max.max(1);
-    let backoff = Backoff::new();
-    loop {
-        match try_drain(out, max) {
-            Err(Closed) => return Dequeue::Closed,
-            Ok(0) => {
-                if backoff.is_completed() {
-                    park();
-                    backoff.reset();
-                } else {
-                    backoff.snooze();
-                }
-            }
-            Ok(n) => return Dequeue::Item(n),
-        }
-    }
 }

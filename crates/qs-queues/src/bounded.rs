@@ -8,9 +8,9 @@
 //! [`try_push`](BoundedSpscProducer::try_push) and a blocking
 //! [`push`](BoundedSpscProducer::push) (spin-then-park *backpressure*: the
 //! client is throttled to the handler's pace instead of queueing unbounded
-//! work), and whose consumer side drains *batches*
-//! ([`drain_batch`](BoundedSpscConsumer::drain_batch)) so the handler pays
-//! the queue-crossing cost once per batch instead of once per request.
+//! work), and whose consumer side polls and drains *batches*
+//! ([`try_drain_batch`](BoundedSpscConsumer::try_drain_batch)) so the handler
+//! pays the queue-crossing cost once per batch instead of once per request.
 //!
 //! The ring keeps the SPSC discipline of the unbounded queue: the producer
 //! owns the tail sequence, the consumer owns the head sequence, and each
@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use qs_sync::{Backoff, CachePadded, Parker};
 
-use crate::{BlockWatcher, Closed, Dequeue};
+use crate::{BlockWatcher, Closed};
 
 /// Error returned by [`BoundedSpscProducer::try_push`] when the ring is at
 /// capacity; the rejected value is handed back to the caller.
@@ -55,8 +55,6 @@ pub struct BoundedSpsc<T> {
     abandoned: AtomicBool,
     /// Number of blocking pushes that had to wait for space (statistics).
     stalls: AtomicUsize,
-    /// Parked consumer thread waiting for items, if any.
-    consumer: Parker,
     /// Parked producer thread waiting for space, if any.
     producer: Parker,
 }
@@ -96,7 +94,6 @@ pub fn bounded_spsc_channel<T>(
         closed: AtomicBool::new(false),
         abandoned: AtomicBool::new(false),
         stalls: AtomicUsize::new(0),
-        consumer: Parker::new(),
         producer: Parker::new(),
     });
     (
@@ -168,10 +165,6 @@ impl<T> BoundedSpsc<T> {
         self.closed.load(Ordering::Acquire)
     }
 
-    fn wake_consumer(&self) {
-        self.consumer.wake();
-    }
-
     fn wake_producer(&self) {
         self.producer.wake();
     }
@@ -202,7 +195,6 @@ impl<T> BoundedSpscProducer<T> {
         // strictly below `head`), and only this producer writes slots.
         unsafe { (*slot.get()).write(value) };
         queue.tail.store(tail + 1, Ordering::Release);
-        queue.wake_consumer();
         Ok(())
     }
 
@@ -291,11 +283,10 @@ impl<T> BoundedSpscProducer<T> {
     }
 
     /// Closes the queue.  The consumer drains the remaining items and then
-    /// observes [`Dequeue::Closed`].  Corresponds to the END marker at the
-    /// end of a separate block.
+    /// observes [`Closed`].  Corresponds to the END marker at the end of a
+    /// separate block.
     pub fn close(&self) {
         self.queue.closed.store(true, Ordering::Release);
-        self.queue.wake_consumer();
     }
 
     /// Statistics / inspection access to the underlying queue.
@@ -356,60 +347,11 @@ impl<T> BoundedSpscConsumer<T> {
         Ok(Some(value))
     }
 
-    /// Dequeues the next item, blocking (spin then park) while the ring is
-    /// empty but still open.
-    pub fn dequeue(&self) -> Dequeue<T> {
-        let backoff = Backoff::new();
-        loop {
-            match self.try_dequeue() {
-                Ok(Some(v)) => return Dequeue::Item(v),
-                Err(Closed) => return Dequeue::Closed,
-                Ok(None) => {
-                    if backoff.is_completed() {
-                        self.park_until_work();
-                        backoff.reset();
-                    } else {
-                        backoff.snooze();
-                    }
-                }
-            }
-        }
-    }
-
     /// Drains up to `max` immediately available items into `out` without
     /// blocking.  Returns the number of items appended, or [`Closed`] if the
     /// ring is closed and fully drained.
     pub fn try_drain_batch(&self, out: &mut Vec<T>, max: usize) -> Result<usize, Closed> {
         crate::batch::try_drain_with(out, max, || self.try_dequeue())
-    }
-
-    /// Drains a batch of up to `max` items into `out`, blocking until at
-    /// least one item is available or the queue is closed and drained.
-    ///
-    /// Returns `Dequeue::Item(n)` with `n >= 1` items appended to `out`, or
-    /// [`Dequeue::Closed`].  One blocking `drain_batch` observes exactly the
-    /// items that `n` repeated [`dequeue`](Self::dequeue) calls would have,
-    /// in the same order — batching changes cost, not semantics.
-    pub fn drain_batch(&self, out: &mut Vec<T>, max: usize) -> Dequeue<usize> {
-        crate::batch::drain_batch_with(
-            out,
-            max,
-            |out, max| self.try_drain_batch(out, max),
-            || self.park_until_work(),
-        )
-    }
-
-    fn park_until_work(&self) {
-        let queue = &*self.queue;
-        queue.consumer.park_until(|| self.has_work_or_closed());
-    }
-
-    fn has_work_or_closed(&self) -> bool {
-        let queue = &*self.queue;
-        if queue.closed.load(Ordering::Acquire) {
-            return true;
-        }
-        queue.head.load(Ordering::Relaxed) != queue.tail.load(Ordering::Acquire)
     }
 
     /// Statistics / inspection access to the underlying queue.
@@ -510,7 +452,7 @@ mod tests {
         let (tx, stalled) = producer.join().unwrap();
         assert!(stalled, "push into a full ring must report the stall");
         assert_eq!(tx.queue().total_stalls(), 1);
-        assert_eq!(rx.dequeue(), Dequeue::Item(2));
+        assert_eq!(rx.try_dequeue(), Ok(Some(2)));
         assert!(!tx.push(3), "push with space is not a stall");
         assert_eq!(tx.queue().total_stalls(), 1);
     }
@@ -520,24 +462,25 @@ mod tests {
         let (tx, rx) = bounded_spsc_channel(4);
         tx.try_push('a').unwrap();
         tx.close();
-        assert_eq!(rx.dequeue(), Dequeue::Item('a'));
-        assert_eq!(rx.dequeue(), Dequeue::Closed);
+        assert_eq!(rx.try_dequeue(), Ok(Some('a')));
+        assert_eq!(rx.try_dequeue(), Err(Closed));
         assert!(rx.queue().is_closed());
     }
 
     #[test]
-    fn drain_batch_takes_at_most_max() {
+    fn try_drain_batch_takes_at_most_max() {
         let (tx, rx) = bounded_spsc_channel(8);
         for i in 0..6 {
             tx.try_push(i).unwrap();
         }
         let mut out = Vec::new();
-        assert_eq!(rx.drain_batch(&mut out, 4), Dequeue::Item(4));
+        assert_eq!(rx.try_drain_batch(&mut out, 4), Ok(4));
         assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(rx.drain_batch(&mut out, 4), Dequeue::Item(2));
+        assert_eq!(rx.try_drain_batch(&mut out, 4), Ok(2));
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(rx.try_drain_batch(&mut out, 4), Ok(0));
         tx.close();
-        assert_eq!(rx.drain_batch(&mut out, 4), Dequeue::Closed);
+        assert_eq!(rx.try_drain_batch(&mut out, 4), Err(Closed));
     }
 
     #[test]
@@ -555,9 +498,10 @@ mod tests {
         let mut batch = Vec::new();
         loop {
             assert!(rx.queue().len() <= CAPACITY, "ring exceeded its capacity");
-            match rx.drain_batch(&mut batch, 5) {
-                Dequeue::Closed => break,
-                Dequeue::Item(_) => {
+            match rx.try_drain_batch(&mut batch, 5) {
+                Err(Closed) => break,
+                Ok(0) => thread::yield_now(),
+                Ok(_) => {
                     for v in batch.drain(..) {
                         assert_eq!(v, expected);
                         expected += 1;
@@ -567,19 +511,6 @@ mod tests {
         }
         assert_eq!(expected, n);
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn blocking_dequeue_wakes_on_push_and_close() {
-        let (tx, rx) = bounded_spsc_channel(2);
-        let consumer = thread::spawn(move || (rx.dequeue(), rx.dequeue()));
-        thread::sleep(std::time::Duration::from_millis(30));
-        tx.push(9);
-        tx.close();
-        assert_eq!(
-            consumer.join().unwrap(),
-            (Dequeue::Item(9), Dequeue::Closed)
-        );
     }
 
     #[test]

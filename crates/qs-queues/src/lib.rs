@@ -23,11 +23,11 @@
 //! * a **capacity-bounded SPSC ring** ([`bounded`]) whose blocking `push`
 //!   applies *backpressure* to clients that outrun their handler, instead of
 //!   growing the private queue without limit; and
-//! * **batch draining** (`drain_batch` on every consumer flavour, including
-//!   [`MutexQueue`]), so the handler amortises its dequeue overhead — one
-//!   lock acquisition per batch on the mutex queue, one spin/park round and
-//!   one accounting update per batch on the lock-free queues — instead of
-//!   paying it per request.
+//! * **batch draining** (`try_drain_batch` on every consumer flavour,
+//!   including [`MutexQueue`]), so the handler amortises its dequeue
+//!   overhead — one lock acquisition per batch on the mutex queue, one
+//!   accounting update per batch on the lock-free queues — instead of paying
+//!   it per request.
 //!
 //! The [`mailbox`] module unifies the bounded and unbounded private queues
 //! behind one producer/consumer pair, keyed by an optional capacity.
@@ -37,13 +37,25 @@
 //! detector uses to register "producer blocked on full mailbox" wait-for
 //! edges and to *break* one such push when it sits on a confirmed cycle.
 //!
-//! For M:N scheduled consumers, every queue accepts a [`WakeHook`] invoked
-//! by producers whenever work may have become visible.  Each invocation
-//! carries a [`WakeReason`] occupancy hint: bounded queues report
-//! [`WakeReason::Pressure`] when a push crosses the half-full watermark or
-//! blocks for space, letting the consumer's scheduler prioritise
-//! backpressured pipelines.  The reason is advisory only — receivers must
-//! honour every wake regardless of reason (see the [`WakeReason`] contract).
+//! # Consumers poll; producers fire the [`WakeHook`]
+//!
+//! No queue in this crate blocks its consumer.  The consumer side is
+//! `try_dequeue` / `try_drain_batch` only, returning "empty for now"
+//! (`Ok(None)` / `Ok(0)`) or "closed and drained" ([`Closed`]); how to wait
+//! in between — go back to a scheduler, park a thread — is the consumer's
+//! business, and the [`WakeHook`] it registers (on the queue-of-queues and
+//! the mutex queue, or through the mailbox producer for a private queue) is
+//! how it hears of new work: producers invoke it after every enqueue and on
+//! close.  That is the one hand-over path per event; a push does nothing
+//! else on the consumer's behalf.  Producers, by contrast, *do* block here:
+//! a push into a full bounded queue parks until the consumer makes space.
+//!
+//! Each hook invocation carries a [`WakeReason`] occupancy hint: bounded
+//! queues report [`WakeReason::Pressure`] when a push crosses the half-full
+//! watermark or blocks for space, letting the consumer's scheduler
+//! prioritise backpressured pipelines.  The reason is advisory only —
+//! receivers must honour every wake regardless of reason (see the
+//! [`WakeReason`] contract).
 
 #![warn(missing_docs)]
 
@@ -66,12 +78,12 @@ pub use spsc::{spsc_channel, SpscConsumer, SpscProducer, SpscQueue};
 /// scheduler.
 ///
 /// Producers invoke the hook after every operation that can make new work
-/// visible to the consumer — an enqueue or a close — so a consumer that is
-/// *not* parked inside the blocking dequeue/drain entry points (an M:N
-/// scheduled handler that returned to its pool instead of blocking) can be
-/// re-armed.  Producers may invoke the hook spuriously (more often than the
-/// queue transitions from empty to nonempty); deduplication is the
-/// receiver's job — the scheduler's schedule-flag protocol collapses
+/// visible to the consumer — an enqueue or a close.  Consumers only poll
+/// (see the crate docs), so this is how one that found its queues empty — a
+/// pooled handler that returned to its scheduler, a dedicated thread that
+/// parked — is re-armed.  Producers may invoke the hook spuriously (more
+/// often than the queue transitions from empty to nonempty); deduplication
+/// is the receiver's job — the scheduler's schedule-flag protocol collapses
 /// redundant wakes, which keeps the queue-side contract trivial: *never miss
 /// one*, duplicates are free.
 ///
@@ -149,19 +161,6 @@ pub enum WakeReason {
     Writable,
 }
 
-/// Outcome of a blocking dequeue operation.
-///
-/// Mirrors the Boolean protocol of the paper's handler loop (Fig. 7): a
-/// `false` result of `dequeue` does not mean "momentarily empty" but "no more
-/// work will ever arrive" (queue closed / END marker reached).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dequeue<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The queue was closed and fully drained; no item will ever arrive.
-    Closed,
-}
-
 /// Error returned by the non-blocking `try_dequeue` operations when the
 /// queue has been closed and fully drained: no item will ever arrive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,17 +174,15 @@ impl std::fmt::Display for Closed {
 
 impl std::error::Error for Closed {}
 
-impl<T> Dequeue<T> {
-    /// Converts to an `Option`, mapping [`Dequeue::Closed`] to `None`.
-    pub fn into_option(self) -> Option<T> {
-        match self {
-            Dequeue::Item(v) => Some(v),
-            Dequeue::Closed => None,
+/// Test helper: the consumer side of a cross-thread test — poll until an
+/// item arrives (`Some`) or the queue is closed and drained (`None`).
+#[cfg(test)]
+pub(crate) fn poll<T>(mut try_dequeue: impl FnMut() -> Result<Option<T>, Closed>) -> Option<T> {
+    loop {
+        match try_dequeue() {
+            Ok(Some(item)) => return Some(item),
+            Ok(None) => std::thread::yield_now(),
+            Err(Closed) => return None,
         }
-    }
-
-    /// Returns `true` if this is an [`Dequeue::Item`].
-    pub fn is_item(&self) -> bool {
-        matches!(self, Dequeue::Item(_))
     }
 }

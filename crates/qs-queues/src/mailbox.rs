@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crate::bounded::{bounded_spsc_channel, BoundedSpscConsumer, BoundedSpscProducer, Full};
 use crate::spsc::{spsc_channel, SpscConsumer, SpscProducer};
-use crate::{BlockWatcher, Closed, Dequeue, WakeHook, WakeReason};
+use crate::{BlockWatcher, Closed, WakeHook, WakeReason};
 
 /// The two underlying queue flavours of a mailbox producer.
 enum ProducerFlavour<T> {
@@ -25,10 +25,11 @@ enum ProducerFlavour<T> {
 /// Producer (client) half of a mailbox.
 pub struct MailboxProducer<T> {
     flavour: ProducerFlavour<T>,
-    /// Optional consumer-wake hook; see [`WakeHook`].  Carried by the
+    /// The consumer-wake hook; see [`WakeHook`].  The consumer only polls,
+    /// so this is the one way it learns of new work.  Carried by the
     /// producer (rather than the shared queue) because a mailbox's consumer
-    /// scheduler is known at creation time — the client building the mailbox
-    /// copies the hook from the handler it is reserving.
+    /// is known at creation time — the client building the mailbox copies
+    /// the hook from the handler it is reserving.
     wake_hook: Option<WakeHook>,
 }
 
@@ -70,9 +71,8 @@ pub fn mailbox<T>(capacity: Option<usize>) -> (MailboxProducer<T>, MailboxConsum
 }
 
 impl<T> MailboxProducer<T> {
-    /// Attaches a consumer-wake hook, invoked after every enqueue and on
-    /// close.  Used by M:N scheduled consumers that poll the mailbox instead
-    /// of blocking inside it.
+    /// Attaches the consumer-wake hook, invoked after every enqueue and on
+    /// close.
     pub fn with_wake_hook(mut self, hook: WakeHook) -> Self {
         self.wake_hook = Some(hook);
         self
@@ -210,29 +210,12 @@ impl<T> MailboxConsumer<T> {
         }
     }
 
-    /// Dequeues the next item, blocking while the mailbox is empty but open.
-    pub fn dequeue(&self) -> Dequeue<T> {
-        match self {
-            MailboxConsumer::Unbounded(rx) => rx.dequeue(),
-            MailboxConsumer::Bounded(rx) => rx.dequeue(),
-        }
-    }
-
     /// Drains up to `max` immediately available items into `out` without
     /// blocking; `Err(Closed)` once closed and fully drained.
     pub fn try_drain_batch(&self, out: &mut Vec<T>, max: usize) -> Result<usize, Closed> {
         match self {
             MailboxConsumer::Unbounded(rx) => rx.try_drain_batch(out, max),
             MailboxConsumer::Bounded(rx) => rx.try_drain_batch(out, max),
-        }
-    }
-
-    /// Drains a batch of up to `max` items into `out`, blocking until at
-    /// least one item is available or the mailbox is closed and drained.
-    pub fn drain_batch(&self, out: &mut Vec<T>, max: usize) -> Dequeue<usize> {
-        match self {
-            MailboxConsumer::Unbounded(rx) => rx.drain_batch(out, max),
-            MailboxConsumer::Bounded(rx) => rx.drain_batch(out, max),
         }
     }
 
@@ -312,7 +295,7 @@ mod tests {
         assert_eq!(tx.total_stalls(), 0);
         tx.close();
         let mut out = Vec::new();
-        while let Dequeue::Item(_) = rx.drain_batch(&mut out, 64) {}
+        while rx.try_drain_batch(&mut out, 64).is_ok() {}
         assert_eq!(out, (0..1_000).collect::<Vec<_>>());
         assert_eq!(rx.total_dequeued(), 1_000);
     }
@@ -329,7 +312,7 @@ mod tests {
         tx.try_enqueue(4).unwrap();
         tx.close();
         let mut out = Vec::new();
-        while let Dequeue::Item(_) = rx.drain_batch(&mut out, 2) {}
+        while rx.try_drain_batch(&mut out, 2).is_ok() {}
         assert_eq!(out, vec![2, 3, 4]);
     }
 
@@ -339,8 +322,8 @@ mod tests {
             let (tx, rx) = mailbox(capacity);
             tx.enqueue('x');
             tx.close();
-            assert_eq!(rx.dequeue(), Dequeue::Item('x'));
-            assert_eq!(rx.dequeue(), Dequeue::Closed);
+            assert_eq!(rx.try_dequeue(), Ok(Some('x')));
+            assert_eq!(rx.try_dequeue(), Err(Closed));
             assert_eq!(rx.total_enqueued(), 1);
         }
     }

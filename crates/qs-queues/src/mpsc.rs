@@ -15,9 +15,9 @@
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 
-use qs_sync::{Backoff, CachePadded, OnceValue, Parker};
+use qs_sync::{Backoff, CachePadded, OnceValue};
 
-use crate::{Closed, Dequeue, WakeHook, WakeReason};
+use crate::{Closed, WakeHook, WakeReason};
 
 struct Node<T> {
     next: AtomicPtr<Node<T>>,
@@ -42,16 +42,17 @@ enum Pop<T> {
     Inconsistent,
 }
 
-/// A lock-free unbounded MPSC queue with a blocking consumer side and a
-/// close ("no more work") protocol.
+/// A lock-free unbounded MPSC queue with a polling consumer side, a
+/// consumer-wake hook and a close ("no more work") protocol.
 ///
 /// ```
-/// use qs_queues::{QueueOfQueues, Dequeue};
+/// use qs_queues::{Closed, QueueOfQueues};
 /// let q = QueueOfQueues::new();
 /// q.enqueue(5);
-/// assert_eq!(q.dequeue(), Dequeue::Item(5));
+/// assert_eq!(q.try_dequeue(), Ok(Some(5)));
+/// assert_eq!(q.try_dequeue(), Ok(None));
 /// q.close();
-/// assert_eq!(q.dequeue(), Dequeue::Closed);
+/// assert_eq!(q.try_dequeue(), Err(Closed));
 /// ```
 pub struct QueueOfQueues<T> {
     /// Producers swap new nodes into `head`.
@@ -61,9 +62,7 @@ pub struct QueueOfQueues<T> {
     closed: AtomicBool,
     enqueued: AtomicUsize,
     dequeued: AtomicUsize,
-    consumer: Parker,
-    /// Optional consumer-wake hook (M:N scheduled consumers); see
-    /// [`WakeHook`].
+    /// The consumer-wake hook; see [`WakeHook`].
     wake_hook: OnceValue<WakeHook>,
 }
 
@@ -88,7 +87,6 @@ impl<T> QueueOfQueues<T> {
             closed: AtomicBool::new(false),
             enqueued: AtomicUsize::new(0),
             dequeued: AtomicUsize::new(0),
-            consumer: Parker::new(),
             wake_hook: OnceValue::new(),
         }
     }
@@ -120,15 +118,13 @@ impl<T> QueueOfQueues<T> {
         // brief window before this store is the "inconsistent" state.
         unsafe { (*prev).next.store(node, Ordering::Release) };
         self.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.wake_consumer();
         self.invoke_wake_hook(WakeReason::Enqueue);
     }
 
     /// Marks the queue closed.  The consumer drains the remaining items and
-    /// then observes [`Dequeue::Closed`].
+    /// then observes [`Closed`].
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        self.wake_consumer();
         self.invoke_wake_hook(WakeReason::Close);
     }
 
@@ -145,10 +141,6 @@ impl<T> QueueOfQueues<T> {
     /// Total number of successful dequeue operations (statistics).
     pub fn total_dequeued(&self) -> usize {
         self.dequeued.load(Ordering::Relaxed)
-    }
-
-    fn wake_consumer(&self) {
-        self.consumer.wake();
     }
 
     /// Non-blocking pop; must only be called from the single consumer thread.
@@ -203,39 +195,6 @@ impl<T> QueueOfQueues<T> {
             }
         }
     }
-
-    /// Dequeues the next item, blocking (spin then park) while the queue is
-    /// empty but open.  This is the handler's outer loop operation in Fig. 7.
-    pub fn dequeue(&self) -> Dequeue<T> {
-        let backoff = Backoff::new();
-        loop {
-            match self.try_dequeue() {
-                Ok(Some(v)) => return Dequeue::Item(v),
-                Err(Closed) => return Dequeue::Closed,
-                Ok(None) => {
-                    if backoff.is_completed() {
-                        self.park_until_work();
-                        backoff.reset();
-                    } else {
-                        backoff.snooze();
-                    }
-                }
-            }
-        }
-    }
-
-    fn park_until_work(&self) {
-        self.consumer.park_until(|| self.has_work_or_closed());
-    }
-
-    fn has_work_or_closed(&self) -> bool {
-        if self.closed.load(Ordering::Acquire) {
-            return true;
-        }
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        head != tail
-    }
 }
 
 impl<T> Drop for QueueOfQueues<T> {
@@ -274,8 +233,8 @@ mod tests {
         let q = QueueOfQueues::new();
         q.enqueue('a');
         q.close();
-        assert_eq!(q.dequeue(), Dequeue::Item('a'));
-        assert_eq!(q.dequeue(), Dequeue::Closed);
+        assert_eq!(q.try_dequeue(), Ok(Some('a')));
+        assert_eq!(q.try_dequeue(), Err(Closed));
         assert!(q.is_closed());
     }
 
@@ -297,7 +256,7 @@ mod tests {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut seen = HashSet::new();
-                while let Dequeue::Item(v) = q.dequeue() {
+                while let Some(v) = crate::poll(|| q.try_dequeue()) {
                     assert!(seen.insert(v), "duplicate item {v}");
                 }
                 seen
@@ -333,7 +292,7 @@ mod tests {
         }
         q.close();
         let mut last = [None; PRODUCERS];
-        while let Dequeue::Item((p, i)) = q.dequeue() {
+        while let Ok(Some((p, i))) = q.try_dequeue() {
             if let Some(prev) = last[p] {
                 assert!(i > prev, "producer {p} reordered: {prev} then {i}");
             }
@@ -345,23 +304,17 @@ mod tests {
     }
 
     #[test]
-    fn blocking_consumer_wakes_on_enqueue() {
-        let q = Arc::new(QueueOfQueues::new());
-        let q2 = Arc::clone(&q);
-        let consumer = thread::spawn(move || q2.dequeue());
-        thread::sleep(std::time::Duration::from_millis(30));
+    fn wake_hook_fires_on_enqueue_and_close() {
+        let reasons: Arc<std::sync::Mutex<Vec<WakeReason>>> = Arc::default();
+        let sink = Arc::clone(&reasons);
+        let q = QueueOfQueues::new();
+        q.set_wake_hook(Arc::new(move |reason| sink.lock().unwrap().push(reason)));
         q.enqueue(1u8);
-        assert_eq!(consumer.join().unwrap(), Dequeue::Item(1));
-    }
-
-    #[test]
-    fn blocking_consumer_wakes_on_close() {
-        let q = Arc::new(QueueOfQueues::<u8>::new());
-        let q2 = Arc::clone(&q);
-        let consumer = thread::spawn(move || q2.dequeue());
-        thread::sleep(std::time::Duration::from_millis(30));
         q.close();
-        assert_eq!(consumer.join().unwrap(), Dequeue::Closed);
+        assert_eq!(
+            *reasons.lock().unwrap(),
+            vec![WakeReason::Enqueue, WakeReason::Close]
+        );
     }
 
     #[test]

@@ -2,16 +2,16 @@
 //!
 //! This is the queue the *unoptimised* SCOOP runtime (configuration "None" in
 //! §4) uses for its single request queue, and the baseline in the queue
-//! ablation benchmark (E9): every operation takes a mutex and blocking uses a
-//! condition variable, so each handoff pays at least one lock round-trip and
-//! usually an OS wake-up.
+//! ablation benchmark (E9): every operation takes a mutex, so each handoff
+//! pays at least one lock round-trip.
 //!
 //! To keep the optimisation study apples-to-apples, the lock-based
 //! configuration gets the same mailbox semantics as the queue-of-queues one:
 //! [`with_capacity`](MutexQueue::with_capacity) bounds the queue (producers
-//! block — *backpressure* — instead of growing it without limit) and
-//! [`drain_batch`](MutexQueue::drain_batch) hands the consumer a whole batch
-//! per lock acquisition instead of one item.
+//! block on a condition variable — *backpressure* — instead of growing it
+//! without limit), consumers poll and are woken through the [`WakeHook`], and
+//! [`try_drain_batch`](MutexQueue::try_drain_batch) hands the consumer a
+//! whole batch per lock acquisition instead of one item.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -19,27 +19,26 @@ use std::time::Duration;
 
 use qs_sync::OnceValue;
 
-use crate::{BlockWatcher, Closed, Dequeue, WakeHook, WakeReason};
+use crate::{BlockWatcher, Closed, WakeHook, WakeReason};
 
-/// A mutex+condvar protected FIFO queue with a close protocol and an
-/// optional capacity bound.
+/// A mutex-protected FIFO queue with a close protocol and an optional
+/// capacity bound.
 ///
 /// ```
-/// use qs_queues::{MutexQueue, Dequeue};
+/// use qs_queues::{Closed, MutexQueue};
 /// let q = MutexQueue::new();
 /// q.enqueue(3);
-/// assert_eq!(q.dequeue(), Dequeue::Item(3));
+/// assert_eq!(q.try_dequeue(), Ok(Some(3)));
 /// q.close();
-/// assert_eq!(q.dequeue(), Dequeue::Closed);
+/// assert_eq!(q.try_dequeue(), Err(Closed));
 /// ```
 pub struct MutexQueue<T> {
     inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
+    /// Producers blocked on a full bounded queue wait here.
     not_full: Condvar,
     /// `None` = unbounded (the seed behaviour).
     capacity: Option<usize>,
-    /// Optional consumer-wake hook (M:N scheduled consumers); see
-    /// [`WakeHook`].
+    /// The consumer-wake hook; see [`WakeHook`].
     wake_hook: OnceValue<WakeHook>,
 }
 
@@ -90,7 +89,6 @@ impl<T> MutexQueue<T> {
                 dequeued: 0,
                 stalls: 0,
             }),
-            not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
             wake_hook: OnceValue::new(),
@@ -164,7 +162,6 @@ impl<T> MutexQueue<T> {
         inner.enqueued += 1;
         let len = inner.items.len();
         drop(inner);
-        self.not_empty.notify_one();
         self.invoke_wake_hook(self.push_reason(false, len));
         Ok(())
     }
@@ -189,7 +186,6 @@ impl<T> MutexQueue<T> {
         inner.enqueued += 1;
         let len = inner.items.len();
         drop(inner);
-        self.not_empty.notify_one();
         self.invoke_wake_hook(self.push_reason(stalled, len));
         stalled
     }
@@ -237,7 +233,6 @@ impl<T> MutexQueue<T> {
         if stalled {
             watcher.block_end();
         }
-        self.not_empty.notify_one();
         self.invoke_wake_hook(self.push_reason(stalled, len));
         Ok(stalled)
     }
@@ -256,10 +251,9 @@ impl<T> MutexQueue<T> {
         self.capacity.is_some() && self.is_full(&self.inner.lock().unwrap())
     }
 
-    /// Closes the queue; consumers observe [`Dequeue::Closed`] after draining.
+    /// Closes the queue; consumers observe [`Closed`] after draining.
     pub fn close(&self) {
         self.inner.lock().unwrap().closed = true;
-        self.not_empty.notify_all();
         self.not_full.notify_all();
         self.invoke_wake_hook(WakeReason::Close);
     }
@@ -313,23 +307,6 @@ impl<T> MutexQueue<T> {
         }
     }
 
-    /// Dequeues the next item, blocking while the queue is empty but open.
-    pub fn dequeue(&self) -> Dequeue<T> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if let Some(v) = inner.items.pop_front() {
-                inner.dequeued += 1;
-                drop(inner);
-                self.notify_space();
-                return Dequeue::Item(v);
-            }
-            if inner.closed {
-                return Dequeue::Closed;
-            }
-            inner = self.not_empty.wait(inner).unwrap();
-        }
-    }
-
     /// Drains up to `max` immediately available items into `out` without
     /// blocking.  Returns the number of items appended, or [`Closed`] if the
     /// queue is closed and fully drained.
@@ -344,29 +321,6 @@ impl<T> MutexQueue<T> {
             self.notify_space();
         }
         Ok(drained)
-    }
-
-    /// Drains a batch of up to `max` items into `out`, blocking until at
-    /// least one item is available or the queue is closed and drained.
-    ///
-    /// One `drain_batch` under the lock replaces `n` lock round-trips of
-    /// repeated [`dequeue`](Self::dequeue), observing the same items in the
-    /// same order.
-    pub fn drain_batch(&self, out: &mut Vec<T>, max: usize) -> Dequeue<usize> {
-        let max = max.max(1);
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if !inner.items.is_empty() {
-                let drained = self.drain_locked(&mut inner, out, max);
-                drop(inner);
-                self.notify_space();
-                return Dequeue::Item(drained);
-            }
-            if inner.closed {
-                return Dequeue::Closed;
-            }
-            inner = self.not_empty.wait(inner).unwrap();
-        }
     }
 
     fn drain_locked(&self, inner: &mut Inner<T>, out: &mut Vec<T>, max: usize) -> usize {
@@ -390,9 +344,9 @@ mod tests {
         q.enqueue(2);
         q.enqueue(3);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.dequeue(), Dequeue::Item(1));
-        assert_eq!(q.dequeue(), Dequeue::Item(2));
-        assert_eq!(q.dequeue(), Dequeue::Item(3));
+        assert_eq!(q.try_dequeue(), Ok(Some(1)));
+        assert_eq!(q.try_dequeue(), Ok(Some(2)));
+        assert_eq!(q.try_dequeue(), Ok(Some(3)));
         assert!(q.is_empty());
     }
 
@@ -406,17 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_dequeue_wakes_on_enqueue_and_close() {
-        let q = Arc::new(MutexQueue::new());
-        let q2 = Arc::clone(&q);
-        let t = thread::spawn(move || (q2.dequeue(), q2.dequeue()));
-        thread::sleep(std::time::Duration::from_millis(20));
-        q.enqueue(7);
-        q.close();
-        assert_eq!(t.join().unwrap(), (Dequeue::Item(7), Dequeue::Closed));
-    }
-
-    #[test]
     fn bounded_enqueue_blocks_and_counts_the_stall() {
         let q = Arc::new(MutexQueue::with_capacity(Some(2)));
         assert_eq!(q.capacity(), Some(2));
@@ -426,7 +369,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let producer = thread::spawn(move || q2.enqueue(3));
         thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.dequeue(), Dequeue::Item(1));
+        assert_eq!(q.try_dequeue(), Ok(Some(1)));
         assert!(producer.join().unwrap(), "full enqueue must report a stall");
         assert_eq!(q.total_stalls(), 1);
         assert_eq!(q.len(), 2);
@@ -478,7 +421,7 @@ mod tests {
         assert_eq!(q.len(), 1, "nothing enqueued by the abort");
         // Un-aborted watched enqueues behave like plain ones.
         watcher.abort.store(false, Ordering::SeqCst);
-        assert_eq!(q.dequeue(), Dequeue::Item(1));
+        assert_eq!(q.try_dequeue(), Ok(Some(1)));
         assert_eq!(q.enqueue_watched(3, &*watcher), Ok(false));
         assert_eq!(watcher.begins.load(Ordering::SeqCst), 1, "no new block");
         assert!(!MutexQueue::<u8>::new().is_at_capacity());
@@ -522,14 +465,14 @@ mod tests {
     }
 
     #[test]
-    fn drain_batch_matches_repeated_dequeue() {
+    fn try_drain_batch_matches_repeated_dequeue() {
         let q = MutexQueue::new();
         for i in 0..50 {
             q.enqueue(i);
         }
         q.close();
         let mut got = Vec::new();
-        while let Dequeue::Item(n) = q.drain_batch(&mut got, 7) {
+        while let Ok(n) = q.try_drain_batch(&mut got, 7) {
             assert!((1..=7).contains(&n));
         }
         assert_eq!(got, (0..50).collect::<Vec<_>>());
@@ -557,9 +500,15 @@ mod tests {
             consumers.push(thread::spawn(move || {
                 let mut count = 0usize;
                 let mut batch = Vec::new();
-                while let Dequeue::Item(n) = q.drain_batch(&mut batch, 16) {
-                    count += n;
-                    batch.clear();
+                loop {
+                    match q.try_drain_batch(&mut batch, 16) {
+                        Err(Closed) => break,
+                        Ok(0) => thread::yield_now(),
+                        Ok(n) => {
+                            count += n;
+                            batch.clear();
+                        }
+                    }
                 }
                 count
             }));

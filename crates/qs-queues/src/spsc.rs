@@ -14,9 +14,9 @@ use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use qs_sync::{Backoff, CachePadded, Parker, SpinLock};
+use qs_sync::{Backoff, CachePadded, SpinLock};
 
-use crate::{Closed, Dequeue};
+use crate::Closed;
 
 /// Number of slots per segment.  Chosen so a segment (with its header) stays
 /// within a few cache lines for pointer-sized payloads while amortising the
@@ -65,8 +65,6 @@ pub struct SpscQueue<T> {
     enqueued: AtomicUsize,
     /// Number of items dequeued over the queue's lifetime (statistics).
     dequeued: AtomicUsize,
-    /// Parked consumer thread, if any.
-    consumer: Parker,
 }
 
 struct Cursor<T> {
@@ -94,7 +92,6 @@ impl<T> SpscQueue<T> {
             closed: AtomicBool::new(false),
             enqueued: AtomicUsize::new(0),
             dequeued: AtomicUsize::new(0),
-            consumer: Parker::new(),
         })
     }
 
@@ -111,10 +108,6 @@ impl<T> SpscQueue<T> {
     /// Returns `true` if the producer has closed the queue.
     pub fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
-    }
-
-    fn wake_consumer(&self) {
-        self.consumer.wake();
     }
 }
 
@@ -165,15 +158,13 @@ impl<T> SpscProducer<T> {
         }
         drop(tail);
         queue.enqueued.fetch_add(1, Ordering::Relaxed);
-        queue.wake_consumer();
     }
 
     /// Closes the queue.  The consumer will drain the remaining items and
-    /// then observe [`Dequeue::Closed`].  Corresponds to enqueueing the END
-    /// marker at the end of a separate block.
+    /// then observe [`Closed`].  Corresponds to enqueueing the END marker at
+    /// the end of a separate block.
     pub fn close(&self) {
         self.queue.closed.store(true, Ordering::Release);
-        self.queue.wake_consumer();
     }
 
     /// Statistics / inspection access to the underlying queue.
@@ -236,62 +227,11 @@ impl<T> SpscConsumer<T> {
         Ok(None)
     }
 
-    /// Dequeues the next item, blocking (spin then park) while the queue is
-    /// empty but still open.
-    pub fn dequeue(&self) -> Dequeue<T> {
-        let backoff = Backoff::new();
-        loop {
-            match self.try_dequeue() {
-                Ok(Some(v)) => return Dequeue::Item(v),
-                Err(Closed) => return Dequeue::Closed,
-                Ok(None) => {
-                    if backoff.is_completed() {
-                        self.park_until_work();
-                        backoff.reset();
-                    } else {
-                        backoff.snooze();
-                    }
-                }
-            }
-        }
-    }
-
     /// Drains up to `max` immediately available items into `out` without
     /// blocking.  Returns the number of items appended, or [`Closed`] if the
     /// queue is closed and fully drained.
     pub fn try_drain_batch(&self, out: &mut Vec<T>, max: usize) -> Result<usize, Closed> {
         crate::batch::try_drain_with(out, max, || self.try_dequeue())
-    }
-
-    /// Drains a batch of up to `max` items into `out`, blocking until at
-    /// least one item is available or the queue is closed and drained.
-    ///
-    /// Returns `Dequeue::Item(n)` with `n >= 1` items appended to `out`, or
-    /// [`Dequeue::Closed`].  A blocking `drain_batch` observes exactly the
-    /// items that `n` repeated [`dequeue`](Self::dequeue) calls would have,
-    /// in the same order — batching changes cost, not semantics.
-    pub fn drain_batch(&self, out: &mut Vec<T>, max: usize) -> Dequeue<usize> {
-        crate::batch::drain_batch_with(
-            out,
-            max,
-            |out, max| self.try_drain_batch(out, max),
-            || self.park_until_work(),
-        )
-    }
-
-    fn park_until_work(&self) {
-        self.queue.consumer.park_until(|| self.has_work_or_closed());
-    }
-
-    fn has_work_or_closed(&self) -> bool {
-        let queue = &*self.queue;
-        if queue.closed.load(Ordering::Acquire) {
-            return true;
-        }
-        let head = queue.head.lock();
-        // SAFETY: consumer-owned cursor.
-        let segment = unsafe { &*head.segment };
-        segment.slots[head.index].ready.load(Ordering::Acquire)
     }
 
     /// Statistics / inspection access to the underlying queue.
@@ -376,9 +316,9 @@ mod tests {
         tx.enqueue(1);
         tx.enqueue(2);
         tx.close();
-        assert_eq!(rx.dequeue(), Dequeue::Item(1));
-        assert_eq!(rx.dequeue(), Dequeue::Item(2));
-        assert_eq!(rx.dequeue(), Dequeue::Closed);
+        assert_eq!(rx.try_dequeue(), Ok(Some(1)));
+        assert_eq!(rx.try_dequeue(), Ok(Some(2)));
+        assert_eq!(rx.try_dequeue(), Err(Closed));
         assert!(rx.queue().is_closed());
     }
 
@@ -391,7 +331,7 @@ mod tests {
         }
         tx.close();
         let mut got = Vec::new();
-        while let Dequeue::Item(v) = rx.dequeue() {
+        while let Ok(Some(v)) = rx.try_dequeue() {
             got.push(v);
         }
         assert_eq!(got, (0..n).collect::<Vec<_>>());
@@ -408,30 +348,12 @@ mod tests {
             tx.close();
         });
         let mut expected = 0usize;
-        while let Dequeue::Item(v) = rx.dequeue() {
+        while let Some(v) = crate::poll(|| rx.try_dequeue()) {
             assert_eq!(v, expected);
             expected += 1;
         }
         assert_eq!(expected, n);
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn blocking_dequeue_wakes_on_enqueue() {
-        let (tx, rx) = spsc_channel();
-        let consumer = thread::spawn(move || rx.dequeue());
-        thread::sleep(std::time::Duration::from_millis(30));
-        tx.enqueue(99);
-        assert_eq!(consumer.join().unwrap(), Dequeue::Item(99));
-    }
-
-    #[test]
-    fn blocking_dequeue_wakes_on_close() {
-        let (tx, rx) = spsc_channel::<u8>();
-        let consumer = thread::spawn(move || rx.dequeue());
-        thread::sleep(std::time::Duration::from_millis(30));
-        tx.close();
-        assert_eq!(consumer.join().unwrap(), Dequeue::Closed);
     }
 
     #[test]
@@ -441,7 +363,7 @@ mod tests {
             tx.enqueue(i);
         }
         for _ in 0..4 {
-            rx.dequeue();
+            rx.try_dequeue().unwrap();
         }
         assert_eq!(rx.queue().total_enqueued(), 10);
         assert_eq!(rx.queue().total_dequeued(), 4);
@@ -467,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_batch_matches_repeated_dequeue() {
+    fn try_drain_batch_matches_repeated_dequeue() {
         let (tx, rx) = spsc_channel();
         let n = SEGMENT_SIZE * 2 + 11;
         for i in 0..n {
@@ -475,7 +397,7 @@ mod tests {
         }
         tx.close();
         let mut got = Vec::new();
-        while let Dequeue::Item(drained) = rx.drain_batch(&mut got, 13) {
+        while let Ok(drained) = rx.try_drain_batch(&mut got, 13) {
             assert!((1..=13).contains(&drained));
         }
         assert_eq!(got, (0..n).collect::<Vec<_>>());
@@ -486,8 +408,8 @@ mod tests {
         let (tx, rx) = spsc_channel::<Box<dyn FnOnce() -> i32 + Send>>();
         tx.enqueue(Box::new(|| 7));
         tx.enqueue(Box::new(|| 8));
-        let a = rx.dequeue().into_option().unwrap()();
-        let b = rx.dequeue().into_option().unwrap()();
+        let a = rx.try_dequeue().unwrap().unwrap()();
+        let b = rx.try_dequeue().unwrap().unwrap()();
         assert_eq!(a + b, 15);
     }
 }

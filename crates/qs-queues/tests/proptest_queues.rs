@@ -3,12 +3,36 @@
 //! The reasoning guarantees of SCOOP/Qs (§2.2) rest on two queue properties:
 //! per-producer FIFO order and exactly-once delivery.  These properties are
 //! exercised here with randomly generated operation sequences and thread
-//! interleavings.
+//! interleavings.  Consumers only poll (`try_dequeue` / `try_drain_batch`),
+//! so a consuming thread here yields between empty polls.
 
 use proptest::prelude::*;
-use qs_queues::{bounded_spsc_channel, spsc_channel, Dequeue, MutexQueue, QueueOfQueues};
+use qs_queues::{bounded_spsc_channel, spsc_channel, Closed, MutexQueue, QueueOfQueues};
 use std::sync::Arc;
 use std::thread;
+
+/// Polls until an item arrives (`Some`) or the queue is closed and drained
+/// (`None`), yielding the CPU between empty polls.
+fn poll<T>(mut try_dequeue: impl FnMut() -> Result<Option<T>, Closed>) -> Option<T> {
+    loop {
+        match try_dequeue() {
+            Ok(Some(item)) => return Some(item),
+            Ok(None) => thread::yield_now(),
+            Err(Closed) => return None,
+        }
+    }
+}
+
+/// The batch form of [`poll`]: `Some(n)` with `n >= 1` items appended.
+fn poll_batch(mut try_drain: impl FnMut() -> Result<usize, Closed>) -> Option<usize> {
+    loop {
+        match try_drain() {
+            Ok(0) => thread::yield_now(),
+            Ok(n) => return Some(n),
+            Err(Closed) => return None,
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -26,7 +50,7 @@ proptest! {
             tx.close();
         });
         let mut got = Vec::new();
-        while let Dequeue::Item(v) = rx.dequeue() {
+        while let Some(v) = poll(|| rx.try_dequeue()) {
             got.push(v);
         }
         producer.join().unwrap();
@@ -56,7 +80,7 @@ proptest! {
         q.close();
         let mut next_index = vec![0usize; per_producer.len()];
         let mut received = vec![Vec::new(); per_producer.len()];
-        while let Dequeue::Item((p, i, item)) = q.dequeue() {
+        while let Some((p, i, item)) = poll(|| q.try_dequeue()) {
             prop_assert_eq!(i, next_index[p], "producer {} reordered", p);
             next_index[p] += 1;
             received[p].push(item);
@@ -118,9 +142,9 @@ proptest! {
         loop {
             let len = rx.queue().len();
             prop_assert!(len <= capacity, "len {} exceeded capacity {}", len, capacity);
-            match rx.dequeue() {
-                Dequeue::Item(v) => got.push(v),
-                Dequeue::Closed => break,
+            match poll(|| rx.try_dequeue()) {
+                Some(v) => got.push(v),
+                None => break,
             }
         }
         let (tx, stalls) = producer.join().unwrap();
@@ -153,11 +177,11 @@ proptest! {
             });
             let mut got = Vec::new();
             if by_batch {
-                while let Dequeue::Item(n) = rx.drain_batch(&mut got, max_batch) {
-                    assert!(n >= 1 && n <= max_batch);
+                while let Some(n) = poll_batch(|| rx.try_drain_batch(&mut got, max_batch)) {
+                    assert!(n <= max_batch);
                 }
             } else {
-                while let Dequeue::Item(v) = rx.dequeue() {
+                while let Some(v) = poll(|| rx.try_dequeue()) {
                     got.push(v);
                 }
             }
@@ -189,9 +213,9 @@ proptest! {
         let mut got = Vec::new();
         loop {
             prop_assert!(q.len() <= capacity, "len exceeded capacity {}", capacity);
-            match q.drain_batch(&mut got, max_batch) {
-                Dequeue::Item(n) => prop_assert!(n >= 1 && n <= max_batch),
-                Dequeue::Closed => break,
+            match poll_batch(|| q.try_drain_batch(&mut got, max_batch)) {
+                Some(n) => prop_assert!(n <= max_batch),
+                None => break,
             }
         }
         producer.join().unwrap();
@@ -209,7 +233,7 @@ proptest! {
         }
         tx.close();
         let mut count = 0;
-        while let Dequeue::Item(v) = rx.dequeue() {
+        while let Some(v) = poll(|| rx.try_dequeue()) {
             assert_eq!(v, count);
             count += 1;
         }

@@ -24,11 +24,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use qs_queues::{Dequeue, QueueOfQueues};
+use qs_queues::{Closed, QueueOfQueues};
 
 use crate::channel::{byte_channel, ByteReceiver, ByteSender, ChannelConfig, RecvError};
 use crate::registry::RemoteObject;
-use crate::transport::{NodeAddr, NodeListener};
+use crate::transport::{NodeAddr, NodeListener, SocketFile};
 use crate::wire::{Frame, WireValue, WIRE_VERSION};
 
 /// Counters describing one node's activity (the remote analogue of
@@ -66,9 +66,28 @@ struct NodeShared {
     qoq: QueueOfQueues<(ByteReceiver, ByteSender)>,
     channel_config: ChannelConfig,
     counters: NodeCounters,
-    /// Addresses of socket listeners feeding this node's queue-of-queues;
-    /// [`RemoteNode::stop`] dials each once to unblock its accept loop.
-    listeners: Mutex<Vec<NodeAddr>>,
+    /// Socket listeners feeding this node's queue-of-queues: the address
+    /// [`RemoteNode::stop`] dials once to unblock the accept loop, and for
+    /// Unix sockets the file it then removes.
+    listeners: Mutex<Vec<(NodeAddr, Option<SocketFile>)>>,
+}
+
+impl NodeShared {
+    /// Stops accepting new private queues and retires the socket listeners.
+    fn stop(&self) {
+        self.qoq.close();
+        for (addr, socket_file) in self.listeners.lock().drain(..) {
+            // Unblock the accept loop so its thread exits.
+            let _ = addr.connect();
+            // The accept thread drops its listener only once that dial
+            // reaches it — too late for a successor binding the same path
+            // straight after this call returns, whose file the late unlink
+            // would take.  Remove ours now, while the path still names it.
+            if let Some(file) = socket_file {
+                file.unlink();
+            }
+        }
+    }
 }
 
 /// A handler node owning one remote object and serving clients over byte
@@ -137,6 +156,12 @@ impl<T: Send + 'static> RemoteNode<T> {
                 *thread_final.lock() = Some(object.state);
             })
             .expect("spawn remote node thread");
+        // The serving thread polls the queue-of-queues and parks in between;
+        // the hook is in place before any proxy exists to enqueue.
+        let serving = thread.thread().clone();
+        shared
+            .qoq
+            .set_wake_hook(Arc::new(move |_reason| serving.unpark()));
         RemoteNode {
             shared,
             final_state,
@@ -178,7 +203,10 @@ impl<T: Send + 'static> RemoteNode<T> {
     /// with [`SocketProxy::connect`].
     pub fn listen(&self, listener: NodeListener) -> std::io::Result<NodeAddr> {
         let addr = listener.local_addr()?;
-        self.shared.listeners.lock().push(addr.clone());
+        self.shared
+            .listeners
+            .lock()
+            .push((addr.clone(), listener.socket_file()));
         let shared = Arc::clone(&self.shared);
         std::thread::Builder::new()
             .name(format!("remote-accept-{}", self.shared.name))
@@ -199,13 +227,10 @@ impl<T: Send + 'static> RemoteNode<T> {
     }
 
     /// Stops accepting new private queues; already-registered blocks are
-    /// still drained.
+    /// still drained.  When this returns, the socket files of the node's
+    /// Unix listeners are gone and their paths free to bind again.
     pub fn stop(&self) {
-        self.shared.qoq.close();
-        // Unblock any socket accept loops so their threads exit.
-        for addr in self.shared.listeners.lock().drain(..) {
-            let _ = addr.connect();
-        }
+        self.shared.stop();
     }
 
     /// Stops the node, waits for the serving thread and returns the final
@@ -221,10 +246,7 @@ impl<T: Send + 'static> RemoteNode<T> {
 
 impl<T> Drop for RemoteNode<T> {
     fn drop(&mut self) {
-        self.shared.qoq.close();
-        for addr in self.shared.listeners.lock().drain(..) {
-            let _ = addr.connect();
-        }
+        self.shared.stop();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -240,14 +262,23 @@ impl<T: Send + 'static> std::fmt::Debug for RemoteNode<T> {
     }
 }
 
-/// The node's serving loop: Fig. 7 over byte channels.
+/// The node's serving loop: Fig. 7 over byte channels.  Between private
+/// queues the thread parks; the queue-of-queues' wake hook unparks it on
+/// every enqueue and on close, and an unpark that lands between an empty
+/// poll and the park stays pending and ends the park at once.
 fn serve<T>(shared: &Arc<NodeShared>, object: &mut RemoteObject<T>) {
-    while let Dequeue::Item((requests, responses)) = shared.qoq.dequeue() {
-        serve_private_queue(shared, object, &requests, &responses);
-        shared
-            .counters
-            .blocks_served
-            .fetch_add(1, Ordering::Relaxed);
+    loop {
+        match shared.qoq.try_dequeue() {
+            Ok(Some((requests, responses))) => {
+                serve_private_queue(shared, object, &requests, &responses);
+                shared
+                    .counters
+                    .blocks_served
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(None) => std::thread::park(),
+            Err(Closed) => return,
+        }
     }
 }
 
@@ -776,6 +807,35 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(node.shutdown_and_take(), Some(20));
+    }
+
+    #[test]
+    fn stopped_node_frees_its_unix_path_for_a_successor() {
+        // bind, stop, rebind, dial: `stop()` removes the socket file before
+        // it returns, so the first node's accept thread — which drops its
+        // listener only when `stop()`'s wake-up dial reaches it, possibly
+        // after the successor has bound — finds nothing of its own to unlink.
+        let path = std::env::temp_dir().join(format!("qs-node-rebind-{}.sock", std::process::id()));
+        let addr = NodeAddr::Unix(path.clone());
+        for round in 0..20 {
+            let first = counter_node("first");
+            first.listen(NodeListener::bind(&addr).unwrap()).unwrap();
+            first.stop();
+            assert!(!path.exists(), "round {round}: stop() left its socket file");
+            let successor = counter_node("successor");
+            successor
+                .listen(NodeListener::bind(&addr).unwrap())
+                .unwrap();
+            drop(first);
+            let value = SocketProxy::new(addr.clone(), "client")
+                .separate(|s| {
+                    s.call("add", vec![WireValue::Int(round)]).unwrap();
+                    s.query("value", vec![]).unwrap()
+                })
+                .unwrap_or_else(|e| panic!("round {round}: successor unreachable: {e}"));
+            assert_eq!(value, WireValue::Int(round));
+            assert_eq!(successor.shutdown_and_take(), Some(round));
+        }
     }
 
     #[test]

@@ -31,8 +31,9 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -86,12 +87,39 @@ impl fmt::Display for NodeAddr {
     }
 }
 
+/// What a path names right now, as `(device, inode)`.
+fn file_id(path: &Path) -> io::Result<(u64, u64)> {
+    let metadata = std::fs::symlink_metadata(path)?;
+    Ok((metadata.dev(), metadata.ino()))
+}
+
+/// The socket file a Unix listener created: its path and the identity the
+/// file had at bind time.
+pub(crate) struct SocketFile {
+    path: PathBuf,
+    created: (u64, u64),
+}
+
+impl SocketFile {
+    /// Removes the file — unless the path no longer names it: it was
+    /// already unlinked, or a successor has since bound the same path, and
+    /// the file there is not ours to remove.  A bound socket pins its
+    /// inode, so while the listener is open no other file can carry its
+    /// identity.
+    pub(crate) fn unlink(&self) {
+        if file_id(&self.path).ok() == Some(self.created) {
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
+}
+
 /// A listening endpoint accepting node connections.
 pub enum NodeListener {
     /// A TCP listener.
     Tcp(TcpListener),
-    /// A Unix-domain listener; the socket file is removed on drop.
-    Unix(UnixListener, PathBuf),
+    /// A Unix-domain listener, the path it bound and the identity of the
+    /// socket file it created there; that file is removed on drop.
+    Unix(UnixListener, PathBuf, (u64, u64)),
 }
 
 impl NodeListener {
@@ -106,7 +134,8 @@ impl NodeListener {
                 if path.exists() {
                     let _ = std::fs::remove_file(path);
                 }
-                Ok(NodeListener::Unix(UnixListener::bind(path)?, path.clone()))
+                let listener = UnixListener::bind(path)?;
+                Ok(NodeListener::Unix(listener, path.clone(), file_id(path)?))
             }
         }
     }
@@ -115,7 +144,20 @@ impl NodeListener {
     pub fn local_addr(&self) -> io::Result<NodeAddr> {
         match self {
             NodeListener::Tcp(listener) => Ok(NodeAddr::Tcp(listener.local_addr()?.to_string())),
-            NodeListener::Unix(_, path) => Ok(NodeAddr::Unix(path.clone())),
+            NodeListener::Unix(_, path, _) => Ok(NodeAddr::Unix(path.clone())),
+        }
+    }
+
+    /// The socket file this listener will remove when dropped (Unix only),
+    /// so an owner that stops the listener from another thread can remove
+    /// it without waiting for the drop.
+    pub(crate) fn socket_file(&self) -> Option<SocketFile> {
+        match self {
+            NodeListener::Tcp(_) => None,
+            NodeListener::Unix(_, path, created) => Some(SocketFile {
+                path: path.clone(),
+                created: *created,
+            }),
         }
     }
 
@@ -126,7 +168,7 @@ impl NodeListener {
                 let (stream, _) = listener.accept()?;
                 socket_pair(Socket::Tcp(stream))
             }
-            NodeListener::Unix(listener, _) => {
+            NodeListener::Unix(listener, _, _) => {
                 let (stream, _) = listener.accept()?;
                 socket_pair(Socket::Unix(stream))
             }
@@ -136,8 +178,8 @@ impl NodeListener {
 
 impl Drop for NodeListener {
     fn drop(&mut self) {
-        if let NodeListener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
+        if let Some(file) = self.socket_file() {
+            file.unlink();
         }
     }
 }
@@ -428,5 +470,23 @@ mod tests {
         assert!(path.exists());
         drop(listener);
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn dropped_listener_leaves_a_successors_socket_file_alone() {
+        let path = std::env::temp_dir().join(format!(
+            "qs-transport-successor-{}.sock",
+            std::process::id()
+        ));
+        let addr = NodeAddr::Unix(path.clone());
+        let first = NodeListener::bind(&addr).unwrap();
+        // Binding the same path replaces the file under the first listener.
+        let successor = NodeListener::bind(&addr).unwrap();
+        drop(first);
+        assert!(path.exists(), "the path names the successor's file now");
+        let accepted = std::thread::spawn(move || successor.accept().map(|_| ()));
+        addr.connect().expect("the successor is still reachable");
+        accepted.join().unwrap().unwrap();
+        assert!(!path.exists(), "the successor removed its own file");
     }
 }

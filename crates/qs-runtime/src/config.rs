@@ -84,14 +84,16 @@ impl fmt::Display for OptimizationLevel {
 /// that "millions of objects" does not mean "millions of OS threads".  The
 /// runtime offers both substitutions:
 ///
+/// The handler is the same resumable task either way — one loop, stepped
+/// until its queues run dry and re-armed by producer-side wake hooks when
+/// work arrives; the mode picks the driver:
+///
 /// * [`Dedicated`](SchedulerMode::Dedicated) — one (cached) OS thread per
-///   *live* handler.  Handler bodies may block freely, but the number of
-///   concurrently live handlers is capped by what the OS tolerates in
-///   threads.
-/// * [`Pooled`](SchedulerMode::Pooled) — M:N: every handler is a resumable
-///   task on a fixed work-stealing worker pool
-///   ([`qs_exec::HandlerScheduler`]), re-armed by producer-side wake hooks
-///   when work arrives.  Idle handlers cost no thread, so tens of thousands
+///   *live* handler steps it and parks while it is idle.  Handler bodies
+///   may block freely, but the number of concurrently live handlers is
+///   capped by what the OS tolerates in threads.
+/// * [`Pooled`](SchedulerMode::Pooled) — M:N: the task runs on a fixed
+///   work-stealing worker pool ([`qs_exec::HandlerScheduler`]).  Idle handlers cost no thread, so tens of thousands
 ///   of mostly-idle handlers run on a handful of workers.  Steps that block
 ///   (nested separate blocks, bounded-mailbox backpressure) pin a worker;
 ///   the scheduler's monitor detects the stall and spawns compensation

@@ -32,13 +32,15 @@ use crate::stats::RuntimeStats;
 /// Retry policy for wait conditions.
 #[derive(Debug, Clone, Copy)]
 pub struct WaitConfig {
-    /// Maximum number of failed condition evaluations before giving up;
-    /// `None` retries forever (the SCOOP semantics).
+    /// An attempt budget: the condition is evaluated at most this many
+    /// times, back to back without parking (a parked client makes no
+    /// attempts), and the wait fails when the budget is spent.  `None`
+    /// retries forever (the SCOOP semantics), parking between attempts.
     pub max_retries: Option<usize>,
     /// Maximum wall-clock time to keep retrying; `None` never expires.
     pub max_wait: Option<Duration>,
-    /// After this many spin-retries the client starts yielding the CPU
-    /// between attempts.
+    /// Without an attempt budget: after this many back-to-back attempts the
+    /// client parks until a handler of the set finishes a block.
     pub spin_retries: usize,
 }
 
@@ -53,7 +55,8 @@ impl Default for WaitConfig {
 }
 
 impl WaitConfig {
-    /// A policy that gives up after `max_retries` failed evaluations.
+    /// A policy that gives up after `max_retries` failed evaluations, made
+    /// eagerly one after the other.
     pub fn bounded(max_retries: usize) -> Self {
         WaitConfig {
             max_retries: Some(max_retries),

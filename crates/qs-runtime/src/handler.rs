@@ -7,25 +7,36 @@
 //! be an arbitrarily large object graph); clients may only reach that value
 //! through separate blocks.
 //!
-//! The handler's main loop is a direct transcription of Fig. 7 of the paper:
+//! The handler's main loop is a transcription of Fig. 7 of the paper:
 //! dequeue private queues from the queue-of-queues, and for each private
 //! queue dequeue and execute calls until the client signals the end of its
 //! separate block.  The lock-based pre-Qs loop (used when
 //! [`RuntimeConfig::queue_of_queues`] is off) drains a single shared request
 //! queue instead.
 //!
-//! Both loops exist in two forms, selected by [`RuntimeConfig::scheduler`]:
+//! # One loop, two drivers
 //!
-//! * **dedicated** ([`HandlerCore::run`]) — the loop owns an OS thread (from
-//!   the [`qs_exec::ThreadCache`]) and *blocks* inside the queue dequeues
-//!   while idle, so live handler count is bounded by OS thread count;
-//! * **pooled** (the default; [`PooledHandler`]) — the loop is a resumable
-//!   state machine whose step *returns* [`qs_exec::StepOutcome::Idle`] when
-//!   its queues are momentarily empty.  The [`qs_exec::HandlerScheduler`]
-//!   re-arms it when a producer fires the handler's wake hook, so tens of
-//!   thousands of mostly-idle handlers share a handful of worker threads.
+//! Each loop exists exactly once, as a resumable *step*
+//! (`HandlerCore::step_queue_of_queues` / `HandlerCore::step_lock_based`,
+//! reached only through [`PooledHandler`]'s [`PooledTask::step`]): it polls
+//! its queues, applies what it finds, keeps its position in
+//! [`PooledLoopState`], and *returns* [`StepOutcome::Idle`] when the queues
+//! are momentarily empty instead of blocking.  Every queue the handler
+//! consumes fires the handler's one wake hook when a producer makes work
+//! visible, and [`RuntimeConfig::scheduler`] only chooses who answers it:
 //!
-//! The pooled form preserves the §3.2 client-executed-query contract: after
+//! * **pooled** (the default) — the [`qs_exec::HandlerScheduler`] re-arms
+//!   the task on its worker pool, so tens of thousands of mostly-idle
+//!   handlers share a handful of threads;
+//! * **dedicated** — [`PooledHandler::drive`], a dozen lines on a cached OS
+//!   thread (from the [`qs_exec::ThreadCache`]): step until `Done`, on
+//!   `Idle` spin briefly and then park on one per-handler [`Parker`] that
+//!   the hook wakes.  Live handler count is bounded by OS thread count.
+//!
+//! A third driver — say a client stepping an idle handler inline — is
+//! another few lines over the same `step`.
+//!
+//! The step preserves the §3.2 client-executed-query contract: after
 //! completing a sync the handler cannot proceed past the syncing client's
 //! private queue (its step only re-polls that queue and goes idle), so the
 //! client's direct object access still races with nothing.
@@ -38,9 +49,7 @@ use std::sync::Arc;
 
 use qs_deadlock::{EdgeGuard, EdgeKind, ParticipantId};
 use qs_exec::{PooledTask, StepOutcome};
-use qs_queues::{
-    Closed, Dequeue, MailboxConsumer, MutexQueue, QueueOfQueues, WakeHook, WakeReason,
-};
+use qs_queues::{Closed, MailboxConsumer, MutexQueue, QueueOfQueues, WakeHook, WakeReason};
 use qs_sync::{Backoff, Event, GateWake, OnceValue, Parker, ReadGate, SpinLock};
 
 use crate::config::RuntimeConfig;
@@ -84,7 +93,7 @@ fn batch_prealloc(max_batch: usize) -> usize {
     max_batch.min(1024)
 }
 
-/// Requests a pooled handler may apply before yielding the worker (fairness
+/// Requests a handler may apply in one step before yielding (fairness
 /// between handlers sharing a pool; counted in `handler_yields`).
 ///
 /// The *remaining* budget persists in [`PooledLoopState`] across scheduler
@@ -93,8 +102,8 @@ fn batch_prealloc(max_batch: usize) -> usize {
 /// so an immediately re-enqueued hot handler cannot restart from a full
 /// budget and monopolise its worker.  While a mailbox reports backpressure
 /// the remaining budget additionally shrinks to one batch
-/// (`RuntimeConfig::max_batch`; counted in `budget_shrinks`), restoring the
-/// fine producer/consumer interleaving of dedicated threads.
+/// (`RuntimeConfig::max_batch`; counted in `budget_shrinks`), which keeps
+/// a backpressured producer and its consumer finely interleaved.
 const YIELD_BUDGET: usize = 1024;
 
 /// Shared state of one handler, owned jointly by the handler thread and all
@@ -134,10 +143,10 @@ pub(crate) struct HandlerCore<T> {
     finished: Event,
     final_value: SpinLock<Option<T>>,
 
-    /// Pooled-mode wake hook: copied into every mailbox producer this
+    /// The handler's wake hook: copied into every mailbox producer this
     /// handler hands out and registered on the queue-of-queues / request
-    /// queue, so any producer making work visible re-arms the handler's
-    /// scheduler task.  Unset in dedicated mode.
+    /// queue, so any producer making work visible re-arms whichever driver
+    /// steps this handler.  Set once, before any client can reach the core.
     wake_hook: OnceValue<WakeHook>,
 
     /// Deadlock-detection hook (registry + this handler's participant
@@ -202,7 +211,7 @@ impl<T: Send + 'static> HandlerCore<T> {
         })
     }
 
-    /// Registers the pooled-mode wake hook on the handler and its queues.
+    /// Registers the driver's wake hook on the handler and its queues.
     /// Must be called before any client can reach the handler (i.e. before
     /// `spawn_handler` returns its handle).
     pub(crate) fn set_wake_hook(&self, hook: WakeHook) {
@@ -211,9 +220,22 @@ impl<T: Send + 'static> HandlerCore<T> {
         let _ = self.wake_hook.set(hook);
     }
 
-    /// The pooled-mode wake hook, if this handler is pool-scheduled.
-    pub(crate) fn wake_hook(&self) -> Option<&WakeHook> {
-        self.wake_hook.get()
+    /// The wake hook of whichever driver steps this handler.
+    pub(crate) fn wake_hook(&self) -> &WakeHook {
+        self.wake_hook
+            .get()
+            .expect("the driver installs its hook before the handle escapes")
+    }
+
+    /// Dedicated scheduling: installs a hook that wakes one per-handler
+    /// [`Parker`] — for every [`WakeReason`] alike — and returns the body of
+    /// the thread that will step this handler.
+    pub(crate) fn dedicated_driver(self: &Arc<Self>) -> impl FnOnce() + Send + 'static {
+        let parker = Arc::new(Parker::new());
+        let waker = Arc::clone(&parker);
+        self.set_wake_hook(Arc::new(move |_reason| waker.wake()));
+        let task = PooledHandler::new(Arc::clone(self));
+        move || task.drive(&parker)
     }
 
     /// Pointer to the handler-owned object.
@@ -287,30 +309,20 @@ impl<T: Send + 'static> HandlerCore<T> {
     }
 
     /// Takes the object's gate in write mode, blocking the calling thread
-    /// behind any active readers.  Used by the dedicated main loops (the
-    /// thread owns nothing else while parked) and by client-executed queries
-    /// (`waiter` names the client); the pooled step never blocks — it
-    /// stashes its batch and yields instead (see
+    /// behind any active readers.  Used by client-executed queries (`waiter`
+    /// names the client); the handler's own step never blocks — it stashes
+    /// its batch and goes idle instead (see
     /// [`apply_batch`](Self::apply_batch)).
     pub(crate) fn write_gate_blocking(&self, waiter: Option<ParticipantId>) {
         if self.gate.try_write() {
             return;
         }
         RuntimeStats::bump(&self.stats.writer_waits);
+        // Announced before the edges are taken, so the reader set they
+        // snapshot can only shrink while this writer waits.
         self.gate.announce_writer();
         let _edges = self.writer_wait_edges(waiter);
-        let parker = Arc::new(Parker::new());
-        loop {
-            if self.gate.try_write() {
-                break;
-            }
-            self.gate
-                .enlist(true, GateWake::Parker(Arc::clone(&parker)));
-            if self.gate.try_write() {
-                break;
-            }
-            parker.park_until(|| self.gate.writable());
-        }
+        self.gate.write();
         self.gate.retract_writer();
     }
 
@@ -357,26 +369,14 @@ impl<T: Send + 'static> HandlerCore<T> {
         self.stopped.load(Ordering::Acquire)
     }
 
-    /// Handler thread body (dedicated scheduling mode): drains work until
-    /// stopped, then parks the final object value for retrieval.
-    pub(crate) fn run(self: &Arc<Self>) {
-        if self.config.queue_of_queues {
-            self.run_queue_of_queues();
-        } else {
-            self.run_lock_based();
-        }
-        self.finish();
-    }
-
-    /// Terminal transition shared by both scheduling modes: moves the object
-    /// out so `shutdown_and_take` can return it and signals completion.
+    /// Terminal transition: moves the object out so `shutdown_and_take` can
+    /// return it and signals completion.
     pub(crate) fn finish(self: &Arc<Self>) {
         qs_obs::trace(qs_obs::TraceKind::HandlerRetire, self.id, 0);
         if !self.object_taken.swap(true, Ordering::AcqRel) {
-            // SAFETY: the handler loop has exited (dedicated) or stepped to
-            // `Done` (pooled; the scheduler never steps a done task again),
-            // no request will ever touch the object again, and the
-            // `object_taken` flag guarantees a single take.
+            // SAFETY: the handler stepped to `Done` (no driver steps a done
+            // task again), no request will ever touch the object again, and
+            // the `object_taken` flag guarantees a single take.
             let value = unsafe { ManuallyDrop::take(&mut *self.object.get()) };
             *self.final_value.lock() = Some(value);
         }
@@ -401,89 +401,24 @@ impl<T: Send + 'static> HandlerCore<T> {
         ))
     }
 
-    /// Fig. 7: the queue-of-queues main loop, batch-drained.
+    /// Fig. 7: one step of the queue-of-queues main loop, batch-drained.
     ///
     /// Instead of paying one queue crossing per request, the handler pulls up
     /// to [`RuntimeConfig::max_batch`] requests from the current private
     /// queue at a time and applies them back to back.  Within a batch the
     /// semantics are unchanged: requests were drained in FIFO order, and a
     /// `Sync` request is always the last of its batch, because the client
-    /// blocks on the sync handoff before it can log anything further — so
-    /// after completing a sync the handler goes back to (blocking) drain,
-    /// i.e. it is parked from the client's point of view, which is what makes
-    /// client-executed queries race-free (§3.2).
-    fn run_queue_of_queues(self: &Arc<Self>) {
-        let max_batch = self.config.max_batch.max(1);
-        let mut batch: Vec<Request<T>> = Vec::with_capacity(batch_prealloc(max_batch));
-        // RUN rule: take the next private queue, if any.
-        while let Dequeue::Item(private_queue) = self.qoq.dequeue() {
-            // Process calls from this private queue until the client ends its
-            // separate block (END rule: on this path the end of a block is
-            // the mailbox close — `Request::End` never enters a private
-            // queue, so every drained request is applied).
-            loop {
-                let drained = match private_queue
-                    .consumer
-                    .try_drain_batch(&mut batch, max_batch)
-                {
-                    Err(Closed) => break,
-                    Ok(0) => {
-                        // Momentarily empty but open: from here until work
-                        // arrives the handler is parked on the client's
-                        // queue — the Serving wait-for edge.
-                        let _serving = self.serving_edge(&private_queue);
-                        match private_queue.consumer.drain_batch(&mut batch, max_batch) {
-                            Dequeue::Closed => break,
-                            Dequeue::Item(drained) => drained,
-                        }
-                    }
-                    Ok(drained) => drained,
-                };
-                self.apply_batch_blocking(&mut batch, drained);
-            }
-            // END of this client's block: its calls may have changed state a
-            // parked `reserve().when` condition depends on, so conservatively
-            // signal the pending guards (probe blocks stay silent).
-            if private_queue.signal_on_close {
-                self.guards.signal_all();
-            }
-        }
-    }
-
-    /// The pre-Qs lock-based loop: a single shared request queue, drained in
-    /// batches under one lock acquisition each.
-    fn run_lock_based(self: &Arc<Self>) {
-        let max_batch = self.config.max_batch.max(1);
-        let mut batch: Vec<Request<T>> = Vec::with_capacity(batch_prealloc(max_batch));
-        while let Dequeue::Item(drained) = self.request_queue.drain_batch(&mut batch, max_batch) {
-            self.apply_batch_blocking(&mut batch, drained);
-        }
-    }
-
-    /// Dedicated-mode batch application: record, take the object's gate in
-    /// write mode (blocking this thread behind readers), apply, release.
-    /// With no read reservation active the gate costs one uncontended CAS.
-    fn apply_batch_blocking(&self, batch: &mut Vec<Request<T>>, drained: usize) {
-        self.stats.record_batch(drained);
-        qs_obs::trace(qs_obs::TraceKind::MailboxDrain, self.id, drained as u64);
-        self.write_gate_blocking(None);
-        for request in batch.drain(..) {
-            self.apply(request);
-        }
-        self.gate.end_write();
-    }
-
-    /// One pooled scheduler step of the Fig. 7 queue-of-queues loop.
+    /// blocks on the sync handoff before it can log anything further.
     ///
-    /// Resumable transcription of [`run_queue_of_queues`]
-    /// (Self::run_queue_of_queues): the blocking dequeues become polls, and
-    /// the loop position (which private queue is being drained) lives in
-    /// `state` across steps.  Care point (§3.2): when the current private
-    /// queue is empty but open — which is exactly the situation after
-    /// completing a sync for a client that may now be executing a query on
-    /// the object — the step returns [`StepOutcome::Idle`] *without
-    /// advancing past that queue* and without touching the object, so being
-    /// rescheduled by an unrelated producer's wake is harmless.
+    /// The dequeues are polls, and the loop position (which private queue is
+    /// being drained) lives in `state` across steps.  Care point (§3.2): when
+    /// the current private queue is empty but open — which is exactly the
+    /// situation after completing a sync for a client that may now be
+    /// executing a query on the object — the step returns
+    /// [`StepOutcome::Idle`] *without advancing past that queue* and without
+    /// touching the object, so the handler is parked from the client's point
+    /// of view and being stepped again by an unrelated producer's wake is
+    /// harmless.
     fn step_queue_of_queues(&self, state: &mut PooledLoopState<T>) -> StepOutcome {
         let max_batch = self.config.max_batch.max(1);
         state.refill_budget_if_spent();
@@ -512,7 +447,9 @@ impl<T: Send + 'static> HandlerCore<T> {
                 .consumer
                 .try_drain_batch(&mut state.batch, max_batch)
             {
-                // END rule: the client closed its mailbox; move on.  The
+                // END rule: the client closed its mailbox; move on (on this
+                // path the end of a block is the mailbox close —
+                // `Request::End` never enters a private queue).  The
                 // finished block may have changed state a parked
                 // `reserve().when` condition depends on — signal the pending
                 // guards (probe blocks stay silent).
@@ -529,9 +466,8 @@ impl<T: Send + 'static> HandlerCore<T> {
                 // When this mailbox's producer has blocked for space since
                 // the last idle transition (a backpressured pipeline, likely
                 // refilling the ring right now), spin-repoll briefly before
-                // conceding Idle — the polling analogue of the dedicated
-                // consumer's spin-then-park, without which every ring refill
-                // costs a full scheduler wake round-trip.  The spin only
+                // conceding Idle — without it every ring refill costs a full
+                // wake round-trip through the driver.  The spin only
                 // re-polls this same queue, so the §3.2 guarantee is
                 // untouched; the stalls-recency gate keeps long-quiet queues
                 // from paying the backoff ladder on every idle transition.
@@ -542,11 +478,10 @@ impl<T: Send + 'static> HandlerCore<T> {
                         continue;
                     }
                     state.stalls_seen = stalls;
-                    // Going idle on an open private queue: the pooled
-                    // analogue of the dedicated loop's parked blocking
-                    // drain.  Register the Serving wait-for edge (once; it
-                    // persists across re-polls of the same empty queue) so
-                    // the deadlock detector can walk through this handler.
+                    // Going idle on an open private queue: register the
+                    // Serving wait-for edge (once; it persists across
+                    // re-polls of the same empty queue) so the deadlock
+                    // detector can walk through this handler.
                     if state.serving.is_none() {
                         state.serving = self.serving_edge(current);
                     }
@@ -555,21 +490,19 @@ impl<T: Send + 'static> HandlerCore<T> {
                 Ok(drained) => {
                     state.serving = None;
                     spin.reset();
-                    match self.apply_batch(state, drained, pressured) {
-                        None => return StepOutcome::Idle,
-                        Some(true) => return StepOutcome::Yielded,
-                        Some(false) => {}
+                    if let Some(outcome) = self.apply_batch(state, drained, pressured) {
+                        return outcome;
                     }
                 }
             }
         }
     }
 
-    /// One pooled scheduler step of the lock-based loop: poll-drain the
-    /// single shared request queue.  The §3.2 argument holds here too: a
-    /// client-executed query runs while the caller holds the handler lock
-    /// and the request queue is empty, and an empty poll touches only the
-    /// queue, never the object.
+    /// One step of the pre-Qs lock-based loop: poll-drain the single shared
+    /// request queue, one lock acquisition per batch.  The §3.2 argument
+    /// holds here too: a client-executed query runs while the caller holds
+    /// the handler lock and the request queue is empty, and an empty poll
+    /// touches only the queue, never the object.
     fn step_lock_based(&self, state: &mut PooledLoopState<T>) -> StepOutcome {
         let max_batch = self.config.max_batch.max(1);
         state.refill_budget_if_spent();
@@ -601,10 +534,8 @@ impl<T: Send + 'static> HandlerCore<T> {
                 }
                 Ok(drained) => {
                     spin.reset();
-                    match self.apply_batch(state, drained, pressured) {
-                        None => return StepOutcome::Idle,
-                        Some(true) => return StepOutcome::Yielded,
-                        Some(false) => {}
+                    if let Some(outcome) = self.apply_batch(state, drained, pressured) {
+                        return outcome;
                     }
                 }
             }
@@ -617,25 +548,15 @@ impl<T: Send + 'static> HandlerCore<T> {
     /// is the outcome the step must return.
     fn resume_pending_batch(&self, state: &mut PooledLoopState<T>) -> Option<StepOutcome> {
         let (drained, pressured) = state.pending?;
-        match self.apply_batch(state, drained, pressured) {
-            None => Some(StepOutcome::Idle),
-            Some(true) => {
-                state.pending = None;
-                Some(StepOutcome::Yielded)
-            }
-            Some(false) => {
-                state.pending = None;
-                None
-            }
-        }
+        self.apply_batch(state, drained, pressured)
     }
 
     /// Applies one drained batch and charges it against the persisted yield
     /// budget — the single copy of the record/apply/budget sequence shared
     /// by [`step_queue_of_queues`](Self::step_queue_of_queues) and
     /// [`step_lock_based`](Self::step_lock_based), so the budget logic
-    /// cannot drift between the two loop flavours.  Returns `true` when the
-    /// budget is spent and the step must yield the worker.
+    /// cannot drift between the two loop flavours.  Returns the outcome the
+    /// step must end with, or `None` when it may go on polling.
     ///
     /// `pressured` is the source queue's occupancy at drain time: while a
     /// bounded mailbox reports pressure the remaining budget shrinks to one
@@ -643,19 +564,20 @@ impl<T: Send + 'static> HandlerCore<T> {
     /// pipelines interleave finely (the blocked producer's pressure wake
     /// re-schedules the handler through the priority lane).
     ///
-    /// The batch runs under the object's gate in write mode.  A pooled step
-    /// must never block the worker, so when readers hold the gate the batch
-    /// is *stashed* (`state.pending`; the requests stay in `state.batch`)
-    /// and `None` is returned — the step goes idle with a writer announced
+    /// The batch runs under the object's gate in write mode.  A step must
+    /// never block its driver, so when readers hold the gate the batch is
+    /// *stashed* (`state.pending`; the requests stay in `state.batch`) and
+    /// the step goes [`StepOutcome::Idle`] with a writer announced
     /// (refusing new readers) and a [`WakeReason::Writable`] hook enlisted,
-    /// so the last reader out re-arms the handler through the scheduler's
-    /// priority lane.  Otherwise returns `Some(budget_spent)`.
+    /// so the last reader out re-arms the handler (through the pooled
+    /// scheduler's priority lane).  Once applied, a spent budget is
+    /// [`StepOutcome::Yielded`].
     fn apply_batch(
         &self,
         state: &mut PooledLoopState<T>,
         drained: usize,
         pressured: bool,
-    ) -> Option<bool> {
+    ) -> Option<StepOutcome> {
         if !self.gate.try_write() {
             if !state.write_requested {
                 RuntimeStats::bump(&self.stats.writer_waits);
@@ -666,18 +588,17 @@ impl<T: Send + 'static> HandlerCore<T> {
             // Lost-wake protocol: enlist the wake hook, then re-try — either
             // the retry sees the gate free, or the releasing reader sees the
             // hook.
-            if let Some(hook) = self.wake_hook() {
-                let hook = Arc::clone(hook);
-                self.gate.enlist(
-                    true,
-                    GateWake::Hook(Arc::new(move || hook(WakeReason::Writable))),
-                );
-            }
+            let hook = Arc::clone(self.wake_hook());
+            self.gate.enlist(
+                true,
+                GateWake::Hook(Arc::new(move || hook(WakeReason::Writable))),
+            );
             if !self.gate.try_write() {
                 state.pending = Some((drained, pressured));
-                return None;
+                return Some(StepOutcome::Idle);
             }
         }
+        state.pending = None;
         if state.write_requested {
             self.gate.retract_writer();
             state.write_requested = false;
@@ -689,6 +610,7 @@ impl<T: Send + 'static> HandlerCore<T> {
             self.apply(request);
         }
         self.gate.end_write();
+        state.progressed = true;
         if pressured {
             let batch_budget = self.config.max_batch.max(1);
             if state.budget > batch_budget {
@@ -697,7 +619,7 @@ impl<T: Send + 'static> HandlerCore<T> {
             }
         }
         state.budget = state.budget.saturating_sub(drained);
-        Some(state.budget == 0)
+        (state.budget == 0).then_some(StepOutcome::Yielded)
     }
 
     fn wait_finished(&self) {
@@ -723,7 +645,7 @@ impl<T> Drop for HandlerCore<T> {
     }
 }
 
-/// Loop position of a pooled handler, persisted across scheduler steps.
+/// Loop position of a handler, persisted across steps.
 pub(crate) struct PooledLoopState<T> {
     /// The private queue currently being drained (queue-of-queues mode).
     /// While set, the handler must not advance to another client — the
@@ -755,6 +677,9 @@ pub(crate) struct PooledLoopState<T> {
     /// Deadlock tracking: live `WriterWait` edges, one per reader the
     /// stashed batch is blocked behind.
     writer_edges: Vec<EdgeGuard>,
+    /// Set whenever a batch is applied; taken by the dedicated driver to
+    /// tell an idle step that followed work from one that found none.
+    progressed: bool,
 }
 
 impl<T> PooledLoopState<T> {
@@ -772,11 +697,12 @@ impl<T> PooledLoopState<T> {
     }
 }
 
-/// The [`PooledTask`] adapter running a handler on the M:N scheduler.
+/// The [`PooledTask`] every driver steps a handler through: the M:N
+/// scheduler's workers, or [`drive`](Self::drive) on a dedicated thread.
 pub(crate) struct PooledHandler<T: Send + 'static> {
     core: Arc<HandlerCore<T>>,
-    /// Loop state; the scheduler runs at most one step of a task at a time,
-    /// so this lock is uncontended and only fences the state against the
+    /// Loop state; a driver runs at most one step of a task at a time, so
+    /// this lock is uncontended and only fences the state against the
     /// `Send`-across-workers handoff.
     state: SpinLock<PooledLoopState<T>>,
 }
@@ -795,22 +721,55 @@ impl<T: Send + 'static> PooledHandler<T> {
                 pending: None,
                 write_requested: false,
                 writer_edges: Vec::new(),
+                progressed: false,
             }),
+        }
+    }
+
+    /// The dedicated driver: step on the calling thread until `Done`; when
+    /// a step finds nothing to do, spin briefly (the next request of a
+    /// ping-ponging client is usually already on its way) and then park
+    /// until the handler's wake hook fires.  A wake that lands between the
+    /// empty step and the park stays pending in the [`Parker`] and ends the
+    /// park at once, so none is missed.
+    pub(crate) fn drive(&self, wake: &Parker) {
+        let spin = Backoff::new();
+        loop {
+            match self.step() {
+                StepOutcome::Done => return,
+                StepOutcome::Yielded => spin.reset(),
+                StepOutcome::Idle => {
+                    // The spin window opens when requests were applied, not
+                    // when the park ends: the hook also fires for work this
+                    // handler cannot take yet (another client's private
+                    // queue arriving while it is pinned to an open one), and
+                    // such a wake must cost one empty step, not a backoff
+                    // ladder taken from the client it is waiting for.
+                    if std::mem::take(&mut self.state.lock().progressed) {
+                        spin.reset();
+                    }
+                    if spin.is_completed() {
+                        wake.park_until(|| false);
+                    } else {
+                        spin.snooze();
+                    }
+                }
+            }
         }
     }
 }
 
 impl<T: Send + 'static> Drop for PooledHandler<T> {
     fn drop(&mut self) {
-        // A pooled task can be retired without stepping to Done (a panic
-        // escaping a step, scheduler teardown).  The core outlives it
+        // A task can be retired without stepping to Done (a panic escaping
+        // a step, scheduler teardown).  The core outlives it
         // (clients hold handles), so any requests still queued would sit
         // there forever — including sync/query completion guards whose
         // clients are parked on them.  Drain everything: dropping the
         // requests fires those guards' abandon-on-drop, waking the clients
         // into a panic instead of a permanent hang.  No step can be running
-        // concurrently (the scheduler runs at most one step at a time, and
-        // the task is unreachable now), so this is the sole consumer.
+        // concurrently (a driver runs at most one step at a time, and the
+        // task is unreachable now), so this is the sole consumer.
         {
             let mut state = self.state.lock();
             state.serving = None;
@@ -985,13 +944,12 @@ mod tests {
     use crate::config::OptimizationLevel;
 
     fn spawn_inline<T: Send + 'static>(config: RuntimeConfig, object: T) -> Handler<T> {
-        // Handler with its loop running on a plain std thread (the full
+        // Handler with the dedicated driver on a plain std thread (the full
         // runtime uses the cached-thread layer; these tests exercise the core
         // directly).
         let stats = RuntimeStats::new();
         let core = HandlerCore::new(1, config, stats, object, None);
-        let thread_core = Arc::clone(&core);
-        std::thread::spawn(move || thread_core.run());
+        std::thread::spawn(core.dedicated_driver());
         Handler::from_core(core)
     }
 

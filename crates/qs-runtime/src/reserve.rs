@@ -39,12 +39,15 @@
 //! Wait conditions follow the SCOOP contract semantics (§2.2): the condition
 //! is evaluated under the reservation, the body runs under that *same*
 //! reservation when it holds, and the reservation is released between
-//! attempts so other clients can make the condition true.  Between attempts
-//! the client does not poll: it parks on a per-handler registry of guard
+//! attempts so other clients can make the condition true.  There is one wait
+//! loop: after a short spin window (`WaitConfig::spin_retries` attempts) the
+//! client does not poll — it parks on a per-handler registry of guard
 //! waiters ([`crate::guard`]) and is signalled when a handler finishes a
-//! block that may have changed the condition's truth.  The legacy retry-poll
-//! loop survives only for bounded-attempt policies and behind the
-//! `wait-retry-poll` feature (differential testing).
+//! block that may have changed the condition's truth.  A `max_retries`
+//! policy does not pick a different loop; it sizes the spin window: the
+//! attempt budget is spent eagerly, back to back, and the wait fails when it
+//! is gone — such a wait never parks, because a parked client makes no
+//! attempts.
 //!
 //! # Read members
 //!
@@ -92,18 +95,6 @@ type DeadlockTargets = Vec<(Arc<WaitRegistry>, ParticipantId)>;
 /// The guard-waiter registries of a reservation set's handlers, one per
 /// handler, used to park a client whose wait condition failed.
 type GuardRegistries = Vec<Arc<GuardRegistry>>;
-
-/// After this many failed wait-condition attempts the *polling* wait loop
-/// (bounded policies and the `wait-retry-poll` feature) sleeps
-/// [`RETRY_SLEEP`] between evaluations instead of spinning/yielding: a
-/// condition that failed hundreds of times is not latency-critical, a hot
-/// loop burning a core forever is a bug of its own, and the wide sleep
-/// windows are what lets the deadlock detector sample a genuinely stuck
-/// reservation (its `waiting` probe is true throughout the sleep).
-const RETRY_SLEEP_AFTER: usize = 256;
-
-/// Inter-attempt sleep on the deep-retry path.
-const RETRY_SLEEP: std::time::Duration = std::time::Duration::from_millis(1);
 
 // ---------------------------------------------------------------------------
 // Type-erased view of a handler used by the atomic registration protocol
@@ -971,20 +962,10 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
     /// Failed evaluations do not poll: after a brief spin window the client
     /// registers itself with every handler of the set and parks until some
     /// handler finishes a block — the only event that can change the
-    /// condition's truth — then re-reserves and re-evaluates.  A bounded
-    /// `max_retries` policy keeps the legacy polling loop instead (an
-    /// attempt budget is meaningless while parked: a parked client makes no
-    /// attempts), as does building with the `wait-retry-poll` feature.
-    pub fn try_run<R>(self, body: impl FnOnce(&mut S::Guards) -> R) -> Result<R, WaitTimeout> {
-        if cfg!(feature = "wait-retry-poll") || self.config.max_retries.is_some() {
-            self.try_run_polling(body)
-        } else {
-            self.try_run_parking(body)
-        }
-    }
-
-    /// The event-driven wait loop: park on the set's guard registries
-    /// between failed evaluations instead of polling.
+    /// condition's truth — then re-reserves and re-evaluates.  Under a
+    /// `max_retries` policy the spin window is the whole attempt budget: it
+    /// is spent eagerly and the wait returns `Err` when it is gone, without
+    /// ever parking (a parked client makes no attempts).
     ///
     /// Lost-signal freedom: the waiter registers with every handler's
     /// registry — and clears its signal flag — *while the failed
@@ -994,7 +975,7 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
     /// release, so its signal necessarily lands after the registration;
     /// blocks that completed before the round was observed by the
     /// evaluation itself.
-    fn try_run_parking<R>(self, body: impl FnOnce(&mut S::Guards) -> R) -> Result<R, WaitTimeout> {
+    pub fn try_run<R>(self, body: impl FnOnce(&mut S::Guards) -> R) -> Result<R, WaitTimeout> {
         let stats = self.set.shared_stats();
         let registries = self.set.guard_registries();
         let mut body = Some(body);
@@ -1095,14 +1076,24 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
                 }
                 return Err(WaitTimeout { attempts });
             }
+            if self
+                .config
+                .max_retries
+                .is_some_and(|budget| attempts >= budget)
+            {
+                return Err(WaitTimeout { attempts });
+            }
             if let Some(deadline) = deadline {
                 if Instant::now() >= deadline {
                     return Err(WaitTimeout { attempts });
                 }
             }
-            if attempts <= self.config.spin_retries {
-                // Young conditions often come true within a round trip or
-                // two; a short spin window spares them the park/unpark.
+            // Young conditions often come true within a round trip or two;
+            // a short spin window spares them the park/unpark.  An attempt
+            // budget is spent here in full: it ran out above before the
+            // window can close, so a bounded wait never reaches the park.
+            let spin_window = self.config.max_retries.unwrap_or(self.config.spin_retries);
+            if attempts <= spin_window {
                 backoff.spin();
                 continue;
             }
@@ -1130,8 +1121,8 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
                 if let Some(stats) = &stats {
                     RuntimeStats::bump(&stats.guard_wakeups);
                 }
-                // Park-to-resume interval of a signalled guard waiter: the
-                // latency cost of the event-driven wait relative to polling.
+                // Park-to-resume interval of a signalled guard waiter: what
+                // parking costs over staying in the spin window.
                 park_timer.record(qs_obs::obs_histogram!("guard.park_resume_ns"));
                 qs_obs::trace(qs_obs::TraceKind::GuardWakeup, attempts as u64, 0);
             }
@@ -1152,109 +1143,6 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
                     if Instant::now() >= deadline {
                         return Err(WaitTimeout { attempts });
                     }
-                }
-            }
-        }
-    }
-
-    /// The legacy retry-polling wait loop: spin, then yield, then sleep
-    /// [`RETRY_SLEEP`] between evaluations.  Kept for bounded-attempt
-    /// policies (`max_retries`) — where every attempt must actually run —
-    /// and as the `wait-retry-poll` differential-testing baseline.
-    fn try_run_polling<R>(self, body: impl FnOnce(&mut S::Guards) -> R) -> Result<R, WaitTimeout> {
-        let stats = self.set.shared_stats();
-        let mut body = Some(body);
-        let mut attempts = 0usize;
-        let started = Instant::now();
-        let deadline = self.config.max_wait.map(|max_wait| started + max_wait);
-        let backoff = Backoff::new();
-        // Deadlock tracking: while the wait condition keeps retrying, this
-        // client is (conditionally) blocked on every handler of the set —
-        // registered as ReserveWait edges from the first failed attempt
-        // until the condition holds or the policy times out.  The edges
-        // carry a probe gated on `waiting`: it is false only while the
-        // client is actively re-reserving and evaluating the condition
-        // (making progress — such an instant must not complete a cycle at
-        // scan time, e.g. against the Serving edge of the very block the
-        // evaluation holds open) and true everywhere else in the retry
-        // loop.  Note the blocking parts of an evaluation are covered
-        // regardless: the sync round-trips inside `holds` register their
-        // own Query edges.
-        let mut reserve_edges: Vec<EdgeGuard> = Vec::new();
-        let waiting = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        loop {
-            attempts += 1;
-            if let Some(stats) = &stats {
-                RuntimeStats::bump(&stats.wait_condition_checks);
-            }
-            waiting.store(false, std::sync::atomic::Ordering::Release);
-            {
-                let mut guards = self.set.begin();
-                if self.condition.holds(&mut guards) {
-                    // The condition holds and the reservation stays open, so
-                    // no other client can invalidate it before the body has
-                    // run (§2.2 guarantee 2).
-                    let body = body.take().expect("body consumed once");
-                    return Ok(body(&mut guards));
-                }
-                // Release the reservation (guards drop here) so other
-                // clients can make the condition true.
-            }
-            waiting.store(true, std::sync::atomic::Ordering::Release);
-            if let Some(stats) = &stats {
-                RuntimeStats::bump(&stats.wait_condition_retries);
-            }
-            if attempts == 1 {
-                for (registry, owner) in self.set.deadlock_targets() {
-                    let waiter = current_waiter(&registry);
-                    let probe = Arc::clone(&waiting);
-                    reserve_edges.push(registry.register(
-                        waiter,
-                        owner,
-                        EdgeKind::ReserveWait,
-                        None,
-                        Some(Arc::new(move || {
-                            probe.load(std::sync::atomic::Ordering::Acquire)
-                        })),
-                    ));
-                }
-            }
-            if reserve_edges.iter().any(EdgeGuard::is_broken) {
-                if let Some(stats) = &stats {
-                    RuntimeStats::bump(&stats.deadlocks_broken);
-                }
-                return Err(WaitTimeout { attempts });
-            }
-            if let Some(limit) = self.config.max_retries {
-                if attempts >= limit {
-                    return Err(WaitTimeout { attempts });
-                }
-            }
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    return Err(WaitTimeout { attempts });
-                }
-            }
-            if attempts <= self.config.spin_retries {
-                backoff.spin();
-            } else if attempts <= RETRY_SLEEP_AFTER {
-                std::thread::yield_now();
-                backoff.snooze();
-            } else {
-                // Deep retries: the condition has failed hundreds of times,
-                // so trade sub-millisecond reaction for not burning a core —
-                // which also gives the deadlock detector wide `waiting`
-                // windows to sample a genuinely stuck reservation in.  The
-                // sleep never overshoots a wall-clock deadline: it is
-                // clamped to the time remaining.
-                let nap = match deadline {
-                    Some(deadline) => deadline
-                        .saturating_duration_since(Instant::now())
-                        .min(RETRY_SLEEP),
-                    None => RETRY_SLEEP,
-                };
-                if !nap.is_zero() {
-                    std::thread::sleep(nap);
                 }
             }
         }

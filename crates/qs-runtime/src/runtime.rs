@@ -251,18 +251,19 @@ impl Runtime {
         });
         let core = HandlerCore::new(id, config, Arc::clone(&self.inner.stats), object, tracking);
         match config.scheduler {
+            // Either way the handler is the same resumable task and producers
+            // re-arm it through its wake hook, which must be registered
+            // before the handle escapes so no client can enqueue into a
+            // hook-less queue.
             SchedulerMode::Dedicated => {
-                // One cached OS thread per live handler; creating/retiring
-                // handlers stays cheap (the paper's lightweight-thread
-                // substitution), but live handler count is thread-bounded.
-                let thread_core = Arc::clone(&core);
-                self.inner.thread_cache.run(move || thread_core.run());
+                // One cached OS thread per live handler steps the task and
+                // parks on the hook; creating/retiring handlers stays cheap
+                // (the paper's lightweight-thread substitution), but live
+                // handler count is thread-bounded.
+                self.inner.thread_cache.run(core.dedicated_driver());
             }
             SchedulerMode::Pooled { .. } => {
-                // M:N: the handler becomes a resumable task; producers
-                // re-arm it through the wake hook.  The hook must be
-                // registered before the handle escapes, so no client can
-                // enqueue into a hook-less queue.
+                // M:N: the hook hands the task to the scheduler's workers.
                 let scheduler = self.scheduler();
                 let handle = scheduler.register(Arc::new(PooledHandler::new(Arc::clone(&core))));
                 let stats = Arc::clone(&self.inner.stats);

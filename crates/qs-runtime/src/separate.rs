@@ -87,12 +87,9 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     ) -> Self {
         if lock_guard.is_none() && core.config.queue_of_queues {
             let (producer, consumer) = mailbox(core.config.mailbox_capacity);
-            // Pooled scheduling: every request logged into this private
-            // queue must re-arm the handler's scheduler task.
-            let producer = match core.wake_hook() {
-                Some(hook) => producer.with_wake_hook(Arc::clone(hook)),
-                None => producer,
-            };
+            // Every request logged into this private queue must re-arm the
+            // handler's driver.
+            let producer = producer.with_wake_hook(Arc::clone(core.wake_hook()));
             // Deadlock tracking: tag the queue with the reserving party so
             // the handler's "parked on this open queue" state becomes a
             // named Serving edge, validated at scan time by the
@@ -545,13 +542,12 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             // close (which serialises the signal after every call of the
             // block — signalling here instead could be consumed by a waiter
             // that has not observed the block's effects yet).  But with
-            // waiters parked, ask the pooled scheduler to get the handler
-            // there promptly: a Guard wake rides the priority lane like
-            // Pressure, keeping wake-to-resume latency low under load.
+            // waiters parked, ask the handler's driver to get it there
+            // promptly: in the pooled scheduler a Guard wake rides the
+            // priority lane like Pressure, keeping wake-to-resume latency
+            // low under load.
             if self.signal_guards && self.core.guards.has_waiters() {
-                if let Some(hook) = self.core.wake_hook() {
-                    hook(qs_queues::WakeReason::Guard);
-                }
+                self.core.wake_hook()(qs_queues::WakeReason::Guard);
             }
         }
         let lock_based = self.lock_guard.is_some();
@@ -786,8 +782,7 @@ mod tests {
     fn spawn<T: Send + 'static>(config: RuntimeConfig, object: T) -> Handler<T> {
         let stats = RuntimeStats::new();
         let core = HandlerCore::new(7, config, stats, object, None);
-        let thread_core = Arc::clone(&core);
-        std::thread::spawn(move || thread_core.run());
+        std::thread::spawn(core.dedicated_driver());
         Handler::from_core(core)
     }
 

@@ -1,119 +1,121 @@
-//! A one-thread parking slot with a lost-wakeup-free publish protocol.
+//! A one-thread parking slot: one state word, the shape of std's own
+//! thread parker.
 //!
-//! The queue crate's blocking paths (a consumer waiting for work, a bounded
-//! producer waiting for space) all follow the same shape: register the
-//! current thread, publish a "parked" flag, re-check the awaited condition,
-//! and park until a waker observes the flag.  The subtle part is the memory
-//! ordering: the flag publish and the condition re-check must not be
-//! StoreLoad-reordered, or the parker and the waker can miss each other and
-//! the thread parks forever.  That protocol lives here *once*, so every
-//! blocking queue path shares the same proven sequence instead of carrying
-//! its own copy.
+//! Every blocking path in the workspace that is not a [`crate::Handoff`]
+//! (a bounded producer waiting for space, a guard waiter, a reader or writer
+//! behind the object gate, a dedicated handler thread with nothing to step)
+//! parks here.  The protocol is the three-state word `EMPTY / PARKED /
+//! NOTIFIED`, and both sides move it with read-modify-write operations only,
+//! so they are totally ordered: either the waker's swap observes `PARKED`
+//! (and unparks), or the waiter's `EMPTY -> PARKED` exchange observes
+//! `NOTIFIED` (and does not park).  There is no second word to update in a
+//! second step, which is what used to lose wake-ups.
 
-use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::thread::Thread;
+use std::time::Instant;
 
 use crate::SpinLock;
+
+/// Nobody is parked and no wake is pending.
+const EMPTY: u8 = 0;
+/// A waiter published itself and has not been woken since.
+const PARKED: u8 = 1;
+/// A wake arrived: the parked waiter returns, or — when nobody was parked —
+/// the next park returns at once.
+const NOTIFIED: u8 = 2;
 
 /// A parking slot for a single waiting thread.
 ///
 /// The waiter calls [`park_until`](Parker::park_until) with the condition it
 /// is waiting for; any other thread calls [`wake`](Parker::wake) after
-/// making that condition true.  Either the waker's SeqCst swap observes the
-/// parked flag (and unparks), or the waiter's post-fence re-check observes
-/// the state the waker published first — a plain Release store + Acquire
-/// re-check would allow both sides to miss each other (StoreLoad
-/// reordering) and lose the wakeup.
+/// making that condition true.
+///
+/// A wake is never lost and never removes anything.  With nobody parked it
+/// stays pending and ends the next park immediately; with a waiter parked
+/// it unparks whichever thread the slot names *at that moment*.  If the
+/// waiter it claimed has already returned and another registration took its
+/// place, that is a spurious unpark of the newcomer — whose own `PARKED`
+/// word is still there for the next `wake` to claim.  Either way the cost
+/// of a stale wake is one early return, which every park loop absorbs by
+/// re-checking.
 #[derive(Debug, Default)]
 pub struct Parker {
+    state: AtomicU8,
+    /// The thread to unpark; written by the waiter before it publishes
+    /// `PARKED`, only ever read by wakers.
     thread: SpinLock<Option<Thread>>,
-    parked: AtomicBool,
 }
 
 impl Parker {
     /// Creates an empty parking slot.
     pub fn new() -> Self {
-        Parker {
-            thread: SpinLock::new(None),
-            parked: AtomicBool::new(false),
-        }
+        Parker::default()
     }
 
     /// Blocks the current thread until `condition` returns `true` or a
-    /// [`wake`](Parker::wake) arrives (callers re-check in their outer
-    /// retry loop, so an early wake costs one extra iteration, never a
-    /// missed state change).
-    ///
-    /// The condition is re-checked after the parked flag is published (and
-    /// after every wakeup), so a state change racing with the registration
-    /// is never missed.  Spurious returns of the underlying `thread::park`
-    /// are absorbed.
-    pub fn park_until(&self, mut condition: impl FnMut() -> bool) {
-        *self.thread.lock() = Some(std::thread::current());
-        self.parked.store(true, Ordering::Release);
-        // Orders the parked-flag publish before the re-check; pairs with the
-        // SeqCst swap in `wake`.
-        fence(Ordering::SeqCst);
-        if condition() {
-            self.unregister();
-            return;
-        }
-        while self.parked.load(Ordering::Acquire) {
-            std::thread::park();
-            if condition() {
-                self.unregister();
-                return;
-            }
-        }
+    /// [`wake`](Parker::wake) arrives — including one that arrived since the
+    /// slot was last parked on.  Callers re-check in their outer retry
+    /// loop, so an early return costs one extra iteration, never a missed
+    /// state change.  Spurious returns of the underlying `thread::park` are
+    /// absorbed.
+    pub fn park_until(&self, condition: impl FnMut() -> bool) {
+        self.park(condition, None);
     }
 
     /// [`park_until`](Parker::park_until) with a deadline: gives up once
     /// `Instant::now() >= deadline` even if neither the condition nor a wake
-    /// arrived.  Returns the final observation of `condition` — `true` when
-    /// the awaited state was seen (possibly right at the deadline), `false`
-    /// on a pure timeout.  Like `park_until`, a wake may also return early
-    /// with the condition still false; callers re-check in their outer loop.
-    pub fn park_until_deadline(
-        &self,
-        mut condition: impl FnMut() -> bool,
-        deadline: std::time::Instant,
-    ) -> bool {
+    /// arrived.  Returns the last observation of `condition` — `true` when
+    /// the awaited state was seen, `false` on a timeout or on a wake that
+    /// found the condition still false; callers re-check in their outer
+    /// loop either way.
+    pub fn park_until_deadline(&self, condition: impl FnMut() -> bool, deadline: Instant) -> bool {
+        self.park(condition, Some(deadline))
+    }
+
+    fn park(&self, mut condition: impl FnMut() -> bool, deadline: Option<Instant>) -> bool {
         *self.thread.lock() = Some(std::thread::current());
-        self.parked.store(true, Ordering::Release);
-        // Same publish protocol as `park_until`; pairs with the SeqCst swap
-        // in `wake`.
-        fence(Ordering::SeqCst);
-        if condition() {
-            self.unregister();
-            return true;
-        }
-        while self.parked.load(Ordering::Acquire) {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                self.unregister();
-                return condition();
-            }
-            std::thread::park_timeout(deadline - now);
+        let published = self
+            .state
+            .compare_exchange(EMPTY, PARKED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        let observed = loop {
             if condition() {
-                self.unregister();
-                return true;
+                break true;
             }
-        }
-        condition()
+            // Not published: a wake was already pending.  Otherwise a waker
+            // has claimed the publication since.
+            if !published || self.state.load(Ordering::Acquire) == NOTIFIED {
+                break false;
+            }
+            match deadline {
+                None => std::thread::park(),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break false;
+                    }
+                    std::thread::park_timeout(deadline - now);
+                }
+            }
+        };
+        // Consume the wake (or withdraw the publication).  A swap, not a
+        // store: it reads the latest wake and so orders everything that
+        // waker published before whatever the caller looks at next.
+        self.state.swap(EMPTY, Ordering::SeqCst);
+        observed
     }
 
-    fn unregister(&self) {
-        self.parked.store(false, Ordering::Release);
-        self.thread.lock().take();
-    }
-
-    /// Wakes the parked thread, if any.
-    ///
-    /// Call *after* publishing the state change the waiter is waiting for.
-    /// The SeqCst swap pairs with the fence in [`park_until`].
+    /// Wakes the parked thread, or leaves the wake pending for the next
+    /// park.  Call *after* publishing the state change the waiter is
+    /// waiting for.
     pub fn wake(&self) {
-        if self.parked.swap(false, Ordering::SeqCst) {
-            if let Some(thread) = self.thread.lock().take() {
+        if self.state.swap(NOTIFIED, Ordering::SeqCst) == PARKED {
+            // Clone, never take: the slot may already name a later
+            // registration, which this waker did not observe and must not
+            // remove.
+            let thread = self.thread.lock().clone();
+            if let Some(thread) = thread {
                 thread.unpark();
             }
         }
@@ -123,7 +125,7 @@ impl Parker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
@@ -149,10 +151,15 @@ mod tests {
     }
 
     #[test]
-    fn wake_without_waiter_is_harmless() {
+    fn wake_without_waiter_ends_the_next_park_once() {
         let parker = Parker::new();
         parker.wake();
-        parker.park_until(|| true);
+        // The pending wake returns this park although nothing holds...
+        parker.park_until(|| false);
+        // ...and is consumed by it: the next one runs to its deadline.
+        let deadline = std::time::Instant::now() + Duration::from_millis(20);
+        assert!(!parker.park_until_deadline(|| false, deadline));
+        assert!(std::time::Instant::now() >= deadline);
     }
 
     #[test]

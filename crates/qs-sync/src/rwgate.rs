@@ -72,6 +72,17 @@ struct GateWaiter {
 /// waiter list.  Either the retry sees the new state or the waker sees the
 /// enlisted entry.  Wakes may be spurious (the state can be re-taken before
 /// the woken party retries); callers loop.
+///
+/// Entries are one-shot, and *every* release event drains them all — also
+/// one that leaves a waiter's own condition false (a writer retracting its
+/// announcement while it still holds the gate, the last reader leaving with
+/// a writer announced).  So an entry is routinely consumed before its owner
+/// has parked, and the owner then parks with nothing enlisted.  That is
+/// safe only because a fired waker *sticks*: a [`Parker`] keeps a wake that
+/// found nobody parked and ends the next park with it (the owner loops,
+/// re-enlists, re-tries), and a hook re-arms a scheduler task that re-tries
+/// on its next step.  A waker that could be dropped on the floor would lose
+/// the reader behind a writer this way.
 pub struct ReadGate {
     state: AtomicU64,
     waiters: SpinLock<Vec<GateWaiter>>,

@@ -3,7 +3,7 @@
 //! and are signalled when a block completes, instead of re-polling on a
 //! timer.  Covers the O(signals) evaluation-count guarantee under heavy
 //! waiter fan-in, the lost-signal race between evaluation and registration,
-//! wall-clock timeout clamping on both wait paths, and the interaction with
+//! wall-clock timeout clamping, eager attempt budgets, and the interaction with
 //! the runtime deadlock detector (a *parked* guard waiter still confirms —
 //! and `Break` still fails — a reservation cycle).
 
@@ -19,9 +19,9 @@ fn runtime(mode: SchedulerMode) -> Runtime {
 
 /// A hundred clients park on one handler; ten state changes resolve them
 /// all.  The total number of condition evaluations must scale with the
-/// number of signals (a handful per waiter), not with elapsed time — the
-/// legacy 1ms-polling loop would evaluate tens of thousands of times over
-/// the same quarter second.
+/// number of signals (a handful per waiter), not with elapsed time — a
+/// loop re-evaluating every millisecond would do so tens of thousands of
+/// times over the same quarter second.
 fn hundred_waiters_resolve_with_few_evaluations(mode: SchedulerMode) {
     const WAITERS: usize = 100;
     const TARGET: u64 = 10;
@@ -39,10 +39,14 @@ fn hundred_waiters_resolve_with_few_evaluations(mode: SchedulerMode) {
         })
         .collect();
 
-    // Give every waiter time to burn its spin window and park, then drive
-    // the condition true in TARGET spaced steps so most waiters park (and
-    // get signalled) several times over.
-    std::thread::sleep(Duration::from_millis(50));
+    // Wait until every waiter has burnt its spin window and failed once
+    // more, i.e. is on its way into the park; then drive the condition true
+    // in TARGET spaced steps so most waiters park (and get signalled)
+    // several times over.
+    let failures_before_parking = WaitConfig::default().spin_retries + 1;
+    while rt.stats_snapshot().wait_condition_retries < (WAITERS * failures_before_parking) as u64 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     for _ in 0..TARGET {
         std::thread::sleep(Duration::from_millis(20));
         counter.call_detached(|c| *c += 1);
@@ -129,11 +133,12 @@ fn signals_racing_registration_are_never_lost_pooled() {
     signals_racing_registration_are_never_lost(SchedulerMode::Pooled { workers: 4 });
 }
 
-/// Wall-clock timeouts stay wall-clock on both wait paths: the parking path
-/// bounds its park by the remaining budget (not a fixed nap), and the
-/// polling path clamps its deep-retry sleep to the time left.
+/// The two ways one wait loop gives up.  A wall-clock timeout stays
+/// wall-clock: the park is bounded by the remaining budget, not by a fixed
+/// nap.  An attempt budget is spent eagerly: `bounded(n)` returns after
+/// exactly `n` evaluations without ever parking.
 #[test]
-fn wall_clock_timeouts_are_clamped_on_both_wait_paths() {
+fn wall_clock_timeouts_are_clamped_and_attempt_budgets_never_park() {
     const BUDGET: Duration = Duration::from_millis(60);
     // Generous CI headroom; the point is "one budget", not "ten naps".
     const OVERSHOOT: Duration = Duration::from_millis(250);
@@ -141,7 +146,7 @@ fn wall_clock_timeouts_are_clamped_on_both_wait_paths() {
     let rt = runtime(SchedulerMode::Dedicated);
     let cell = rt.spawn_handler(0u8);
 
-    // Parking path (no retry bound): one deadline-bounded park.
+    // No attempt budget: one deadline-bounded park.
     let started = Instant::now();
     let parked = reserve(&cell)
         .when(|c: &u8| *c > 0)
@@ -152,22 +157,26 @@ fn wall_clock_timeouts_are_clamped_on_both_wait_paths() {
     assert!(elapsed >= BUDGET, "parked: fired early after {elapsed:?}");
     assert!(elapsed < OVERSHOOT, "parked: overshot to {elapsed:?}");
 
-    // Polling path (a retry bound forces it): the deep-retry sleeps must
-    // not carry the wait past the wall-clock budget.
+    // An attempt budget well past the default spin window.  Nothing ever
+    // signals this handler, so a wait that parked would sit out the
+    // wall-clock bound and report fewer attempts than its budget.
+    const ATTEMPTS: usize = 40;
     let config = WaitConfig {
-        max_retries: Some(usize::MAX),
-        max_wait: Some(BUDGET),
+        max_retries: Some(ATTEMPTS),
+        max_wait: Some(Duration::from_secs(10)),
         ..WaitConfig::default()
     };
-    let started = Instant::now();
-    let polled = reserve(&cell)
+    let checks_before = rt.stats_snapshot().wait_condition_checks;
+    let bounded = reserve(&cell)
         .when(|c: &u8| *c > 0)
         .timeout(config)
         .try_run(|_| ());
-    let elapsed = started.elapsed();
-    assert!(polled.is_err(), "polled: the condition can never hold");
-    assert!(elapsed >= BUDGET, "polled: fired early after {elapsed:?}");
-    assert!(elapsed < OVERSHOOT, "polled: overshot to {elapsed:?}");
+    assert_eq!(bounded, Err(WaitTimeout { attempts: ATTEMPTS }));
+    assert_eq!(
+        rt.stats_snapshot().wait_condition_checks - checks_before,
+        ATTEMPTS as u64,
+        "every attempt of the budget evaluates the condition once"
+    );
 }
 
 /// Builds a 2-party cycle through a *parked* guard waiter, deterministically:

@@ -17,13 +17,18 @@
 //!   [`MailboxError::ReadOnlyReservation`] error, not silently upgraded.
 //! * **Reader/writer cycles** are confirmed by the deadlock detector and
 //!   broken at the (breakable) read acquisition.
+//! * **No lost wake-ups**: the two hangs the benchmark found (a `Parker`
+//!   ping-pong and the 2-client read mix whose readers park on it) finish
+//!   under a watchdog instead of hanging the suite.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use scoop_qs::prelude::*;
 use scoop_qs::runtime::read;
+use scoop_qs::sync::Parker;
 
 const MODES: [SchedulerMode; 2] = [
     SchedulerMode::Dedicated,
@@ -400,6 +405,113 @@ fn reader_writer_cycle_is_broken_at_the_read_acquisition() {
             snap.writer_waits >= 1,
             "{mode}: B's blocked writer must be counted"
         );
+    }
+}
+
+/// Runs `body` on its own thread and fails the test, instead of hanging it,
+/// when `body` has not returned within `limit`: a lost wake-up leaves its
+/// threads in `futex_wait` forever.
+fn within<T: Send + 'static>(
+    limit: Duration,
+    what: &str,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(body());
+    });
+    result
+        .recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("{what}: still running after {limit:?}, a wake-up was lost"))
+}
+
+/// Two threads pass a ball over two parkers with plain `park_until`: every
+/// hop is one `wake` racing one registration, and a waiter often moves on
+/// by itself (it sees the ball before parking) while its waker is still
+/// inside `wake` — the window in which a waker that removes the thread
+/// slot in a second step steals the waiter's *next* registration.
+#[test]
+fn parker_ping_pong_loses_no_wakeup() {
+    const HOPS: usize = 400_000;
+
+    fn take_ball(ball: &AtomicBool, parker: &Parker) {
+        while !ball.swap(false, Ordering::AcqRel) {
+            parker.park_until(|| ball.load(Ordering::Acquire));
+        }
+    }
+
+    fn pass_ball(ball: &AtomicBool, parker: &Parker) {
+        ball.store(true, Ordering::Release);
+        parker.wake();
+    }
+
+    within(Duration::from_secs(60), "parker ping-pong", || {
+        let here = Arc::new((AtomicBool::new(false), Parker::new()));
+        let there = Arc::new((AtomicBool::new(false), Parker::new()));
+        let peer = {
+            let (here, there) = (Arc::clone(&here), Arc::clone(&there));
+            std::thread::spawn(move || {
+                for _ in 0..HOPS / 2 {
+                    take_ball(&there.0, &there.1);
+                    pass_ball(&here.0, &here.1);
+                }
+            })
+        };
+        for _ in 0..HOPS / 2 {
+            pass_ball(&there.0, &there.1);
+            take_ball(&here.0, &here.1);
+        }
+        peer.join().unwrap();
+    });
+}
+
+/// The reproduction from `benchmark/README.md` § Not included: two clients,
+/// 1 % exclusive writes, the rest shared reads, on one handler for two
+/// seconds.  Readers refused by an announced writer park on a `Parker`
+/// enlisted with the gate; losing one of those wakes stops both clients.
+#[test]
+fn two_client_read_mix_with_rare_writes_keeps_running() {
+    const WINDOW: Duration = Duration::from_secs(2);
+    for mode in MODES {
+        let (reads, value) = within(
+            Duration::from_secs(30),
+            "2-client 1 %-write mix",
+            move || {
+                let rt = Runtime::new(RuntimeConfig::all_optimizations().with_scheduler(mode));
+                let h = rt.spawn_handler(0u64);
+                let clients: Vec<_> = (0..2)
+                    .map(|_| {
+                        let h = h.clone();
+                        std::thread::spawn(move || {
+                            let started = Instant::now();
+                            let (mut reads, mut writes) = (0u64, 0u64);
+                            let mut i = 0u64;
+                            while started.elapsed() < WINDOW {
+                                if i.is_multiple_of(100) {
+                                    h.separate(|s| s.call(|n| *n += 1));
+                                    writes += 1;
+                                } else {
+                                    reserve(&h).read().run(|r| r.query(|n| *n));
+                                    reads += 1;
+                                }
+                                i += 1;
+                            }
+                            (reads, writes)
+                        })
+                    })
+                    .collect();
+                let (mut reads, mut writes) = (0, 0);
+                for client in clients {
+                    let (r, w) = client.join().unwrap();
+                    reads += r;
+                    writes += w;
+                }
+                let value = h.query_detached(|n| *n);
+                assert_eq!(value, writes, "{mode}: every write applied exactly once");
+                (reads, value)
+            },
+        );
+        assert!(reads > 0 && value > 0, "{mode}: the mix made no progress");
     }
 }
 

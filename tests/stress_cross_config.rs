@@ -276,46 +276,38 @@ fn thousands_of_idle_handlers_on_two_workers() {
     }
 }
 
-/// Sustained-backpressure regression (the ISSUE 4 tentpole): pipelines whose
-/// blocks are far larger than their capacity-8 mailboxes, on a deliberately
-/// undersized 1-worker pool versus dedicated consumer threads.  Before the
-/// pressure-wake + adaptive-budget mechanism the pooled side collapsed to
-/// ~0.4x dedicated throughput (ring-sized service bursts instead of fine
-/// futex interleaving); it must now hold >= 0.7x, and the pressure
-/// instrumentation must actually fire.
+/// Sustained backpressure (the ISSUE 4 tentpole): pipelines whose blocks are
+/// far larger than their capacity-8 mailboxes, on a deliberately undersized
+/// 1-worker pool and on the dedicated-thread driver.  Both drive the same
+/// handler loop, so this checks causes, not a wall-clock ratio between them
+/// (that gate is `run_experiments scheduler`, in release, outside tier-1):
+/// producers must actually stall, the bounded mailboxes must fire pressure
+/// wakes, and everything enqueued must be executed.
 #[test]
-fn sustained_backpressure_pooled_keeps_pace_with_dedicated() {
-    use qs_bench::experiments::backpressure_sweep;
+fn sustained_backpressure_stalls_fire_pressure_wakes_and_lose_nothing() {
+    use qs_bench::experiments::{
+        backpressure_sweep, BACKPRESSURE_CALLS_PER_BLOCK, BACKPRESSURE_PIPELINES,
+    };
 
     // The experiment (pipelines, capacity 8, calls per block, undersized
-    // 1-worker pool vs dedicated, best-of-N rounds) lives in
-    // qs_bench::experiments so this regression test and the CI bench gate
-    // measure the same thing; only the block count and threshold are
-    // test-local (debug build: fewer blocks, and a laxer 0.7 than the
-    // release gate's 0.6).  Best-of-3: the ratio is a timing measurement
-    // and a single descheduling hiccup on a loaded CI box must not fail
-    // the regression.
+    // 1-worker pool vs dedicated) lives in qs_bench::experiments so this
+    // test and the CI bench gate run the same thing.
     const BLOCKS: usize = 6; // blocks >> capacity: sustained stalls
-    let (dedicated, pooled) = backpressure_sweep(BLOCKS, 3);
-    assert!(
-        dedicated.backpressure_stalls > 0 && pooled.backpressure_stalls > 0,
-        "no sustained pressure: {dedicated:?} / {pooled:?}"
-    );
-    assert_eq!(
-        dedicated.pressure_wakes, 0,
-        "dedicated mode has no wake hooks"
-    );
+    let (dedicated, pooled) = backpressure_sweep(BLOCKS, 1);
+    for point in [&dedicated, &pooled] {
+        assert!(
+            point.backpressure_stalls > 0,
+            "no sustained pressure: {point:?}"
+        );
+        assert_eq!(
+            point.requests,
+            (BACKPRESSURE_PIPELINES * BLOCKS * BACKPRESSURE_CALLS_PER_BLOCK) as u64,
+            "enqueued != executed: {point:?}"
+        );
+    }
     assert!(
         pooled.pressure_wakes > 0,
         "bounded mailboxes at capacity must fire pressure wakes"
-    );
-    let ratio = pooled.requests_per_sec / dedicated.requests_per_sec;
-    assert!(
-        ratio >= 0.7,
-        "sustained-backpressure collapse is back: pooled {:.0} req/s is only \
-         {ratio:.3}x dedicated {:.0} req/s (required >= 0.7)",
-        pooled.requests_per_sec,
-        dedicated.requests_per_sec,
     );
 }
 

@@ -31,6 +31,33 @@
 //! fences that make "a notify that saw `Scheduled` is covered by the run it
 //! saw scheduled" true.
 //!
+//! The fences come in one pair.  [`TaskHandle::notify`] fences between the
+//! producer's publication and its *load* of the flag; whoever steps the
+//! task fences between its `Running` store (or `Idle → Running` CAS) and
+//! the step's first queue poll.  Of any producer and step that race, either
+//! the producer's load sees `Running` (and moves it to `Notified`, so the
+//! step's release fails and the task runs again) or the step's polls see
+//! the publication.
+//!
+//! # Parties outside the pool
+//!
+//! A party that is not a worker — a client about to block on work it just
+//! published ([`TaskHandle::run_here`]), or any notifier once the pool has
+//! shut down — may step a task on its own thread, through the same flag.
+//! Such a party may claim the task only by the CAS `Idle → Running`: an
+//! `Idle` task sits in no run queue, so the claim makes the caller its only
+//! stepper.  A `Scheduled` task already sits in a run queue, and claiming it
+//! would have it stepped twice at once; a `Running`/`Notified` one has a
+//! stepper.  On any of those the party falls back to an ordinary notify.
+//! After its step the party releases the task by the worker's own
+//! `Running → Idle` CAS, and a step that ends `Notified` or out of budget
+//! goes to the pool exactly as a worker's would.  The party also bounds
+//! the step ([`PooledTask::step_here`]'s `budget`): it runs others' work
+//! only when its own wait depends on that work anyway, and a party that
+//! published no work of its own runs none.  The pool's threads start
+//! with the first task queued, so a pool whose tasks are only ever stepped
+//! by such parties runs none.
+//!
 //! # The pressure lane
 //!
 //! Wakes come in two flavours: plain [`TaskHandle::notify`] and
@@ -105,6 +132,28 @@ pub enum StepOutcome {
 pub trait PooledTask: Send + Sync + 'static {
     /// Runs until out of work, out of budget, or done.
     fn step(&self) -> StepOutcome;
+
+    /// A step on the thread of a party outside the pool (see
+    /// [`TaskHandle::run_here`]).  That party has work of its own to get
+    /// back to, so a task that can bound its steps applies at most `budget`
+    /// of its queued work items here and ends [`StepOutcome::Yielded`] on
+    /// any it leaves: with `budget == 0` it does only the bookkeeping that
+    /// runs none of them.  A task that cannot bound them ignores `budget`;
+    /// by default this is [`step`](Self::step).
+    fn step_here(&self, budget: usize) -> StepOutcome {
+        let _ = budget;
+        self.step()
+    }
+}
+
+/// What a [`TaskHandle::run_here`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RanHere {
+    /// The calling thread stepped the task.
+    pub stepped: bool,
+    /// The task went to the pool: the fallback notify scheduled it, or the
+    /// step ended notified or out of budget and handed it on.
+    pub scheduled: bool,
 }
 
 // Schedule-flag states.
@@ -197,8 +246,9 @@ impl TaskHandle {
         // `Scheduled`/`Notified` and returns while the worker, already
         // `Running`, polls the queue, misses the item and goes `Idle` — a
         // lost wake.  Pairs with the fence after the `Running` store in
-        // `run_task`/`run_inline`: either this load sees that store, or
-        // that step's polls see the publication.
+        // `run_task`/`run_inline` and after the claim in `run_here`: either
+        // this load sees `Running`, or that step's polls see the
+        // publication.
         fence(Ordering::SeqCst);
         loop {
             match self.state.flag.load(Ordering::SeqCst) {
@@ -246,6 +296,35 @@ impl TaskHandle {
         self.notify()
     }
 
+    /// The client's half of the schedule-flag protocol: called instead of
+    /// [`notify`](TaskHandle::notify) by a producer that is about to block
+    /// until the task has processed what it just published, or that
+    /// published only bookkeeping (`budget == 0`).  When the task is `Idle`
+    /// the caller claims it (`Idle → Running`) and runs one
+    /// [`PooledTask::step_here`] with `budget` on its own thread — no
+    /// worker wakes, and no thread but the caller's is involved — then
+    /// releases it as a worker would.  In any other state this is an
+    /// ordinary `notify`.
+    pub fn run_here(&self, budget: usize) -> RanHere {
+        if self
+            .state
+            .flag
+            .compare_exchange(IDLE, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            return RanHere {
+                stepped: false,
+                scheduled: self.notify(),
+            };
+        }
+        // The `Running` fence: pairs with the fence in `notify`.
+        fence(Ordering::SeqCst);
+        RanHere {
+            stepped: true,
+            scheduled: step_claimed(&self.state, budget),
+        }
+    }
+
     /// Returns `true` once the task reported [`StepOutcome::Done`].
     pub fn is_done(&self) -> bool {
         self.state.flag.load(Ordering::SeqCst) == DONE
@@ -264,12 +343,18 @@ impl std::fmt::Debug for TaskHandle {
 /// shut down — runs it inline on the calling thread so a task with pending
 /// work can never be stranded.
 fn schedule(state: Arc<TaskState>) {
-    match state.scheduler.upgrade() {
-        Some(shared) if !shared.shutdown.load(Ordering::Acquire) => {
-            enqueue_runnable(&shared, state)
-        }
-        _ => run_inline(&state),
+    match live_pool(&state) {
+        Some(shared) => enqueue_runnable(&shared, state),
+        None => run_inline(&state),
     }
+}
+
+/// The task's scheduler, unless it is gone or shutting down.
+fn live_pool(state: &TaskState) -> Option<Arc<Shared>> {
+    state
+        .scheduler
+        .upgrade()
+        .filter(|shared| !shared.shutdown.load(Ordering::Acquire))
 }
 
 /// Routes a `Scheduled` task into the priority lane when a pressure wake is
@@ -285,37 +370,53 @@ fn enqueue_runnable(shared: &Arc<Shared>, state: Arc<TaskState>) {
     }
 }
 
-/// Degraded post-shutdown execution: step the task to quiescence on the
-/// current (producer) thread.  Notifies arriving mid-step are honoured by
-/// the same flag protocol the pool uses.
+/// Degraded post-shutdown execution of a `Scheduled` task: the notifying
+/// thread steps it itself, as a client would.
 fn run_inline(state: &Arc<TaskState>) {
+    state.flag.store(RUNNING, Ordering::SeqCst);
+    // Pairs with the fence in `TaskHandle::notify`.
+    fence(Ordering::SeqCst);
+    step_claimed(state, usize::MAX);
+}
+
+/// Steps a task the calling thread, a party outside the pool, holds
+/// `Running` (fence already issued), then releases it: `Idle` by the
+/// `Running → Idle` CAS; `Notified` or `Yielded` to the pool as
+/// [`run_task`] hands them on, or — with no pool left — another step here,
+/// unbounded, since nobody else will take the work.  Returns whether the
+/// task went to the pool.
+fn step_claimed(state: &Arc<TaskState>, mut budget: usize) -> bool {
     let Some(task) = state.task() else {
-        return;
+        return false;
     };
     loop {
-        // Inline execution consumes any pending pressure marking: the wake
-        // it requested is happening right now.
-        state.pressure.store(false, Ordering::SeqCst);
-        state.flag.store(RUNNING, Ordering::SeqCst);
-        // Pairs with the fence in `TaskHandle::notify`.
-        fence(Ordering::SeqCst);
-        let outcome = catch_unwind(AssertUnwindSafe(|| task.step())).unwrap_or(StepOutcome::Done);
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| task.step_here(budget))).unwrap_or(StepOutcome::Done);
         match outcome {
             StepOutcome::Done => {
                 state.mark_done();
-                return;
+                return false;
             }
-            StepOutcome::Yielded => continue,
-            StepOutcome::Idle => {
+            StepOutcome::Idle
                 if state
                     .flag
                     .compare_exchange(RUNNING, IDLE, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    return;
-                }
-                // Notified while running: step again.
+                    .is_ok() =>
+            {
+                return false;
             }
+            _ => match live_pool(state) {
+                Some(shared) => {
+                    state.flag.store(SCHEDULED, Ordering::SeqCst);
+                    enqueue_runnable(&shared, Arc::clone(state));
+                    return true;
+                }
+                None => {
+                    budget = usize::MAX;
+                    state.flag.store(RUNNING, Ordering::SeqCst);
+                    fence(Ordering::SeqCst);
+                }
+            },
         }
     }
 }
@@ -365,6 +466,14 @@ struct Shared {
     extra_handles: Mutex<Vec<JoinHandle<()>>>,
     live_threads: AtomicUsize,
     peak_threads: AtomicUsize,
+    /// The core workers' deques until the first task is queued, when
+    /// [`start_threads`](Self::start_threads) spawns the core workers and
+    /// the monitor; `None` from then on, and from shutdown.  A pool whose
+    /// tasks are only ever stepped by clients starts no thread.
+    unstarted: Mutex<Option<Vec<Worker<Arc<TaskState>>>>>,
+    started: AtomicBool,
+    /// The core workers' and the monitor's threads, once started.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
@@ -376,8 +485,44 @@ impl Shared {
             // the injector again.  Drain it here so the task still runs.
             self.drain_injector_inline();
         } else {
+            self.start_threads();
             self.wake_one();
         }
+    }
+
+    /// Spawns the core workers and the monitor, once.  Their handles are
+    /// recorded before the `unstarted` lock is released, so a shutdown —
+    /// which takes that lock first — joins every thread ever started.
+    fn start_threads(self: &Arc<Self>) {
+        if self.started.load(Ordering::Acquire) {
+            return;
+        }
+        let mut unstarted = self.unstarted.lock();
+        let Some(deques) = unstarted.take() else {
+            return;
+        };
+        let mut threads = self.threads.lock();
+        for (index, deque) in deques.into_iter().enumerate() {
+            let shared = Arc::clone(self);
+            shared.note_thread_started();
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("qs-hsched-worker-{index}"))
+                    .spawn(move || {
+                        worker_loop(index, deque, Arc::clone(&shared));
+                        shared.note_thread_exited();
+                    })
+                    .expect("failed to spawn scheduler worker"),
+            );
+        }
+        let shared = Arc::clone(self);
+        threads.push(
+            std::thread::Builder::new()
+                .name("qs-hsched-monitor".to_string())
+                .spawn(move || monitor_loop(shared))
+                .expect("failed to spawn scheduler monitor"),
+        );
+        self.started.store(true, Ordering::Release);
     }
 
     /// Like [`enqueue`](Self::enqueue), but through the pressure lane.  The
@@ -393,6 +538,7 @@ impl Shared {
             // Shutdown finished behind our back (see `enqueue`).
             self.drain_priority_inline();
         } else {
+            self.start_threads();
             self.wake_one();
         }
     }
@@ -846,14 +992,13 @@ fn monitor_loop(shared: Arc<Shared>) {
 /// ```
 pub struct HandlerScheduler {
     shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    monitor: Mutex<Option<JoinHandle<()>>>,
     core_workers: usize,
 }
 
 impl HandlerScheduler {
-    /// Spawns a scheduler with `workers` core worker threads (at least one)
-    /// plus the compensation monitor.
+    /// Creates a scheduler with `workers` core worker threads (at least
+    /// one) plus the compensation monitor, started when the first task is
+    /// queued.
     pub fn new(workers: usize) -> Arc<Self> {
         let workers = workers.max(1);
         let mut deques = Vec::with_capacity(workers);
@@ -885,33 +1030,12 @@ impl HandlerScheduler {
             extra_handles: Mutex::new(Vec::new()),
             live_threads: AtomicUsize::new(0),
             peak_threads: AtomicUsize::new(0),
+            unstarted: Mutex::new(Some(deques)),
+            started: AtomicBool::new(false),
+            threads: Mutex::new(Vec::new()),
         });
-        let worker_handles = deques
-            .into_iter()
-            .enumerate()
-            .map(|(index, deque)| {
-                let shared = Arc::clone(&shared);
-                shared.note_thread_started();
-                std::thread::Builder::new()
-                    .name(format!("qs-hsched-worker-{index}"))
-                    .spawn(move || {
-                        worker_loop(index, deque, Arc::clone(&shared));
-                        shared.note_thread_exited();
-                    })
-                    .expect("failed to spawn scheduler worker")
-            })
-            .collect();
-        let monitor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("qs-hsched-monitor".to_string())
-                .spawn(move || monitor_loop(shared))
-                .expect("failed to spawn scheduler monitor")
-        };
         Arc::new(HandlerScheduler {
             shared,
-            workers: Mutex::new(worker_handles),
-            monitor: Mutex::new(Some(monitor)),
             core_workers: workers,
         })
     }
@@ -987,8 +1111,11 @@ impl HandlerScheduler {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        // No thread starts from here on.
+        drop(self.shared.unstarted.lock().take());
         self.shared.wake_all();
-        for handle in self.workers.lock().drain(..) {
+        let threads: Vec<_> = self.shared.threads.lock().drain(..).collect();
+        for handle in threads {
             while !handle.is_finished() {
                 match self.shared.take_shared(None) {
                     Some(task) => run_task(&self.shared, None, task),
@@ -996,9 +1123,6 @@ impl HandlerScheduler {
                 }
             }
             let _ = handle.join();
-        }
-        if let Some(monitor) = self.monitor.lock().take() {
-            let _ = monitor.join();
         }
         loop {
             let extras: Vec<_> = self.shared.extra_handles.lock().drain(..).collect();
@@ -1364,6 +1488,142 @@ mod tests {
         task.pending.fetch_add(1, Ordering::SeqCst);
         handle.notify();
         assert_eq!(task.executed.load(Ordering::SeqCst), 1);
+    }
+
+    /// Records the thread of every step; the first `step_here` reports the
+    /// outcome it was built with, every other step `Idle`.
+    struct Recorder {
+        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+        first_here: std::sync::Mutex<Option<StepOutcome>>,
+    }
+
+    impl Recorder {
+        fn new(first_here: StepOutcome) -> Arc<Self> {
+            Arc::new(Recorder {
+                threads: std::sync::Mutex::new(Vec::new()),
+                first_here: std::sync::Mutex::new(Some(first_here)),
+            })
+        }
+
+        fn steps(&self) -> usize {
+            self.threads.lock().unwrap().len()
+        }
+    }
+
+    impl PooledTask for Recorder {
+        fn step(&self) -> StepOutcome {
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            StepOutcome::Idle
+        }
+
+        fn step_here(&self, _budget: usize) -> StepOutcome {
+            self.step();
+            self.first_here
+                .lock()
+                .unwrap()
+                .take()
+                .unwrap_or(StepOutcome::Idle)
+        }
+    }
+
+    #[test]
+    fn run_here_steps_an_idle_task_on_the_calling_thread() {
+        let scheduler = HandlerScheduler::new(2);
+        let task = Recorder::new(StepOutcome::Idle);
+        let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
+        for _ in 0..100 {
+            let ran = handle.run_here(1);
+            assert_eq!(
+                ran,
+                RanHere {
+                    stepped: true,
+                    scheduled: false
+                }
+            );
+        }
+        assert_eq!(task.steps(), 100);
+        let here = std::thread::current().id();
+        assert!(task.threads.lock().unwrap().iter().all(|&t| t == here));
+        assert_eq!(scheduler.steps(), 0, "no worker stepped it");
+        assert_eq!(scheduler.live_threads(), 0, "and none was started");
+        // The first task queued starts the pool.
+        handle.notify();
+        assert_eq!(scheduler.live_threads(), 2);
+        scheduler.shutdown();
+        assert_eq!(scheduler.live_threads(), 0);
+    }
+
+    #[test]
+    fn run_here_on_a_busy_task_is_an_ordinary_notify() {
+        // The task is `Running` on the only worker, blocked inside its
+        // step: the claim must fail, and the notify it falls back to must
+        // get the task stepped again once the running step returns.
+        struct Gated {
+            entered: Event,
+            gate: Event,
+            steps: AtomicUsize,
+        }
+        impl PooledTask for Gated {
+            fn step(&self) -> StepOutcome {
+                if self.steps.fetch_add(1, Ordering::SeqCst) == 0 {
+                    self.entered.set();
+                    self.gate.wait();
+                }
+                StepOutcome::Idle
+            }
+        }
+        let scheduler = HandlerScheduler::new(1);
+        let task = Arc::new(Gated {
+            entered: Event::new(),
+            gate: Event::new(),
+            steps: AtomicUsize::new(0),
+        });
+        let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
+        handle.notify();
+        task.entered.wait();
+        assert_eq!(
+            handle.run_here(1),
+            RanHere {
+                stepped: false,
+                scheduled: false
+            },
+            "Running → Notified, no claim"
+        );
+        task.gate.set();
+        while task.steps.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            scheduler.steps(),
+            2,
+            "the notified task ran again on the pool"
+        );
+        scheduler.shutdown();
+    }
+
+    #[test]
+    fn run_here_hands_a_yielded_step_to_the_pool() {
+        let scheduler = HandlerScheduler::new(1);
+        let task = Recorder::new(StepOutcome::Yielded);
+        let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
+        assert_eq!(
+            handle.run_here(1),
+            RanHere {
+                stepped: true,
+                scheduled: true
+            }
+        );
+        while task.steps() < 2 {
+            std::thread::yield_now();
+        }
+        let here = std::thread::current().id();
+        let threads = task.threads.lock().unwrap().clone();
+        assert_eq!(threads[0], here);
+        assert_ne!(threads[1], here, "the pool took the yielded task");
+        scheduler.shutdown();
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! * [`HandlerScheduler`] — M:N scheduling of handlers: resumable
 //!   [`PooledTask`]s multiplexed onto a fixed work-stealing worker pool with
 //!   a lost-wakeup-free re-arming protocol and blocked-worker compensation,
-//!   so handler count is no longer bounded by OS thread count;
+//!   so handler count is no longer bounded by OS thread count; a client
+//!   about to wait on an idle task steps it on its own thread instead
+//!   ([`TaskHandle::run_here`]);
 //! * [`deque`] — the per-worker work-stealing deques (owner-LIFO,
 //!   thief-FIFO) the handler scheduler's workers run on.
 
@@ -32,7 +34,7 @@ pub mod scope;
 pub mod thread_cache;
 
 pub use deque::{steal_deque, Stealer, Worker};
-pub use handler_scheduler::{HandlerScheduler, PooledTask, StepOutcome, TaskHandle};
+pub use handler_scheduler::{HandlerScheduler, PooledTask, RanHere, StepOutcome, TaskHandle};
 pub use pool::ThreadPool;
 pub use scope::{parallel_chunks, parallel_for, Scope};
 pub use thread_cache::{CachedThread, ThreadCache};

@@ -16,15 +16,27 @@
 //! owns the tail sequence, the consumer owns the head sequence, and each
 //! side publishes its cursor with release ordering, so the hot path is two
 //! atomic loads and one atomic store per operation — no locks, no CAS.
+//!
+//! The capacity bounds occupancy, not memory up front: slot storage is
+//! allocated [`CHUNK_SLOTS`] slots at a time, when the producer first
+//! reaches a chunk.  A separate block logs a handful of requests into a
+//! mailbox of 1024 slots, and hundreds of blocks can be pending at once, so
+//! a ring that allocated its capacity at creation would hold 24 KiB of
+//! 24-byte requests per block to store a few of them.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::ptr;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use qs_sync::{Backoff, CachePadded, Parker};
 
 use crate::{BlockWatcher, Closed};
+
+/// Slots per storage chunk of a [`BoundedSpsc`] ring (the last chunk of a
+/// ring whose capacity is not a multiple holds the remainder).
+pub const CHUNK_SLOTS: usize = 16;
 
 /// Error returned by [`BoundedSpscProducer::try_push`] when the ring is at
 /// capacity; the rejected value is handed back to the caller.
@@ -37,11 +49,19 @@ impl<T> std::fmt::Display for Full<T> {
     }
 }
 
+type Slot<T> = UnsafeCell<MaybeUninit<T>>;
+
 /// Shared state of the bounded SPSC ring.
 pub struct BoundedSpsc<T> {
-    /// Fixed slot array; slot `seq % capacity` holds the item with sequence
-    /// number `seq`.
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    /// The item with sequence number `seq` lives in slot `seq % capacity`,
+    /// which is slot `index % CHUNK_SLOTS` of chunk `index / CHUNK_SLOTS`.
+    /// An entry is null until the producer first reaches its chunk, then
+    /// points at the chunk's first slot.  The producer stores an entry
+    /// (Release) before any `tail` store that publishes a slot in it; the
+    /// consumer loads it (Acquire) only for slots below a `tail` it has
+    /// loaded (Acquire), so it never sees a null entry.
+    chunks: Box<[AtomicPtr<Slot<T>>]>,
+    capacity: usize,
     /// Monotonically increasing consumer cursor: everything below `head` has
     /// been dequeued.
     head: CachePadded<AtomicUsize>,
@@ -60,7 +80,8 @@ pub struct BoundedSpsc<T> {
 }
 
 // SAFETY: the producer/consumer handles enforce single-threaded access to
-// each cursor; values of `T` move across threads, requiring `T: Send`.
+// each cursor and to the chunk entries' stores (producer only); values of
+// `T` move across threads, requiring `T: Send`.
 unsafe impl<T: Send> Send for BoundedSpsc<T> {}
 unsafe impl<T: Send> Sync for BoundedSpsc<T> {}
 
@@ -83,12 +104,12 @@ pub fn bounded_spsc_channel<T>(
     capacity: usize,
 ) -> (BoundedSpscProducer<T>, BoundedSpscConsumer<T>) {
     assert!(capacity > 0, "a bounded queue needs capacity >= 1");
-    let slots = (0..capacity)
-        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-        .collect::<Vec<_>>()
-        .into_boxed_slice();
+    let chunks = (0..capacity.div_ceil(CHUNK_SLOTS))
+        .map(|_| AtomicPtr::new(ptr::null_mut()))
+        .collect();
     let queue = Arc::new(BoundedSpsc {
-        slots,
+        chunks,
+        capacity,
         head: CachePadded::new(AtomicUsize::new(0)),
         tail: CachePadded::new(AtomicUsize::new(0)),
         closed: AtomicBool::new(false),
@@ -107,7 +128,43 @@ pub fn bounded_spsc_channel<T>(
 impl<T> BoundedSpsc<T> {
     /// Maximum number of items the ring can hold.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
+    }
+
+    /// Number of slots in chunk `chunk`.
+    fn chunk_len(&self, chunk: usize) -> usize {
+        CHUNK_SLOTS.min(self.capacity - chunk * CHUNK_SLOTS)
+    }
+
+    /// The slot of sequence number `seq`, allocating its chunk if this is
+    /// the producer's first visit.  Producer only.
+    fn producer_slot(&self, seq: usize) -> &Slot<T> {
+        let index = seq % self.capacity;
+        let entry = &self.chunks[index / CHUNK_SLOTS];
+        // Only the producer stores entries, so its own last store is what
+        // this load reads.
+        let mut chunk = entry.load(Ordering::Relaxed);
+        if chunk.is_null() {
+            let slots: Box<[Slot<T>]> = (0..self.chunk_len(index / CHUNK_SLOTS))
+                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+                .collect();
+            chunk = Box::into_raw(slots).cast::<Slot<T>>();
+            entry.store(chunk, Ordering::Release);
+        }
+        // SAFETY: `chunk` points at `chunk_len` live slots (freed only when
+        // the ring drops), and `index % CHUNK_SLOTS` is below that length
+        // because `index < capacity`.
+        unsafe { &*chunk.add(index % CHUNK_SLOTS) }
+    }
+
+    /// The slot of a sequence number below an observed `tail`, whose chunk
+    /// the producer therefore stored before publishing it.
+    fn published_slot(&self, seq: usize) -> &Slot<T> {
+        let index = seq % self.capacity;
+        let chunk = self.chunks[index / CHUNK_SLOTS].load(Ordering::Acquire);
+        assert!(!chunk.is_null(), "a published slot's chunk is allocated");
+        // SAFETY: as in `producer_slot`.
+        unsafe { &*chunk.add(index % CHUNK_SLOTS) }
     }
 
     /// Current number of queued items (racy snapshot).
@@ -189,7 +246,7 @@ impl<T> BoundedSpscProducer<T> {
         if tail - head == queue.capacity() {
             return Err(Full(value));
         }
-        let slot = &queue.slots[tail % queue.capacity()];
+        let slot = queue.producer_slot(tail);
         // SAFETY: `tail - head < capacity`, so the consumer has finished with
         // this slot (its previous occupant had sequence `tail - capacity`,
         // strictly below `head`), and only this producer writes slots.
@@ -337,7 +394,7 @@ impl<T> BoundedSpscConsumer<T> {
             }
             return Ok(None);
         }
-        let slot = &queue.slots[head % queue.capacity()];
+        let slot = queue.published_slot(head);
         // SAFETY: `head < tail`, so the producer published this slot (release
         // store of `tail` observed with acquire) and will not touch it again
         // until `head` moves past it.
@@ -391,10 +448,20 @@ impl<T> Drop for BoundedSpsc<T> {
         let head = *self.head.get_mut();
         let tail = *self.tail.get_mut();
         for seq in head..tail {
-            let slot = &self.slots[seq % self.slots.len()];
+            let slot = self.published_slot(seq);
             // SAFETY: exclusive access during drop; slots in `head..tail`
             // were written and never read.
             unsafe { (*slot.get()).assume_init_drop() };
+        }
+        for chunk in 0..self.chunks.len() {
+            let first = *self.chunks[chunk].get_mut();
+            if !first.is_null() {
+                let slots = ptr::slice_from_raw_parts_mut(first, self.chunk_len(chunk));
+                // SAFETY: `first` came from `Box::into_raw` of a boxed slice
+                // of exactly `chunk_len(chunk)` slots and is freed only here;
+                // the slots hold no live values any more (`MaybeUninit`).
+                drop(unsafe { Box::from_raw(slots) });
+            }
         }
     }
 }
@@ -535,6 +602,59 @@ mod tests {
             tx.push(D);
         }
         assert_eq!(DROPS.load(Ordering::SeqCst), 6);
+    }
+
+    fn allocated_chunks<T>(queue: &BoundedSpsc<T>) -> usize {
+        queue
+            .chunks
+            .iter()
+            .filter(|chunk| !chunk.load(Ordering::Relaxed).is_null())
+            .count()
+    }
+
+    #[test]
+    fn slot_storage_grows_a_chunk_at_a_time_as_the_producer_reaches_it() {
+        let (tx, rx) = bounded_spsc_channel(1024);
+        assert_eq!(allocated_chunks(tx.queue()), 0, "nothing up front");
+        for i in 0..3 {
+            tx.push(i);
+        }
+        assert_eq!(allocated_chunks(tx.queue()), 1);
+        for i in 3..CHUNK_SLOTS + 1 {
+            tx.push(i);
+        }
+        assert_eq!(allocated_chunks(tx.queue()), 2);
+        for i in 0..CHUNK_SLOTS + 1 {
+            assert_eq!(rx.try_dequeue(), Ok(Some(i)));
+        }
+    }
+
+    #[test]
+    fn a_partial_last_chunk_wraps_and_drops_cleanly() {
+        use std::sync::atomic::AtomicUsize;
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct D(usize);
+        impl Drop for D {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        // Chunks of 16, 16 and 8 slots; three laps, then a ring dropped
+        // with items left in every chunk.
+        let capacity = 2 * CHUNK_SLOTS + CHUNK_SLOTS / 2;
+        {
+            let (tx, rx) = bounded_spsc_channel(capacity);
+            for i in 0..3 * capacity {
+                tx.push(D(i));
+                if i >= capacity - 1 {
+                    let D(seen) = rx.try_dequeue().unwrap().unwrap();
+                    assert_eq!(seen, i + 1 - capacity);
+                }
+            }
+            assert_eq!(allocated_chunks(tx.queue()), 3);
+            assert_eq!(tx.queue().len(), capacity - 1);
+        }
+        assert_eq!(DROPS.load(Ordering::SeqCst), 3 * capacity);
     }
 
     #[test]

@@ -43,12 +43,21 @@
 //! `try_dequeue` / `try_drain_batch` only, returning "empty for now"
 //! (`Ok(None)` / `Ok(0)`) or "closed and drained" ([`Closed`]); how to wait
 //! in between — go back to a scheduler, park a thread — is the consumer's
-//! business, and the [`WakeHook`] it registers (on the queue-of-queues and
-//! the mutex queue, or through the mailbox producer for a private queue) is
-//! how it hears of new work: producers invoke it after every enqueue and on
-//! close.  That is the one hand-over path per event; a push does nothing
-//! else on the consumer's behalf.  Producers, by contrast, *do* block here:
-//! a push into a full bounded queue parks until the consumer makes space.
+//! business, and the [`WakeHook`] it registers (on the mutex queue, or
+//! through the mailbox producer for a private queue) is how it hears of new
+//! work: producers invoke it after every enqueue and on close.  That is the
+//! one hand-over path per event; a push does nothing else on the consumer's
+//! behalf.  A mailbox producer that is about to wait for its own item may
+//! push or close `_without_wake` and get the consumer there itself (a
+//! client stepping its handler on its own thread).  Producers, by contrast,
+//! *do* block here: a push into a full bounded queue parks until the
+//! consumer makes space.
+//!
+//! The queue-of-queues has no hook: registering a private queue is not
+//! work.  A handler has nothing to do with an empty open private queue, and
+//! that queue's first request or its close fires the mailbox's own hook;
+//! waking the handler at registration as well would only have it scheduled
+//! ahead of the request it is waiting for.
 //!
 //! Each hook invocation carries a [`WakeReason`] occupancy hint: bounded
 //! queues report [`WakeReason::Pressure`] when a push crosses the half-full

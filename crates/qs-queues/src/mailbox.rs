@@ -72,7 +72,7 @@ pub fn mailbox<T>(capacity: Option<usize>) -> (MailboxProducer<T>, MailboxConsum
 
 impl<T> MailboxProducer<T> {
     /// Attaches the consumer-wake hook, invoked after every enqueue and on
-    /// close.
+    /// close except the `_without_wake` forms.
     pub fn with_wake_hook(mut self, hook: WakeHook) -> Self {
         self.wake_hook = Some(hook);
         self
@@ -104,35 +104,42 @@ impl<T> MailboxProducer<T> {
     /// full.  Returns `true` if the enqueue had to wait (a backpressure
     /// stall); an unbounded mailbox never stalls.
     pub fn enqueue(&self, value: T) -> bool {
-        let stalled = match &self.flavour {
-            ProducerFlavour::Unbounded(tx) => {
-                tx.enqueue(value);
-                false
-            }
-            ProducerFlavour::Bounded(tx) => tx.push(value),
-        };
-        self.invoke_wake_hook(self.push_reason(stalled));
-        stalled
+        match self.enqueue_watched(value, None) {
+            Ok(stalled) => stalled,
+            Err(_) => unreachable!("an unwatched enqueue never aborts"),
+        }
     }
 
-    /// [`enqueue`](Self::enqueue) under a [`BlockWatcher`]: the watcher
-    /// observes the blocking interval of a bounded mailbox and may abort the
-    /// wait, in which case the value is handed back in `Err` without having
-    /// been enqueued.  Unbounded mailboxes never block, never consult the
-    /// watcher, and never fail.
-    pub fn enqueue_watched(&self, value: T, watcher: &dyn BlockWatcher) -> Result<bool, T> {
-        let stalled = match &self.flavour {
-            ProducerFlavour::Unbounded(tx) => {
-                tx.enqueue(value);
-                false
-            }
-            ProducerFlavour::Bounded(tx) => match tx.push_watched(value, watcher) {
-                Ok(stalled) => stalled,
-                Err(Full(value)) => return Err(value),
-            },
-        };
+    /// [`enqueue`](Self::enqueue) under an optional [`BlockWatcher`]: the
+    /// watcher observes the blocking interval of a bounded mailbox and may
+    /// abort the wait, in which case the value is handed back in `Err`
+    /// without having been enqueued.  Unbounded mailboxes never block,
+    /// never consult the watcher, and never fail.
+    pub fn enqueue_watched(&self, value: T, watcher: Option<&dyn BlockWatcher>) -> Result<bool, T> {
+        let stalled = self.enqueue_without_wake(value, watcher)?;
         self.invoke_wake_hook(self.push_reason(stalled));
         Ok(stalled)
+    }
+
+    /// [`enqueue_watched`](Self::enqueue_watched) without invoking the wake
+    /// hook.  The caller takes over the hook's duty of getting the consumer
+    /// to the new item — a client about to wait for it steps the consumer
+    /// itself.
+    pub fn enqueue_without_wake(
+        &self,
+        value: T,
+        watcher: Option<&dyn BlockWatcher>,
+    ) -> Result<bool, T> {
+        match &self.flavour {
+            ProducerFlavour::Unbounded(tx) => {
+                tx.enqueue(value);
+                Ok(false)
+            }
+            ProducerFlavour::Bounded(tx) => match watcher {
+                Some(watcher) => tx.push_watched(value, watcher).map_err(|Full(value)| value),
+                None => Ok(tx.push(value)),
+            },
+        }
     }
 
     /// Attempts to enqueue without blocking; hands `value` back when a
@@ -153,11 +160,17 @@ impl<T> MailboxProducer<T> {
 
     /// Closes the mailbox (the END marker of a separate block).
     pub fn close(&self) {
+        self.close_without_wake();
+        self.invoke_wake_hook(WakeReason::Close);
+    }
+
+    /// [`close`](Self::close) without invoking the wake hook, under the
+    /// contract of [`enqueue_without_wake`](Self::enqueue_without_wake).
+    pub fn close_without_wake(&self) {
         match &self.flavour {
             ProducerFlavour::Unbounded(tx) => tx.close(),
             ProducerFlavour::Bounded(tx) => tx.close(),
         }
-        self.invoke_wake_hook(WakeReason::Close);
     }
 
     /// The capacity bound, or `None` if unbounded.
@@ -380,6 +393,26 @@ mod tests {
         producer.join().unwrap();
         assert!(rx.total_stalls() >= 1);
         assert!(stalls.load(Ordering::SeqCst) >= 2);
+    }
+
+    #[test]
+    fn without_wake_forms_leave_the_hook_to_the_caller() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        for capacity in [None, Some(4)] {
+            let wakes = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&wakes);
+            let (tx, rx) = mailbox::<u32>(capacity);
+            let tx = tx.with_wake_hook(Arc::new(move |_| {
+                counter.fetch_add(1, Ordering::SeqCst);
+            }));
+            assert_eq!(tx.enqueue_without_wake(1, None), Ok(false));
+            tx.close_without_wake();
+            assert_eq!(wakes.load(Ordering::SeqCst), 0, "{capacity:?}");
+            assert_eq!(rx.try_dequeue(), Ok(Some(1)));
+            assert_eq!(rx.try_dequeue(), Err(Closed));
+        }
     }
 
     #[test]

@@ -11,13 +11,20 @@
 //! producer has swapped in its node but not yet linked it; the consumer
 //! handles that by retrying with backoff, which is acceptable because the
 //! window is a handful of instructions long.
+//!
+//! Registering a private queue here wakes nobody.  An empty open private
+//! queue gives its consumer nothing to do; the private queue's own wake
+//! (its first request, or its close) is what gets the consumer to it.  A
+//! consumer that must hear of registrations anyway — one blocked between
+//! private queues rather than stepped by their wakes — is woken by whoever
+//! enqueues, outside this type.
 
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 
-use qs_sync::{Backoff, CachePadded, OnceValue};
+use qs_sync::{Backoff, CachePadded};
 
-use crate::{Closed, WakeHook, WakeReason};
+use crate::Closed;
 
 struct Node<T> {
     next: AtomicPtr<Node<T>>,
@@ -42,8 +49,8 @@ enum Pop<T> {
     Inconsistent,
 }
 
-/// A lock-free unbounded MPSC queue with a polling consumer side, a
-/// consumer-wake hook and a close ("no more work") protocol.
+/// A lock-free unbounded MPSC queue with a polling consumer side and a
+/// close ("no more work") protocol.
 ///
 /// ```
 /// use qs_queues::{Closed, QueueOfQueues};
@@ -62,8 +69,6 @@ pub struct QueueOfQueues<T> {
     closed: AtomicBool,
     enqueued: AtomicUsize,
     dequeued: AtomicUsize,
-    /// The consumer-wake hook; see [`WakeHook`].
-    wake_hook: OnceValue<WakeHook>,
 }
 
 // SAFETY: producers only touch `head` (atomic swap) and their own node;
@@ -87,28 +92,11 @@ impl<T> QueueOfQueues<T> {
             closed: AtomicBool::new(false),
             enqueued: AtomicUsize::new(0),
             dequeued: AtomicUsize::new(0),
-            wake_hook: OnceValue::new(),
-        }
-    }
-
-    /// Registers the consumer-wake hook, invoked after every enqueue and on
-    /// close.  May be set at most once (subsequent calls are ignored); the
-    /// consumer's scheduler registers it before any producer it wants to
-    /// hear from starts enqueuing.
-    pub fn set_wake_hook(&self, hook: WakeHook) {
-        let _ = self.wake_hook.set(hook);
-    }
-
-    fn invoke_wake_hook(&self, reason: WakeReason) {
-        if let Some(hook) = self.wake_hook.get() {
-            hook(reason);
         }
     }
 
     /// Appends `value`.  Wait-free for producers: one allocation, one swap,
-    /// one store.  The queue-of-queues is unbounded, so its wakes always
-    /// carry [`WakeReason::Enqueue`] — pressure originates in the (bounded)
-    /// private queues, never here.
+    /// one store.
     pub fn enqueue(&self, value: T) {
         let node = Node::new(Some(value));
         // SAFETY: `node` is a fresh allocation we exclusively own until the
@@ -118,14 +106,12 @@ impl<T> QueueOfQueues<T> {
         // brief window before this store is the "inconsistent" state.
         unsafe { (*prev).next.store(node, Ordering::Release) };
         self.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.invoke_wake_hook(WakeReason::Enqueue);
     }
 
     /// Marks the queue closed.  The consumer drains the remaining items and
     /// then observes [`Closed`].
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        self.invoke_wake_hook(WakeReason::Close);
     }
 
     /// Returns `true` once [`close`](Self::close) has been called.
@@ -301,20 +287,6 @@ mod tests {
         for (p, l) in last.iter().enumerate() {
             assert_eq!(*l, Some(PER_PRODUCER - 1), "producer {p} lost items");
         }
-    }
-
-    #[test]
-    fn wake_hook_fires_on_enqueue_and_close() {
-        let reasons: Arc<std::sync::Mutex<Vec<WakeReason>>> = Arc::default();
-        let sink = Arc::clone(&reasons);
-        let q = QueueOfQueues::new();
-        q.set_wake_hook(Arc::new(move |reason| sink.lock().unwrap().push(reason)));
-        q.enqueue(1u8);
-        q.close();
-        assert_eq!(
-            *reasons.lock().unwrap(),
-            vec![WakeReason::Enqueue, WakeReason::Close]
-        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! so a consuming thread here yields between empty polls.
 
 use proptest::prelude::*;
+use qs_queues::bounded::CHUNK_SLOTS;
 use qs_queues::{bounded_spsc_channel, spsc_channel, Closed, MutexQueue, QueueOfQueues};
 use std::sync::Arc;
 use std::thread;
@@ -120,13 +121,25 @@ proptest! {
 
     /// The bounded ring delivers every item exactly once, in FIFO order,
     /// across a real producer/consumer thread pair, and its length never
-    /// exceeds the capacity — for any capacity, including the degenerate 1.
+    /// exceeds the capacity — for any capacity, including the degenerate 1,
+    /// one chunk, several, and a partial last chunk.  `warmup` items pass
+    /// through first, so the run starts at any offset from a chunk boundary
+    /// and from the wrap point.
     #[test]
     fn bounded_ring_is_fifo_and_respects_capacity(
         items in proptest::collection::vec(any::<u32>(), 0..2_000),
-        capacity in 1usize..17,
+        capacity in 1usize..3 * CHUNK_SLOTS + 2,
+        warmup in 0usize..2 * CHUNK_SLOTS,
     ) {
         let (tx, rx) = bounded_spsc_channel(capacity);
+        for i in 0..warmup {
+            tx.push(u32::MAX);
+            if i + 1 >= capacity || i + 1 == warmup {
+                while !rx.queue().is_empty() {
+                    prop_assert_eq!(rx.try_dequeue(), Ok(Some(u32::MAX)));
+                }
+            }
+        }
         let expected = items.clone();
         let producer = thread::spawn(move || {
             let mut stalls = 0usize;
@@ -150,8 +163,8 @@ proptest! {
         let (tx, stalls) = producer.join().unwrap();
         // Exactly once, in order: the received sequence *is* the sent one.
         prop_assert_eq!(&got, &expected);
-        prop_assert_eq!(tx.queue().total_enqueued(), expected.len());
-        prop_assert_eq!(tx.queue().total_dequeued(), expected.len());
+        prop_assert_eq!(tx.queue().total_enqueued(), warmup + expected.len());
+        prop_assert_eq!(tx.queue().total_dequeued(), warmup + expected.len());
         prop_assert_eq!(tx.queue().total_stalls(), stalls);
     }
 

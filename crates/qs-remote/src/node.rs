@@ -64,6 +64,10 @@ pub struct NodeStats {
 struct NodeShared {
     name: String,
     qoq: QueueOfQueues<(ByteReceiver, ByteSender)>,
+    /// The serving thread, which parks between private queues: unparked
+    /// after every registration on `qoq` and on close (the queue-of-queues
+    /// itself wakes nobody).  Set before any proxy exists.
+    server: std::sync::OnceLock<std::thread::Thread>,
     channel_config: ChannelConfig,
     counters: NodeCounters,
     /// Socket listeners feeding this node's queue-of-queues: the address
@@ -73,9 +77,22 @@ struct NodeShared {
 }
 
 impl NodeShared {
+    /// Registers a private queue and wakes the serving thread to it.
+    fn register(&self, queue: (ByteReceiver, ByteSender)) {
+        self.qoq.enqueue(queue);
+        self.wake_server();
+    }
+
+    fn wake_server(&self) {
+        if let Some(server) = self.server.get() {
+            server.unpark();
+        }
+    }
+
     /// Stops accepting new private queues and retires the socket listeners.
     fn stop(&self) {
         self.qoq.close();
+        self.wake_server();
         for (addr, socket_file) in self.listeners.lock().drain(..) {
             // Unblock the accept loop so its thread exits.
             let _ = addr.connect();
@@ -141,6 +158,7 @@ impl<T: Send + 'static> RemoteNode<T> {
         let shared = Arc::new(NodeShared {
             name: name.to_string(),
             qoq: QueueOfQueues::new(),
+            server: std::sync::OnceLock::new(),
             channel_config,
             counters: NodeCounters::default(),
             listeners: Mutex::new(Vec::new()),
@@ -157,11 +175,8 @@ impl<T: Send + 'static> RemoteNode<T> {
             })
             .expect("spawn remote node thread");
         // The serving thread polls the queue-of-queues and parks in between;
-        // the hook is in place before any proxy exists to enqueue.
-        let serving = thread.thread().clone();
-        shared
-            .qoq
-            .set_wake_hook(Arc::new(move |_reason| serving.unpark()));
+        // its handle is in place before any proxy exists to enqueue.
+        let _ = shared.server.set(thread.thread().clone());
         RemoteNode {
             shared,
             final_state,
@@ -217,7 +232,7 @@ impl<T: Send + 'static> RemoteNode<T> {
                             // Also covers the wake-up connection stop() makes.
                             return;
                         }
-                        shared.qoq.enqueue((requests, responses));
+                        shared.register((requests, responses));
                     }
                     Err(_) => return,
                 }
@@ -263,9 +278,9 @@ impl<T: Send + 'static> std::fmt::Debug for RemoteNode<T> {
 }
 
 /// The node's serving loop: Fig. 7 over byte channels.  Between private
-/// queues the thread parks; the queue-of-queues' wake hook unparks it on
-/// every enqueue and on close, and an unpark that lands between an empty
-/// poll and the park stays pending and ends the park at once.
+/// queues the thread parks; every registration and the close unpark it,
+/// and an unpark that lands between an empty poll and the park stays
+/// pending and ends the park at once.
 fn serve<T>(shared: &Arc<NodeShared>, object: &mut RemoteObject<T>) {
     loop {
         match shared.qoq.try_dequeue() {
@@ -377,7 +392,7 @@ impl RemoteProxy {
             drop(response_tx);
             drop(request_rx);
         } else {
-            self.shared.qoq.enqueue((request_rx, response_tx));
+            self.shared.register((request_rx, response_tx));
         }
         let _ = request_tx.send_frame(&Frame::Hello {
             version: WIRE_VERSION,

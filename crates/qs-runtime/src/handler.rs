@@ -14,16 +14,16 @@
 //! [`RuntimeConfig::queue_of_queues`] is off) drains a single shared request
 //! queue instead.
 //!
-//! # One loop, two drivers
+//! # One loop, three drivers
 //!
 //! Each loop exists exactly once, as a resumable *step*
 //! (`HandlerCore::step_queue_of_queues` / `HandlerCore::step_lock_based`,
-//! reached only through [`PooledHandler`]'s [`PooledTask::step`]): it polls
+//! reached only through [`PooledHandler`]'s [`PooledTask`] impl): it polls
 //! its queues, applies what it finds, keeps its position in
 //! [`PooledLoopState`], and *returns* [`StepOutcome::Idle`] when the queues
-//! are momentarily empty instead of blocking.  Every queue the handler
-//! consumes fires the handler's one wake hook when a producer makes work
-//! visible, and [`RuntimeConfig::scheduler`] only chooses who answers it:
+//! are momentarily empty instead of blocking.  Every request a producer
+//! makes visible fires the handler's one wake hook, and
+//! [`RuntimeConfig::scheduler`] only chooses who answers it:
 //!
 //! * **pooled** (the default) — the [`qs_exec::HandlerScheduler`] re-arms
 //!   the task on its worker pool, so tens of thousands of mostly-idle
@@ -33,13 +33,37 @@
 //!   `Idle` spin briefly and then park on one per-handler [`Parker`] that
 //!   the hook wakes.  Live handler count is bounded by OS thread count.
 //!
-//! A third driver — say a client stepping an idle handler inline — is
-//! another few lines over the same `step`.
+//! The third driver is the client.  A pooled handler that is idle when a
+//! client is about to wait for it is stepped on that client's thread
+//! (`HandlerCore::run_here` over [`qs_exec::TaskHandle::run_here`]), the
+//! paper's §3.2 handoff without a worker in between: the client's
+//! wait costs no OS wake-up of a worker, and the client is not parked when
+//! its own sync completes.  It happens at exactly two points, both on the
+//! queue-of-queues path:
+//!
+//! * the push of the `Sync` a `query`/`sync` is about to wait on.  The step
+//!   applies at most one drain batch ([`RuntimeConfig::max_batch`]) before
+//!   handing the handler to the pool.  Whatever it runs ahead of the `Sync`
+//!   is work the client's wait depends on anyway.
+//! * the END of a block that has logged no call since its last sync (so the
+//!   handler is parked on it with nothing left but the close).  This step
+//!   runs no client code: it processes closes and the sync tokens of the
+//!   clients behind, which only wake those clients, and the first call or
+//!   query it finds goes to the pool.  That request may wait for something
+//!   the ending client does only after its END, so running it here could
+//!   make the client wait on itself.
+//!
+//! Never on a `call`, nor at the END of a block with calls outstanding: a
+//! client that logs work and walks away must not run that work itself, or
+//! fanning calls out to idle handlers (Cowichan's `broadcast`) would compute
+//! serially on the client.  The dedicated driver is unchanged — a client
+//! there just fires the hook.
 //!
 //! The step preserves the §3.2 client-executed-query contract: after
 //! completing a sync the handler cannot proceed past the syncing client's
 //! private queue (its step only re-polls that queue and goes idle), so the
-//! client's direct object access still races with nothing.
+//! client's direct object access still races with nothing.  That holds
+//! whichever thread stepped it.
 
 use std::cell::UnsafeCell;
 use std::mem::ManuallyDrop;
@@ -48,7 +72,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use qs_deadlock::{EdgeGuard, EdgeKind, ParticipantId};
-use qs_exec::{PooledTask, StepOutcome};
+use qs_exec::{PooledTask, StepOutcome, TaskHandle};
 use qs_queues::{Closed, MailboxConsumer, MutexQueue, QueueOfQueues, WakeHook, WakeReason};
 use qs_sync::{Backoff, Event, GateWake, OnceValue, Parker, ReadGate, SpinLock};
 
@@ -144,10 +168,14 @@ pub(crate) struct HandlerCore<T> {
     final_value: SpinLock<Option<T>>,
 
     /// The handler's wake hook: copied into every mailbox producer this
-    /// handler hands out and registered on the queue-of-queues / request
-    /// queue, so any producer making work visible re-arms whichever driver
-    /// steps this handler.  Set once, before any client can reach the core.
+    /// handler hands out and registered on the request queue, so any
+    /// producer making work visible re-arms whichever driver steps this
+    /// handler.  Set once, before any client can reach the core.
     wake_hook: OnceValue<WakeHook>,
+    /// The pooled driver's task, through which a client steps this handler
+    /// on its own thread ([`run_here`](Self::run_here)); unset under the
+    /// dedicated driver.
+    task: OnceValue<TaskHandle>,
 
     /// Deadlock-detection hook (registry + this handler's participant
     /// identity); `None` when the runtime's `DeadlockPolicy` is `Off`, which
@@ -204,6 +232,7 @@ impl<T: Send + 'static> HandlerCore<T> {
             finished: Event::new(),
             final_value: SpinLock::new(None),
             wake_hook: OnceValue::new(),
+            task: OnceValue::new(),
             deadlock,
             guards,
             gate: Arc::new(ReadGate::new()),
@@ -211,13 +240,16 @@ impl<T: Send + 'static> HandlerCore<T> {
         })
     }
 
-    /// Registers the driver's wake hook on the handler and its queues.
-    /// Must be called before any client can reach the handler (i.e. before
-    /// `spawn_handler` returns its handle).
-    pub(crate) fn set_wake_hook(&self, hook: WakeHook) {
-        self.qoq.set_wake_hook(Arc::clone(&hook));
+    /// Registers the driver's wake hook on the handler and its request
+    /// queue, and — pooled — the task a client may step.  Must be called
+    /// before any client can reach the handler (i.e. before `spawn_handler`
+    /// returns its handle).
+    pub(crate) fn set_driver(&self, hook: WakeHook, task: Option<TaskHandle>) {
         self.request_queue.set_wake_hook(Arc::clone(&hook));
         let _ = self.wake_hook.set(hook);
+        if let Some(task) = task {
+            let _ = self.task.set(task);
+        }
     }
 
     /// The wake hook of whichever driver steps this handler.
@@ -227,13 +259,32 @@ impl<T: Send + 'static> HandlerCore<T> {
             .expect("the driver installs its hook before the handle escapes")
     }
 
+    /// The third driver (see the module docs): a client that is about to
+    /// wait for this handler, or is closing a block the handler has nothing
+    /// left of, steps it here when the pool has it idle, applying at most
+    /// `budget` requests (with none, only sync tokens; see `apply_batch`).
+    /// Otherwise — busy, already scheduled, or a dedicated driver — the hook
+    /// fires `reason` as for any push.  Returns whether this thread stepped
+    /// the handler and left nothing to the pool.
+    pub(crate) fn run_here(&self, reason: WakeReason, budget: usize) -> bool {
+        let Some(task) = self.task.get() else {
+            self.wake_hook()(reason);
+            return false;
+        };
+        let ran = task.run_here(budget);
+        if ran.scheduled {
+            RuntimeStats::bump(&self.stats.handler_wakeups);
+        }
+        ran.stepped && !ran.scheduled
+    }
+
     /// Dedicated scheduling: installs a hook that wakes one per-handler
     /// [`Parker`] — for every [`WakeReason`] alike — and returns the body of
     /// the thread that will step this handler.
     pub(crate) fn dedicated_driver(self: &Arc<Self>) -> impl FnOnce() + Send + 'static {
         let parker = Arc::new(Parker::new());
         let waker = Arc::clone(&parker);
-        self.set_wake_hook(Arc::new(move |_reason| waker.wake()));
+        self.set_driver(Arc::new(move |_reason| waker.wake()), None);
         let task = PooledHandler::new(Arc::clone(self));
         move || task.drive(&parker)
     }
@@ -357,6 +408,8 @@ impl<T: Send + 'static> HandlerCore<T> {
     pub(crate) fn stop(&self) {
         if !self.stopped.swap(true, Ordering::AcqRel) {
             self.qoq.close();
+            // The queue-of-queues has no hook of its own.
+            self.wake_hook()(WakeReason::Close);
             self.request_queue.close();
             // Guard waiters parked on a dying handler must not strand: wake
             // them so their next evaluation observes the shutdown.
@@ -421,7 +474,6 @@ impl<T: Send + 'static> HandlerCore<T> {
     /// harmless.
     fn step_queue_of_queues(&self, state: &mut PooledLoopState<T>) -> StepOutcome {
         let max_batch = self.config.max_batch.max(1);
-        state.refill_budget_if_spent();
         if let Some(outcome) = self.resume_pending_batch(state) {
             return outcome;
         }
@@ -505,7 +557,6 @@ impl<T: Send + 'static> HandlerCore<T> {
     /// touches only the queue, never the object.
     fn step_lock_based(&self, state: &mut PooledLoopState<T>) -> StepOutcome {
         let max_batch = self.config.max_batch.max(1);
-        state.refill_budget_if_spent();
         if let Some(outcome) = self.resume_pending_batch(state) {
             return outcome;
         }
@@ -572,12 +623,27 @@ impl<T: Send + 'static> HandlerCore<T> {
     /// so the last reader out re-arms the handler (through the pooled
     /// scheduler's priority lane).  Once applied, a spent budget is
     /// [`StepOutcome::Yielded`].
+    ///
+    /// A step with no budget at all (a client's END step) runs no client
+    /// code: it applies a batch of sync tokens, which only wake their
+    /// clients, and stashes any batch with a call or query the same way,
+    /// yielding it to the pool.
     fn apply_batch(
         &self,
         state: &mut PooledLoopState<T>,
         drained: usize,
         pressured: bool,
     ) -> Option<StepOutcome> {
+        let syncs_only = state.budget == 0;
+        if syncs_only
+            && state
+                .batch
+                .iter()
+                .any(|request| !matches!(request, Request::Sync(_)))
+        {
+            state.pending = Some((drained, pressured));
+            return Some(StepOutcome::Yielded);
+        }
         if !self.gate.try_write() {
             if !state.write_requested {
                 RuntimeStats::bump(&self.stats.writer_waits);
@@ -611,6 +677,9 @@ impl<T: Send + 'static> HandlerCore<T> {
         }
         self.gate.end_write();
         state.progressed = true;
+        if syncs_only {
+            return None;
+        }
         if pressured {
             let batch_budget = self.config.max_batch.max(1);
             if state.budget > batch_budget {
@@ -741,8 +810,8 @@ impl<T: Send + 'static> PooledHandler<T> {
                 StepOutcome::Idle => {
                     // The spin window opens when requests were applied, not
                     // when the park ends: the hook also fires for work this
-                    // handler cannot take yet (another client's private
-                    // queue arriving while it is pinned to an open one), and
+                    // handler cannot take yet (another client's request
+                    // arriving while it is pinned to an open block), and
                     // such a wake must cost one empty step, not a backoff
                     // ladder taken from the client it is waiting for.
                     if std::mem::take(&mut self.state.lock().progressed) {
@@ -756,6 +825,33 @@ impl<T: Send + 'static> PooledHandler<T> {
                 }
             }
         }
+    }
+
+    /// One step; `cap` bounds the requests it may apply (see
+    /// [`PooledTask::step_here`]) without charging the pool's yield budget,
+    /// which a step off the pool does not spend.
+    fn step_within(&self, cap: Option<usize>) -> StepOutcome {
+        let mut state = self.state.lock();
+        state.refill_budget_if_spent();
+        let pool_budget = state.budget;
+        if let Some(cap) = cap {
+            state.budget = cap;
+        }
+        let outcome = if self.core.config.queue_of_queues {
+            self.core.step_queue_of_queues(&mut state)
+        } else {
+            self.core.step_lock_based(&mut state)
+        };
+        if cap.is_some() {
+            state.budget = pool_budget;
+        }
+        drop(state);
+        match outcome {
+            StepOutcome::Done => self.core.finish(),
+            StepOutcome::Yielded => RuntimeStats::bump(&self.core.stats.handler_yields),
+            StepOutcome::Idle => {}
+        }
+        outcome
     }
 }
 
@@ -798,19 +894,13 @@ impl<T: Send + 'static> Drop for PooledHandler<T> {
 
 impl<T: Send + 'static> PooledTask for PooledHandler<T> {
     fn step(&self) -> StepOutcome {
-        let mut state = self.state.lock();
-        let outcome = if self.core.config.queue_of_queues {
-            self.core.step_queue_of_queues(&mut state)
-        } else {
-            self.core.step_lock_based(&mut state)
-        };
-        drop(state);
-        match outcome {
-            StepOutcome::Done => self.core.finish(),
-            StepOutcome::Yielded => RuntimeStats::bump(&self.core.stats.handler_yields),
-            StepOutcome::Idle => {}
-        }
-        outcome
+        self.step_within(None)
+    }
+
+    /// A client's step applies at most `budget` requests, then yields the
+    /// handler to the pool.
+    fn step_here(&self, budget: usize) -> StepOutcome {
+        self.step_within(Some(budget))
     }
 }
 

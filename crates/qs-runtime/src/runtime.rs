@@ -57,8 +57,10 @@ struct RuntimeInner {
     stats: Arc<RuntimeStats>,
     thread_cache: Arc<ThreadCache>,
     /// M:N handler scheduler, created lazily at the first pooled
-    /// `spawn_handler` so runtimes that never spawn (or run dedicated) pay
-    /// no worker threads.
+    /// `spawn_handler`; its threads start when a handler is first handed
+    /// to the pool, so runtimes that never spawn, run dedicated, or whose
+    /// handlers are only ever stepped by their clients pay no worker
+    /// threads.
     scheduler: parking_lot::Mutex<Option<Arc<HandlerScheduler>>>,
     /// Deadlock detection; `None` while the policy is `Off`.
     deadlock: Option<DeadlockRuntime>,
@@ -263,10 +265,12 @@ impl Runtime {
                 self.inner.thread_cache.run(core.dedicated_driver());
             }
             SchedulerMode::Pooled { .. } => {
-                // M:N: the hook hands the task to the scheduler's workers.
+                // M:N: the hook hands the task to the scheduler's workers; a
+                // client about to wait on the handler may step the task itself.
                 let scheduler = self.scheduler();
                 let handle = scheduler.register(Arc::new(PooledHandler::new(Arc::clone(&core))));
                 let stats = Arc::clone(&self.inner.stats);
+                let task = handle.clone();
                 let hook: WakeHook = Arc::new(move |reason| {
                     // A pressure wake (bounded mailbox at its watermark or a
                     // blocked producer) routes through the scheduler's
@@ -287,7 +291,7 @@ impl Runtime {
                         RuntimeStats::bump(&stats.handler_wakeups);
                     }
                 });
-                core.set_wake_hook(hook);
+                core.set_driver(hook, Some(task));
             }
         }
         Handler::from_core(core)
@@ -318,8 +322,8 @@ impl Runtime {
     }
 
     /// Number of M:N scheduler worker threads currently alive (core workers
-    /// plus live compensation workers); zero when no pooled handler has been
-    /// spawned yet or the mode is dedicated.
+    /// plus live compensation workers); zero until a pooled handler is
+    /// first handed to the pool, and always under the dedicated mode.
     pub fn scheduler_threads(&self) -> usize {
         self.inner
             .scheduler

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use qs_deadlock::{EdgeKind, ParticipantId, ProbeFn, WaitRegistry, WakerFn};
-use qs_queues::{mailbox, MailboxProducer};
+use qs_queues::{mailbox, BlockWatcher, MailboxProducer, WakeReason};
 use qs_sync::Handoff;
 
 use crate::deadlock::{current_waiter, BlockTracking};
@@ -42,16 +42,29 @@ pub struct Separate<'a, T: Send + 'static> {
     /// waiters (false for the silent probe blocks the wait-condition
     /// machinery opens).  On the queue-of-queues path the handler signals
     /// when it *processes* the close — this flag additionally fires a
-    /// priority wake so a pooled handler gets there promptly; on the
-    /// lock-based path (no handler-visible close event exists) the client
-    /// signals directly after releasing the handler lock, which is safe
-    /// because blocks fully serialise on that lock.
+    /// priority wake so a pooled handler gets there promptly, unless the
+    /// closing client processed the close itself; on the lock-based path
+    /// (no handler-visible close event exists) the client signals directly
+    /// after releasing the handler lock, which is safe because blocks fully
+    /// serialise on that lock.
     signal_guards: bool,
-    /// Whether the handler is known to have drained everything we logged.
-    synced: bool,
+    /// How far the handler is known to have got through this block.
+    progress: Progress,
     ended: bool,
     /// Prevents `Send`/`Sync` auto-derivation.
     _not_send: std::marker::PhantomData<*const ()>,
+}
+
+/// How far the handler is known to have got through a block's requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Progress {
+    /// Nothing logged yet.
+    Empty,
+    /// A sync completed after the last request logged: the handler has
+    /// applied all of them and is parked on this block's queue.
+    Synced,
+    /// Requests logged since the last sync may still be waiting.
+    Pending,
 }
 
 impl<'a, T: Send + 'static> Separate<'a, T> {
@@ -153,7 +166,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             sync_handoff: Arc::new(Handoff::new()),
             tracking,
             signal_guards: !crate::guard::in_probe_round(),
-            synced: false,
+            progress: Progress::Empty,
             ended: false,
             _not_send: std::marker::PhantomData,
         }
@@ -184,44 +197,44 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     }
 
     fn enqueue(&self, request: Request<T>) {
+        self.push(request, true);
+    }
+
+    /// Logs `request`, firing the handler's wake hook when `wake` is set; a
+    /// caller that clears it (queue-of-queues path only) gets the handler
+    /// to the request itself.
+    fn push(&self, request: Request<T>, wake: bool) {
         // Sampled like the latency stamp above: per-request ring writes are
         // the one trace site on the per-call fast path.
         if qs_obs::tracing_enabled() && qs_obs::sampled(qs_obs::HOT_SAMPLE) {
             qs_obs::trace_always(qs_obs::TraceKind::MailboxEnqueue, self.core.id, 0);
         }
+        // Deadlock tracking: a blocking push registers a MailboxPush
+        // wait-for edge, and the detector's Break policy may abort it.
+        let watcher = self.tracking.as_ref().map(BlockTracking::push_watcher);
+        let watcher = watcher.as_ref().map(|watcher| watcher as &dyn BlockWatcher);
         // Both mailbox flavours report whether the enqueue had to wait for
         // space: that wait *is* the backpressure the bounded configuration
         // promises (the client is throttled to the handler's pace), and it
         // is surfaced in the runtime statistics.
-        let stalled = match &self.tracking {
-            None => match &self.producer {
-                Some(producer) => producer.enqueue(request),
-                None => self.core.request_queue.enqueue(request),
-            },
-            // Deadlock tracking: the blocking interval registers a
-            // MailboxPush wait-for edge, and the detector's Break policy may
-            // abort the wait.
-            Some(tracking) => {
-                let watcher = tracking.push_watcher();
-                let result = match &self.producer {
-                    Some(producer) => producer.enqueue_watched(request, &watcher),
-                    None => self.core.request_queue.enqueue_watched(request, &watcher),
-                };
-                match result {
-                    Ok(stalled) => stalled,
-                    Err(_request) => {
-                        // This push sat on a confirmed wait-for cycle and
-                        // was chosen as the break point: surface it instead
-                        // of deadlocking.  Inside a handler-executed call
-                        // the panic is caught by the handler loop (counted
-                        // in `call_panics`), which then resumes draining and
-                        // unwinds the rest of the cycle.
-                        RuntimeStats::bump(&self.core.stats.deadlocks_broken);
-                        std::panic::panic_any(MailboxError::DeadlockBroken {
-                            handler: self.core.id,
-                        });
-                    }
-                }
+        let pushed = match (&self.producer, watcher) {
+            (Some(producer), watcher) if wake => producer.enqueue_watched(request, watcher),
+            (Some(producer), watcher) => producer.enqueue_without_wake(request, watcher),
+            (None, Some(watcher)) => self.core.request_queue.enqueue_watched(request, watcher),
+            (None, None) => Ok(self.core.request_queue.enqueue(request)),
+        };
+        let stalled = match pushed {
+            Ok(stalled) => stalled,
+            Err(_request) => {
+                // This push sat on a confirmed wait-for cycle and was chosen
+                // as the break point: surface it instead of deadlocking.
+                // Inside a handler-executed call the panic is caught by the
+                // handler loop (counted in `call_panics`), which then
+                // resumes draining and unwinds the rest of the cycle.
+                RuntimeStats::bump(&self.core.stats.deadlocks_broken);
+                std::panic::panic_any(MailboxError::DeadlockBroken {
+                    handler: self.core.id,
+                });
             }
         };
         if stalled {
@@ -274,7 +287,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
         RuntimeStats::bump(&self.core.stats.calls_enqueued);
         self.enqueue(Request::Call(Self::instrument_enqueue(Box::new(f))));
         // An asynchronous call invalidates the synced state (§3.4).
-        self.synced = false;
+        self.progress = Progress::Pending;
     }
 
     /// Attempts to log an asynchronous call without blocking, surfacing a
@@ -333,7 +346,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
         match result {
             Ok(()) => {
                 RuntimeStats::bump(&self.core.stats.calls_enqueued);
-                self.synced = false;
+                self.progress = Progress::Pending;
                 Ok(())
             }
             Err(Request::Call(call)) => {
@@ -347,7 +360,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// Returns `true` if the handler is known to have processed everything
     /// this block logged so far.
     pub fn is_synced(&self) -> bool {
-        self.synced
+        self.progress == Progress::Synced
     }
 
     /// Performs an explicit synchronisation with the handler.
@@ -357,7 +370,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// elided (§3.4.1); without it the round-trip is always paid, which is
     /// what makes the unoptimised configurations slow on query-heavy code.
     pub fn sync(&mut self) {
-        if self.synced && self.core.config.dynamic_sync_coalescing {
+        if self.is_synced() && self.core.config.dynamic_sync_coalescing {
             RuntimeStats::bump(&self.core.stats.syncs_elided);
             return;
         }
@@ -365,20 +378,37 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     }
 
     /// Performs the sync round-trip unconditionally.
+    ///
+    /// On the queue-of-queues path the client, about to block on the sync,
+    /// steps an idle pooled handler itself (see [`HandlerCore::run_here`]):
+    /// the step applies everything queued ahead of the sync, then the sync,
+    /// and parks the handler on this block's queue — so the wait below
+    /// usually finds the handoff complete.
     fn force_sync(&mut self) {
         RuntimeStats::bump(&self.core.stats.syncs_performed);
-        self.enqueue(Request::Sync(crate::request::CompletionGuard::new(
-            Arc::clone(&self.sync_handoff),
-        )));
         let handoff = Arc::clone(&self.sync_handoff);
+        let sync = Request::Sync(crate::request::CompletionGuard::new(Arc::clone(&handoff)));
+        if self.producer.is_some() {
+            self.push(sync, false);
+            // Deadlock tracking: while this client drives the handler it
+            // waits on it exactly as it would parked on the handoff.
+            let _edge = self.tracking.as_ref().map(|tracking| {
+                let pending = Arc::clone(&handoff);
+                tracking.query_edge(Some(Arc::new(move || !pending.is_ready()) as ProbeFn))
+            });
+            self.core
+                .run_here(WakeReason::Enqueue, self.core.config.max_batch.max(1));
+        } else {
+            self.enqueue(sync);
+        }
         self.wait_on_handoff(&handoff);
-        self.synced = true;
+        self.progress = Progress::Synced;
     }
 
     /// Ensures the handler has drained this block's requests, eliding the
     /// round-trip when the runtime can prove it redundant.
     fn ensure_synced(&mut self) {
-        if self.synced && self.core.config.dynamic_sync_coalescing {
+        if self.is_synced() && self.core.config.dynamic_sync_coalescing {
             RuntimeStats::bump(&self.core.stats.syncs_elided);
             return;
         }
@@ -421,7 +451,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             let result = self.wait_on_handoff(&result_handoff);
             // A completed query implies the handler processed everything
             // before it, so the block is synced now.
-            self.synced = true;
+            self.progress = Progress::Synced;
             round_trip.record(qs_obs::obs_histogram!("query.round_trip_ns"));
             result
         }
@@ -437,7 +467,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     pub fn query_unsynced<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
         assert!(!self.ended, "query after the separate block ended");
         debug_assert!(
-            self.synced,
+            self.is_synced(),
             "query_unsynced called while not synced; the static sync-coalescing \
              contract is violated"
         );
@@ -462,7 +492,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// via `wait_condition_checks`.
     pub(crate) fn peek_synced(&self) -> &T {
         debug_assert!(
-            self.synced,
+            self.is_synced(),
             "peek_synced called while not synced; the reservation protocol \
              must sync before evaluating a wait condition"
         );
@@ -514,7 +544,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             completion.complete(f(object));
         })));
         // The handler now has pending work from this block again.
-        self.synced = false;
+        self.progress = Progress::Pending;
         QueryToken {
             handoff,
             taken: false,
@@ -537,17 +567,30 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
         qs_obs::trace(qs_obs::TraceKind::ReserveRelease, self.core.id, 0);
         if let Some(producer) = self.producer.take() {
             // END marker: the handler moves on to the next private queue.
-            producer.close();
+            // With nothing of this block left for it, the handler has only
+            // the close to process, and the client processes it itself —
+            // with no budget, so it runs no client code: the first call or
+            // query after the close goes to the pool (see
+            // `HandlerCore::apply_batch`).
+            let stepped = if self.progress != Progress::Pending {
+                producer.close_without_wake();
+                self.core.run_here(WakeReason::Close, 0)
+            } else {
+                producer.close();
+                false
+            };
             // Guard waiters are signalled when the handler *processes* this
             // close (which serialises the signal after every call of the
             // block — signalling here instead could be consumed by a waiter
-            // that has not observed the block's effects yet).  But with
-            // waiters parked, ask the handler's driver to get it there
-            // promptly: in the pooled scheduler a Guard wake rides the
-            // priority lane like Pressure, keeping wake-to-resume latency
-            // low under load.
-            if self.signal_guards && self.core.guards.has_waiters() {
-                self.core.wake_hook()(qs_queues::WakeReason::Guard);
+            // that has not observed the block's effects yet).  A client whose
+            // step left nothing to the pool processed the close itself — or
+            // found the handler pinned to another open block, whose END will
+            // bring it here.  Otherwise, with waiters parked, ask the
+            // handler's driver to get there promptly: in the pooled
+            // scheduler a Guard wake rides the priority lane like Pressure,
+            // keeping wake-to-resume latency low under load.
+            if !stepped && self.signal_guards && self.core.guards.has_waiters() {
+                self.core.wake_hook()(WakeReason::Guard);
             }
         }
         let lock_based = self.lock_guard.is_some();

@@ -95,8 +95,10 @@ pub struct RuntimeStats {
     /// Non-blocking `try_call`s rejected because the bounded mailbox was
     /// full.
     pub backpressure_rejections: AtomicU64,
-    /// Pooled scheduling: idle→scheduled transitions (a producer's wake
-    /// hook re-armed a parked handler).
+    /// Pooled scheduling: handlers handed to the worker pool — an
+    /// idle→scheduled transition (a producer's wake hook re-armed a parked
+    /// handler), or a client's own step of the handler that ended by
+    /// handing it on.
     pub handler_wakeups: AtomicU64,
     /// Pooled scheduling: steps that exhausted their request budget and
     /// yielded the worker with work still pending.
@@ -250,7 +252,8 @@ pub struct StatsSnapshot {
     pub backpressure_stalls: u64,
     /// Non-blocking `try_call`s rejected on a full bounded mailbox.
     pub backpressure_rejections: u64,
-    /// Pooled scheduling: idle→scheduled handler transitions.
+    /// Pooled scheduling: handlers handed to the worker pool (see
+    /// [`RuntimeStats::handler_wakeups`]).
     pub handler_wakeups: u64,
     /// Pooled scheduling: steps that yielded on an exhausted budget.
     pub handler_yields: u64,

@@ -1,14 +1,13 @@
 //! Scheduling-layer ablation: the [`qs_exec::ThreadPool`] on balanced and
-//! imbalanced fork/join workloads, plus the *handler* scheduling ablation —
-//! the dedicated-thread driver versus the M:N pool — on a fan-out / fan-in
-//! workload over live handlers.
+//! imbalanced fork/join workloads, plus the M:N handler pool on a fan-out /
+//! fan-in workload over live handlers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qs_exec::ThreadPool;
-use qs_runtime::{OptimizationLevel, Runtime, SchedulerMode};
+use qs_runtime::{OptimizationLevel, Runtime};
 
 const TASKS: usize = 512;
 const WORK: u64 = 2_000;
@@ -99,22 +98,17 @@ fn ablation_handler_scheduling(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(200));
     group.measurement_time(std::time::Duration::from_millis(800));
 
-    for (label, mode) in [
-        ("dedicated", SchedulerMode::Dedicated),
-        ("pooled", SchedulerMode::Pooled { workers: 0 }),
-    ] {
-        let rt = Runtime::new(OptimizationLevel::All.config().with_scheduler(mode));
-        group.bench_with_input(
-            BenchmarkId::new("fan_out_8_handlers", label),
-            &rt,
-            |b, rt| b.iter(|| handler_fan_out(rt, 8, 200)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fan_out_256_handlers", label),
-            &rt,
-            |b, rt| b.iter(|| handler_fan_out(rt, 256, 8)),
-        );
-    }
+    let rt = Runtime::new(OptimizationLevel::All.config());
+    group.bench_with_input(
+        BenchmarkId::new("fan_out_8_handlers", "pooled"),
+        &rt,
+        |b, rt| b.iter(|| handler_fan_out(rt, 8, 200)),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("fan_out_256_handlers", "pooled"),
+        &rt,
+        |b, rt| b.iter(|| handler_fan_out(rt, 256, 8)),
+    );
     group.finish();
 }
 

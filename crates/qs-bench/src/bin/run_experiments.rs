@@ -31,7 +31,6 @@ use qs_bench::experiments::{
     WAIT_SCALING_STEP_GAP, WAIT_SCALING_WAITERS,
 };
 use qs_bench::report::{geometric_mean, print_table};
-use qs_runtime::SchedulerMode;
 use qs_workloads::types::ParallelTask;
 
 fn fmt(values: &[f64]) -> Vec<String> {
@@ -182,26 +181,21 @@ fn latency_to_json(l: &LatencySummary) -> String {
 /// serde).  One object per point, stable key order.
 fn scheduler_points_to_json(
     points: &[SchedulerPoint],
-    dedicated_cap: usize,
-    backpressure: &(BackpressurePoint, BackpressurePoint),
+    backpressure: &BackpressurePoint,
     overhead: &OverheadReport,
 ) -> String {
     let mut out = String::from("{\n  \"bench\": \"scheduler_handler_sweep\",\n");
     out.push_str("  \"unit\": \"requests_per_sec\",\n");
     out.push_str(&format!(
-        "  \"parallelism\": {},\n  \"dedicated_handler_cap\": {dedicated_cap},\n  \
-         \"dedicated_cap_reason\": \"one OS thread per handler exhausts memory above \
-         ~16k threads on this class of machine; the pooled scheduler exists to lift \
-         exactly this limit\",\n  \"points\": [\n",
+        "  \"parallelism\": {},\n  \"points\": [\n",
         qs_exec::default_parallelism()
     ));
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"workers\": {}, \"handlers\": {}, \
+            "    {{\"workers\": {}, \"handlers\": {}, \
              \"requests\": {}, \"elapsed_secs\": {:.6}, \"requests_per_sec\": {:.1}, \
              \"peak_process_threads\": {}, \"peak_scheduler_threads\": {}, \
              \"latency_ns\": {}}}{}\n",
-            p.mode,
             p.workers,
             p.handlers,
             p.requests,
@@ -213,46 +207,27 @@ fn scheduler_points_to_json(
             if i + 1 == points.len() { "" } else { "," },
         ));
     }
-    let (dedicated, pooled) = backpressure;
+    let p = backpressure;
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"backpressure\": {{\n    \"capacity\": {BACKPRESSURE_CAPACITY}, \
+        "  \"backpressure\": {{\"capacity\": {BACKPRESSURE_CAPACITY}, \
          \"pipelines\": {BACKPRESSURE_PIPELINES}, \
-         \"calls_per_block\": {BACKPRESSURE_CALLS_PER_BLOCK},\n"
-    ));
-    let mut point = |label: &str, p: &BackpressurePoint, trailing: &str| {
-        out.push_str(&format!(
-            "    \"{label}\": {{\"mode\": \"{}\", \"workers\": {}, \"requests\": {}, \
-             \"elapsed_secs\": {:.6}, \"requests_per_sec\": {:.1}, \
-             \"backpressure_stalls\": {}, \"pressure_wakes\": {}, \
-             \"budget_shrinks\": {}}}{trailing}\n",
-            p.mode,
-            p.workers,
-            p.requests,
-            p.elapsed.as_secs_f64(),
-            p.requests_per_sec,
-            p.backpressure_stalls,
-            p.pressure_wakes,
-            p.budget_shrinks,
-        ));
-    };
-    point("dedicated", dedicated, ",");
-    point("pooled", pooled, ",");
-    out.push_str(&format!(
-        "    \"pooled_over_dedicated\": {:.3}\n  }},\n",
-        pooled.requests_per_sec / dedicated.requests_per_sec.max(f64::MIN_POSITIVE)
+         \"calls_per_block\": {BACKPRESSURE_CALLS_PER_BLOCK}, \"workers\": {}, \
+         \"requests\": {}, \"elapsed_secs\": {:.6}, \"requests_per_sec\": {:.1}, \
+         \"backpressure_stalls\": {}, \"pressure_wakes\": {}, \
+         \"budget_shrinks\": {}}},\n",
+        p.workers,
+        p.requests,
+        p.elapsed.as_secs_f64(),
+        p.requests_per_sec,
+        p.backpressure_stalls,
+        p.pressure_wakes,
+        p.budget_shrinks,
     ));
     out.push_str(&overhead_to_json(overhead));
     out.push_str("}\n");
     out
 }
-
-/// The `scheduler` mode: run the handler-count sweep and write
-/// `BENCH_scheduler.json` next to the current directory.
-/// Minimum pooled/dedicated throughput ratio the sustained-backpressure
-/// experiment must reach; the CI smoke run fails below it so the ~0.4×
-/// collapse this ratio used to sit at cannot silently return.
-const BACKPRESSURE_MIN_RATIO: f64 = 0.6;
 
 /// Floor on `Off`-mode throughput relative to the interleaved baseline cell
 /// (which also runs `Off`): the two cells are the same configuration, so
@@ -314,10 +289,9 @@ impl OverheadReport {
 /// first or last.
 fn measure_overhead(handlers: usize, calls_per_handler: usize, rounds: usize) -> OverheadReport {
     use qs_obs::ObservabilityMode as Obs;
-    let mode = SchedulerMode::Pooled { workers: 0 };
     // Warm-up pass: first-touch page faults and worker spin-up belong to
     // nobody's cell.
-    scheduler_point_with_observability(mode, handlers, calls_per_handler, Obs::Off);
+    scheduler_point_with_observability(0, handlers, calls_per_handler, Obs::Off);
     let cells = [(0usize, Obs::Off), (1, Obs::Off), (2, Obs::Full)];
     let mut best = [0.0f64; 3];
     let (mut off_over_baseline, mut full_over_off) = (0.0f64, 0.0f64);
@@ -325,7 +299,7 @@ fn measure_overhead(handlers: usize, calls_per_handler: usize, rounds: usize) ->
         let mut rps = [0.0f64; 3];
         for i in 0..cells.len() {
             let (slot, obs) = cells[(round + i) % cells.len()];
-            let point = scheduler_point_with_observability(mode, handlers, calls_per_handler, obs);
+            let point = scheduler_point_with_observability(0, handlers, calls_per_handler, obs);
             rps[slot] = point.requests_per_sec;
             best[slot] = best[slot].max(point.requests_per_sec);
         }
@@ -416,22 +390,17 @@ fn run_overhead_gate(scale: &str) {
     report_and_gate_overhead(&overhead);
 }
 
+/// The `scheduler` mode: run the handler-count sweep and write
+/// `BENCH_scheduler.json` next to the current directory.
 fn run_scheduler_sweep(scale: &str) {
-    let (counts, dedicated_cap, bp_blocks, bp_rounds): (&[usize], usize, usize, usize) = match scale
-    {
-        "smoke" => (&[1_000], 1_000, 30, 3),
-        "quick" => (&[1_000, 10_000], 10_000, 30, 3),
-        // Full sweep.  Dedicated is capped at 10k on purpose: 50k
-        // concurrent OS threads exhausts memory on ordinary boxes
-        // (measured here: thread creation aborts with ENOMEM around 16k
-        // threads) — that infeasibility is the motivation for the pooled
-        // scheduler, and the cap is recorded in the JSON instead of
-        // silently shrinking the sweep.
-        _ => (&[1_000, 10_000, 50_000], 10_000, 60, 5),
+    let (counts, bp_blocks, bp_rounds): (&[usize], usize, usize) = match scale {
+        "smoke" => (&[1_000], 30, 3),
+        "quick" => (&[1_000, 10_000], 30, 3),
+        _ => (&[1_000, 10_000, 50_000], 60, 5),
     };
-    let points = scheduler_sweep(counts, dedicated_cap);
+    let points = scheduler_sweep(counts);
     let header = vec![
-        "mode x handlers".to_string(),
+        "workers x handlers".to_string(),
         "req/s".to_string(),
         "p50 µs".to_string(),
         "p99 µs".to_string(),
@@ -442,7 +411,7 @@ fn run_scheduler_sweep(scale: &str) {
         .iter()
         .map(|p| {
             (
-                format!("{} x{}", p.mode, p.handlers),
+                format!("{} x{}", p.workers, p.handlers),
                 vec![
                     format!("{:.0}", p.requests_per_sec),
                     format!("{:.1}", p.latency.p50_ns as f64 / 1_000.0),
@@ -454,38 +423,31 @@ fn run_scheduler_sweep(scale: &str) {
         })
         .collect();
     print_table(
-        "Handler scheduling — dedicated threads vs M:N pool (fan-out/fan-in)",
+        "Handler scheduling — M:N pool (fan-out/fan-in)",
         &header,
         &rows,
     );
 
     // Sustained backpressure: blocks ≫ mailbox capacity on an undersized
-    // (1-worker) pool against dedicated consumer threads.
+    // (1-worker) pool.
     let backpressure = backpressure_sweep(bp_blocks, bp_rounds);
-    let (dedicated, pooled) = &backpressure;
-    let ratio = pooled.requests_per_sec / dedicated.requests_per_sec.max(f64::MIN_POSITIVE);
-    let bp_rows: Vec<(String, Vec<String>)> = [dedicated, pooled]
-        .iter()
-        .map(|p| {
-            (
-                format!("{} (workers {})", p.mode, p.workers),
-                vec![
-                    format!("{:.0}", p.requests_per_sec),
-                    p.backpressure_stalls.to_string(),
-                    p.pressure_wakes.to_string(),
-                    p.budget_shrinks.to_string(),
-                ],
-            )
-        })
-        .collect();
+    let p = &backpressure;
+    let bp_rows = vec![(
+        format!("workers {}", p.workers),
+        vec![
+            format!("{:.0}", p.requests_per_sec),
+            p.backpressure_stalls.to_string(),
+            p.pressure_wakes.to_string(),
+            p.budget_shrinks.to_string(),
+        ],
+    )];
     print_table(
         &format!(
             "Sustained backpressure — {BACKPRESSURE_PIPELINES} pipelines, capacity \
-             {BACKPRESSURE_CAPACITY}, {BACKPRESSURE_CALLS_PER_BLOCK} calls/block \
-             (pooled/dedicated = {ratio:.3})"
+             {BACKPRESSURE_CAPACITY}, {BACKPRESSURE_CALLS_PER_BLOCK} calls/block"
         ),
         &[
-            "mode".to_string(),
+            "pool".to_string(),
             "req/s".to_string(),
             "stalls".to_string(),
             "pressure wakes".to_string(),
@@ -502,20 +464,14 @@ fn run_scheduler_sweep(scale: &str) {
         if scale == "full" { 12 } else { 8 },
     );
 
-    let json = scheduler_points_to_json(&points, dedicated_cap, &backpressure, &overhead);
+    let json = scheduler_points_to_json(&points, &backpressure, &overhead);
     let path = "BENCH_scheduler.json";
     std::fs::write(path, json).expect("write BENCH_scheduler.json");
     println!("wrote {path}");
 
-    // The regression gates CI runs in release mode: the backpressure collapse
-    // must not silently return, and observability must stay near-free.
+    // The regression gate CI runs in release mode: observability must stay
+    // near-free.
     report_and_gate_overhead(&overhead);
-    assert!(
-        ratio >= BACKPRESSURE_MIN_RATIO,
-        "sustained-backpressure regression: pooled reached only {ratio:.3}x dedicated \
-         throughput (minimum {BACKPRESSURE_MIN_RATIO}); see the backpressure section of \
-         BENCH_scheduler.json"
-    );
 }
 
 /// Ceiling on the parked waiter's median resume latency (state change
@@ -532,49 +488,34 @@ const WAIT_CHECKS_PER_WAKEUP_MAX: f64 = 4.0;
 
 /// JSON for the guarded-wait experiments (hand-rolled — the workspace is
 /// offline, no serde).
-fn wait_points_to_json(latency: &[WaitLatencyPoint], scaling: &[WaitScalingPoint]) -> String {
+fn wait_points_to_json(latency: &WaitLatencyPoint, scaling: &WaitScalingPoint) -> String {
     let mut out = String::from("{\n  \"bench\": \"guarded_wait_sweep\",\n");
     out.push_str(&format!(
-        "  \"resume_latency\": {{\n    \"producer_gap_micros\": {},\n    \"points\": [\n",
-        WAIT_LATENCY_GAP.as_micros()
+        "  \"resume_latency\": {{\"producer_gap_micros\": {}, \"workers\": {}, \
+         \"rounds\": {}, \"median_resume_micros\": {:.2}, \"p95_resume_micros\": {:.2}, \
+         \"wait_condition_checks\": {}, \"guard_wakeups\": {}}},\n",
+        WAIT_LATENCY_GAP.as_micros(),
+        latency.workers,
+        latency.rounds,
+        latency.median_resume_micros,
+        latency.p95_resume_micros,
+        latency.wait_condition_checks,
+        latency.guard_wakeups,
     ));
-    for (i, p) in latency.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"mode\": \"{}\", \"rounds\": {}, \
-             \"median_resume_micros\": {:.2}, \"p95_resume_micros\": {:.2}, \
-             \"wait_condition_checks\": {}, \"guard_wakeups\": {}}}{}\n",
-            p.mode,
-            p.rounds,
-            p.median_resume_micros,
-            p.p95_resume_micros,
-            p.wait_condition_checks,
-            p.guard_wakeups,
-            if i + 1 == latency.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("    ]\n  },\n");
     out.push_str(&format!(
-        "  \"scaling\": {{\n    \"waiters\": {WAIT_SCALING_WAITERS}, \
-         \"steps\": {WAIT_SCALING_STEPS}, \"step_gap_ms\": {},\n    \"points\": [\n",
-        WAIT_SCALING_STEP_GAP.as_millis()
+        "  \"scaling\": {{\"waiters\": {WAIT_SCALING_WAITERS}, \
+         \"steps\": {WAIT_SCALING_STEPS}, \"step_gap_ms\": {}, \"workers\": {}, \
+         \"elapsed_secs\": {:.6}, \"wait_condition_checks\": {}, \
+         \"guard_signals\": {}, \"guard_wakeups\": {}, \
+         \"checks_per_wakeup\": {:.2}}},\n",
+        WAIT_SCALING_STEP_GAP.as_millis(),
+        scaling.workers,
+        scaling.elapsed.as_secs_f64(),
+        scaling.wait_condition_checks,
+        scaling.guard_signals,
+        scaling.guard_wakeups,
+        scaling.checks_per_wakeup(),
     ));
-    for (i, p) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"mode\": \"{}\", \"waiters\": {}, \
-             \"elapsed_secs\": {:.6}, \"wait_condition_checks\": {}, \
-             \"guard_signals\": {}, \"guard_wakeups\": {}, \
-             \"checks_per_wakeup\": {:.2}}}{}\n",
-            p.mode,
-            p.waiters,
-            p.elapsed.as_secs_f64(),
-            p.wait_condition_checks,
-            p.guard_signals,
-            p.guard_wakeups,
-            p.checks_per_wakeup(),
-            if i + 1 == scaling.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("    ]\n  },\n");
     out.push_str(&format!(
         "  \"gates\": {{\"max_median_resume_micros\": \
          {WAIT_RESUME_MEDIAN_MAX_MICROS}, \"max_checks_per_wakeup\": \
@@ -583,33 +524,27 @@ fn wait_points_to_json(latency: &[WaitLatencyPoint], scaling: &[WaitScalingPoint
     out
 }
 
-/// The `waits` mode: measure parked wait conditions on both scheduler modes
-/// and write `BENCH_waits.json`.
+/// The `waits` mode: measure parked wait conditions on a 4-worker pool and
+/// write `BENCH_waits.json`.
 fn run_waits_sweep(scale: &str) {
     let latency_rounds = match scale {
         "smoke" => 300,
         "quick" => 1_000,
         _ => 3_000,
     };
-    let pooled = SchedulerMode::Pooled { workers: 4 };
-    let modes = [SchedulerMode::Dedicated, pooled];
-    let latency = modes.map(|mode| wait_latency_point(mode, latency_rounds));
-    let scaling = modes.map(|mode| wait_scaling_point(mode, WAIT_SCALING_WAITERS));
+    const WORKERS: usize = 4;
+    let latency = wait_latency_point(WORKERS, latency_rounds);
+    let scaling = wait_scaling_point(WORKERS, WAIT_SCALING_WAITERS);
 
-    let rows: Vec<(String, Vec<String>)> = latency
-        .iter()
-        .map(|p| {
-            (
-                p.mode.clone(),
-                vec![
-                    format!("{:.1}", p.median_resume_micros),
-                    format!("{:.1}", p.p95_resume_micros),
-                    p.wait_condition_checks.to_string(),
-                    p.guard_wakeups.to_string(),
-                ],
-            )
-        })
-        .collect();
+    let rows = vec![(
+        format!("workers {WORKERS}"),
+        vec![
+            format!("{:.1}", latency.median_resume_micros),
+            format!("{:.1}", latency.p95_resume_micros),
+            latency.wait_condition_checks.to_string(),
+            latency.guard_wakeups.to_string(),
+        ],
+    )];
     print_table(
         &format!(
             "Guarded waits — resume latency over {latency_rounds} rounds \
@@ -617,7 +552,7 @@ fn run_waits_sweep(scale: &str) {
             WAIT_LATENCY_GAP.as_micros()
         ),
         &[
-            "mode".to_string(),
+            "pool".to_string(),
             "median µs".to_string(),
             "p95 µs".to_string(),
             "checks".to_string(),
@@ -626,28 +561,23 @@ fn run_waits_sweep(scale: &str) {
         &rows,
     );
 
-    let rows: Vec<(String, Vec<String>)> = scaling
-        .iter()
-        .map(|p| {
-            (
-                p.mode.clone(),
-                vec![
-                    p.wait_condition_checks.to_string(),
-                    p.guard_signals.to_string(),
-                    p.guard_wakeups.to_string(),
-                    format!("{:.2}", p.checks_per_wakeup()),
-                    format!("{:.2}", p.elapsed.as_secs_f64()),
-                ],
-            )
-        })
-        .collect();
+    let rows = vec![(
+        format!("workers {WORKERS}"),
+        vec![
+            scaling.wait_condition_checks.to_string(),
+            scaling.guard_signals.to_string(),
+            scaling.guard_wakeups.to_string(),
+            format!("{:.2}", scaling.checks_per_wakeup()),
+            format!("{:.2}", scaling.elapsed.as_secs_f64()),
+        ],
+    )];
     print_table(
         &format!(
             "Guarded waits — {WAIT_SCALING_WAITERS} waiters, {WAIT_SCALING_STEPS} \
              spaced signals"
         ),
         &[
-            "mode".to_string(),
+            "pool".to_string(),
             "checks".to_string(),
             "signals".to_string(),
             "wakeups".to_string(),
@@ -663,25 +593,19 @@ fn run_waits_sweep(scale: &str) {
     println!("wrote {path}");
 
     // Regression gates, run in release by CI.
-    for p in &latency {
-        assert!(
-            p.median_resume_micros < WAIT_RESUME_MEDIAN_MAX_MICROS,
-            "guarded-wait regression: {} median resume latency {:.1}µs \
-             (ceiling {WAIT_RESUME_MEDIAN_MAX_MICROS}µs); see BENCH_waits.json",
-            p.mode,
-            p.median_resume_micros,
-        );
-    }
-    for p in &scaling {
-        assert!(
-            p.checks_per_wakeup() <= WAIT_CHECKS_PER_WAKEUP_MAX,
-            "guarded-wait regression: {} made {:.1} condition evaluations per wake-up \
-             (ceiling {WAIT_CHECKS_PER_WAKEUP_MAX}) — waiters are re-evaluating without \
-             being signalled; see BENCH_waits.json",
-            p.mode,
-            p.checks_per_wakeup(),
-        );
-    }
+    assert!(
+        latency.median_resume_micros < WAIT_RESUME_MEDIAN_MAX_MICROS,
+        "guarded-wait regression: median resume latency {:.1}µs \
+         (ceiling {WAIT_RESUME_MEDIAN_MAX_MICROS}µs); see BENCH_waits.json",
+        latency.median_resume_micros,
+    );
+    assert!(
+        scaling.checks_per_wakeup() <= WAIT_CHECKS_PER_WAKEUP_MAX,
+        "guarded-wait regression: {:.1} condition evaluations per wake-up \
+         (ceiling {WAIT_CHECKS_PER_WAKEUP_MAX}) — waiters are re-evaluating without \
+         being signalled; see BENCH_waits.json",
+        scaling.checks_per_wakeup(),
+    );
 }
 
 /// Minimum shared-read/exclusive throughput ratio at the gate cell

@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use qs_baselines::Paradigm;
-use qs_runtime::{reserve, OptimizationLevel, Runtime, RuntimeConfig, SchedulerMode};
+use qs_runtime::{reserve, OptimizationLevel, Runtime, RuntimeConfig};
 use qs_workloads::concurrent::{
     run_concurrent, run_concurrent_scoop, ConcurrentParams, ConcurrentTask,
 };
@@ -240,13 +240,11 @@ impl LatencySummary {
 }
 
 /// One measured point of the handler-count scaling sweep: `handlers` live
-/// handlers under one scheduling mode, each receiving one fan-out block of
+/// handlers on the M:N pool, each receiving one fan-out block of
 /// asynchronous calls followed by a fan-in query.
 #[derive(Debug, Clone)]
 pub struct SchedulerPoint {
-    /// Scheduling mode label ("Dedicated" / "Pooled").
-    pub mode: String,
-    /// Pool workers (0 for dedicated threads).
+    /// Core pool workers.
     pub workers: usize,
     /// Concurrently live handlers.
     pub handlers: usize,
@@ -258,7 +256,7 @@ pub struct SchedulerPoint {
     pub requests_per_sec: f64,
     /// Highest OS thread count of the process observed during the point.
     pub peak_process_threads: usize,
-    /// Scheduler-side worker-thread high-water (0 for dedicated).
+    /// Scheduler-side worker-thread high-water.
     pub peak_scheduler_threads: usize,
     /// Enqueue→execute latency distribution over the point
     /// (`request.enqueue_to_execute_ns`).
@@ -279,19 +277,19 @@ pub fn process_threads() -> usize {
         .unwrap_or(0)
 }
 
-/// Runs one sweep point: spawns `handlers` handlers, fans one block of
-/// `calls_per_handler` calls out to every handler from four client threads,
-/// fans the results back in with one query per handler, and verifies the
-/// total before reporting.
+/// Runs one sweep point on a `workers`-worker pool (`0` = auto-size):
+/// spawns `handlers` handlers, fans one block of `calls_per_handler` calls
+/// out to every handler from four client threads, fans the results back in
+/// with one query per handler, and verifies the total before reporting.
 pub fn scheduler_point(
-    mode: SchedulerMode,
+    workers: usize,
     handlers: usize,
     calls_per_handler: usize,
 ) -> SchedulerPoint {
     // Counters keep the sweep honest about latency percentiles at a cost
     // the overhead gate proves is within noise of Off.
     scheduler_point_with_observability(
-        mode,
+        workers,
         handlers,
         calls_per_handler,
         qs_obs::ObservabilityMode::Counters,
@@ -302,7 +300,7 @@ pub fn scheduler_point(
 /// instrumentation-overhead gate: `Off` measures the uninstrumented
 /// baseline, `Full` the worst case with tracing armed.
 pub fn scheduler_point_with_observability(
-    mode: SchedulerMode,
+    workers: usize,
     handlers: usize,
     calls_per_handler: usize,
     observability: qs_obs::ObservabilityMode,
@@ -314,13 +312,11 @@ pub fn scheduler_point_with_observability(
     latency_hist.reset();
     let rt = Runtime::new(
         RuntimeConfig::all_optimizations()
-            .with_scheduler(mode)
+            .with_workers(workers)
             .with_observability(observability),
     );
     let fleet: Vec<_> = (0..handlers).map(|_| rt.spawn_handler(0u64)).collect();
     let baseline = rt.stats_snapshot();
-    // With dedicated threads the whole fleet is alive right now; sample
-    // before the work so that cost is visible.
     let mut peak_threads = process_threads();
 
     let start = Instant::now();
@@ -347,14 +343,13 @@ pub fn scheduler_point_with_observability(
     assert_eq!(
         total,
         (handlers * calls_per_handler) as u64,
-        "sweep point lost requests ({mode:?}, {handlers} handlers)"
+        "sweep point lost requests ({handlers} handlers)"
     );
 
     let snap = rt.stats_snapshot().since(&baseline);
     let secs = elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
     let point = SchedulerPoint {
-        mode: mode.label().to_string(),
-        workers: mode.effective_workers().unwrap_or(0),
+        workers: rt.config().effective_workers(),
         handlers,
         requests: snap.requests_executed,
         elapsed,
@@ -367,24 +362,13 @@ pub fn scheduler_point_with_observability(
     point
 }
 
-/// The handler-count sweep behind `BENCH_scheduler.json`: dedicated versus
-/// pooled at each count in `counts`.  Dedicated points above
-/// `dedicated_cap` are skipped (tens of thousands of concurrent OS threads
-/// are exactly the configuration the pooled scheduler exists to avoid, and
-/// not every CI box survives them).
-pub fn scheduler_sweep(counts: &[usize], dedicated_cap: usize) -> Vec<SchedulerPoint> {
-    let mut points = Vec::new();
-    for &handlers in counts {
-        if handlers <= dedicated_cap {
-            points.push(scheduler_point(SchedulerMode::Dedicated, handlers, 10));
-        }
-        points.push(scheduler_point(
-            SchedulerMode::Pooled { workers: 0 },
-            handlers,
-            10,
-        ));
-    }
-    points
+/// The handler-count sweep behind `BENCH_scheduler.json`: the auto-sized
+/// pool at each count in `counts`.
+pub fn scheduler_sweep(counts: &[usize]) -> Vec<SchedulerPoint> {
+    counts
+        .iter()
+        .map(|&handlers| scheduler_point(0, handlers, 10))
+        .collect()
 }
 
 /// One measured point of the sustained-backpressure experiment: `pipelines`
@@ -394,9 +378,7 @@ pub fn scheduler_sweep(counts: &[usize], dedicated_cap: usize) -> Vec<SchedulerP
 /// life with the producer blocked on a full ring.
 #[derive(Debug, Clone)]
 pub struct BackpressurePoint {
-    /// Scheduling mode label ("Dedicated" / "Pooled").
-    pub mode: String,
-    /// Pool workers (0 for dedicated threads).
+    /// Core pool workers.
     pub workers: usize,
     /// Requests executed during the measured window.
     pub requests: u64,
@@ -420,16 +402,15 @@ pub const BACKPRESSURE_PIPELINES: usize = 4;
 /// Calls per separate block — ≫ the mailbox capacity, the "sustained" part.
 pub const BACKPRESSURE_CALLS_PER_BLOCK: usize = 400;
 
-/// Runs the sustained-backpressure workload under one scheduling mode and
-/// reports its throughput.  The pooled mode is measured on a deliberately
-/// *undersized* pool (`workers: 1` against [`BACKPRESSURE_PIPELINES`]
-/// pipelines): that is the configuration where ring-sized service bursts
-/// used to collapse to ~0.4× dedicated throughput.
-pub fn backpressure_point(mode: SchedulerMode, blocks: usize) -> BackpressurePoint {
+/// Runs the sustained-backpressure workload on a deliberately *undersized*
+/// pool (one worker against [`BACKPRESSURE_PIPELINES`] pipelines) and
+/// reports its throughput: the configuration where ring-sized service
+/// bursts used to collapse throughput.
+pub fn backpressure_point(blocks: usize) -> BackpressurePoint {
     let rt = Runtime::new(
         RuntimeConfig::all_optimizations()
             .with_mailbox_capacity(Some(BACKPRESSURE_CAPACITY))
-            .with_scheduler(mode),
+            .with_workers(1),
     );
     let handlers: Vec<_> = (0..BACKPRESSURE_PIPELINES)
         .map(|_| rt.spawn_handler(0u64))
@@ -454,13 +435,12 @@ pub fn backpressure_point(mode: SchedulerMode, blocks: usize) -> BackpressurePoi
     assert_eq!(
         total,
         (BACKPRESSURE_PIPELINES * blocks * BACKPRESSURE_CALLS_PER_BLOCK) as u64,
-        "backpressure point lost requests ({mode:?})"
+        "backpressure point lost requests"
     );
     let snap = rt.stats_snapshot().since(&baseline);
     let secs = elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
     BackpressurePoint {
-        mode: mode.label().to_string(),
-        workers: mode.effective_workers().unwrap_or(0),
+        workers: rt.config().effective_workers(),
         requests: snap.requests_executed,
         elapsed,
         requests_per_sec: snap.requests_executed as f64 / secs,
@@ -470,21 +450,14 @@ pub fn backpressure_point(mode: SchedulerMode, blocks: usize) -> BackpressurePoi
     }
 }
 
-/// The sustained-backpressure comparison: dedicated threads versus the
-/// 1-worker pool, plus the pooled/dedicated throughput ratio.  Each mode is
-/// measured `rounds` times and the best run kept (the experiment is
-/// latency-dominated and a single descheduling hiccup should not decide the
-/// recorded figure).
-pub fn backpressure_sweep(blocks: usize, rounds: usize) -> (BackpressurePoint, BackpressurePoint) {
-    let best = |mode| {
-        (0..rounds.max(1))
-            .map(|_| backpressure_point(mode, blocks))
-            .max_by(|a, b| a.requests_per_sec.total_cmp(&b.requests_per_sec))
-            .expect("at least one round")
-    };
-    let dedicated = best(SchedulerMode::Dedicated);
-    let pooled = best(SchedulerMode::Pooled { workers: 1 });
-    (dedicated, pooled)
+/// The sustained-backpressure experiment, measured `rounds` times with the
+/// best run kept (the experiment is latency-dominated and a single
+/// descheduling hiccup should not decide the recorded figure).
+pub fn backpressure_sweep(blocks: usize, rounds: usize) -> BackpressurePoint {
+    (0..rounds.max(1))
+        .map(|_| backpressure_point(blocks))
+        .max_by(|a, b| a.requests_per_sec.total_cmp(&b.requests_per_sec))
+        .expect("at least one round")
 }
 
 // ---------------------------------------------------------------------------
@@ -500,8 +473,8 @@ pub const WAIT_LATENCY_GAP: Duration = Duration::from_millis(1);
 /// [`WAIT_LATENCY_GAP`], measuring state-change-to-body latency per round.
 #[derive(Debug, Clone)]
 pub struct WaitLatencyPoint {
-    /// Scheduling mode label ("Dedicated" / "Pooled").
-    pub mode: String,
+    /// Core pool workers.
+    pub workers: usize,
     /// Measured rounds.
     pub rounds: usize,
     /// Median latency from the handler applying the state change to the
@@ -518,12 +491,12 @@ pub struct WaitLatencyPoint {
 /// Measures waiter resume latency: the producer stamps the instant the
 /// state change is applied on the handler, and the waiter's body reads the
 /// stamp's age — signal, unpark, re-reservation and sync included.
-pub fn wait_latency_point(mode: SchedulerMode, rounds: usize) -> WaitLatencyPoint {
+pub fn wait_latency_point(workers: usize, rounds: usize) -> WaitLatencyPoint {
     struct LatencyCell {
         value: u64,
         stamp: Option<Instant>,
     }
-    let rt = Runtime::new(RuntimeConfig::all_optimizations().with_scheduler(mode));
+    let rt = Runtime::new(RuntimeConfig::all_optimizations().with_workers(workers));
     let cell = rt.spawn_handler(LatencyCell {
         value: 0,
         stamp: None,
@@ -551,7 +524,7 @@ pub fn wait_latency_point(mode: SchedulerMode, rounds: usize) -> WaitLatencyPoin
     resumes_micros.sort_by(f64::total_cmp);
     let snap = rt.stats_snapshot();
     WaitLatencyPoint {
-        mode: mode.label().to_string(),
+        workers,
         rounds,
         median_resume_micros: resumes_micros[rounds / 2],
         p95_resume_micros: resumes_micros[(rounds * 95 / 100).min(rounds - 1)],
@@ -577,8 +550,8 @@ pub const WAIT_SCALING_STEP_GAP: Duration = Duration::from_millis(35);
 /// elapsed time.
 #[derive(Debug, Clone)]
 pub struct WaitScalingPoint {
-    /// Scheduling mode label ("Dedicated" / "Pooled").
-    pub mode: String,
+    /// Core pool workers.
+    pub workers: usize,
     /// Concurrent waiters.
     pub waiters: usize,
     /// Wall-clock time until every waiter resolved.
@@ -598,9 +571,9 @@ impl WaitScalingPoint {
     }
 }
 
-/// Runs the waiter-scaling workload under one mode.
-pub fn wait_scaling_point(mode: SchedulerMode, waiters: usize) -> WaitScalingPoint {
-    let rt = Runtime::new(RuntimeConfig::all_optimizations().with_scheduler(mode));
+/// Runs the waiter-scaling workload on a `workers`-worker pool.
+pub fn wait_scaling_point(workers: usize, waiters: usize) -> WaitScalingPoint {
+    let rt = Runtime::new(RuntimeConfig::all_optimizations().with_workers(workers));
     let counter = rt.spawn_handler(0u64);
     let start = Instant::now();
     let threads: Vec<_> = (0..waiters)
@@ -626,7 +599,7 @@ pub fn wait_scaling_point(mode: SchedulerMode, waiters: usize) -> WaitScalingPoi
     let elapsed = start.elapsed();
     let snap = rt.stats_snapshot();
     WaitScalingPoint {
-        mode: mode.label().to_string(),
+        workers,
         waiters,
         elapsed,
         wait_condition_checks: snap.wait_condition_checks,
@@ -904,18 +877,14 @@ mod tests {
 
     #[test]
     fn scheduler_point_accounts_every_request() {
-        for mode in [
-            SchedulerMode::Dedicated,
-            SchedulerMode::Pooled { workers: 2 },
-        ] {
-            let point = scheduler_point(mode, 32, 10);
-            assert_eq!(point.handlers, 32);
-            // 10 calls per handler plus one fan-in query each (client- or
-            // handler-executed depending on level; All uses client-executed,
-            // so only the calls count as executed requests).
-            assert!(point.requests >= 320, "{point:?}");
-            assert!(point.requests_per_sec > 0.0);
-        }
+        let point = scheduler_point(2, 32, 10);
+        assert_eq!(point.handlers, 32);
+        assert_eq!(point.workers, 2);
+        // 10 calls per handler plus one fan-in query each (client- or
+        // handler-executed depending on level; All uses client-executed,
+        // so only the calls count as executed requests).
+        assert!(point.requests >= 320, "{point:?}");
+        assert!(point.requests_per_sec > 0.0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! M:N scheduling of handlers: many resumable tasks on a small
 //! work-stealing worker pool.
 //!
-//! The paper keeps handler creation cheap with user-level threads (§3); the
-//! dedicated-thread substitution ([`crate::thread_cache`]) caps the number
-//! of *live* handlers at the number of OS threads the machine tolerates,
-//! because an idle handler blocks its thread inside a queue dequeue.  This
-//! module removes that cap: a handler is rewritten as a [`PooledTask`] whose
+//! The paper keeps handler creation cheap with user-level threads (§3).  A
+//! thread per handler would cap the number of *live* handlers at the number
+//! of OS threads the machine tolerates, because an idle handler would block
+//! its thread waiting for work.  This module has no such cap: a handler is
+//! a [`PooledTask`] whose
 //! [`step`](PooledTask::step) *returns* when its queues are empty, and the
 //! [`HandlerScheduler`] re-arms it when a producer signals new work through
 //! the task's [`TaskHandle`].  Fifty thousand mostly-idle handlers then cost
@@ -66,8 +66,9 @@
 //! Pressure-woken tasks enter a dedicated FIFO consulted before the
 //! injector, the deques and every worker's LIFO slot, so the consumer of a
 //! backpressured pipeline runs promptly instead of queueing behind
-//! burst-mode peers — the scheduling half of restoring the fine
-//! producer/consumer interleaving dedicated threads get from the OS futex.
+//! burst-mode peers — the scheduling half of keeping the fine
+//! producer/consumer interleaving a thread per consumer would get from the
+//! OS futex.
 //! Budget-exhausted (`Yielded`) tasks re-enter through the global FIFO
 //! rather than the owner's LIFO deque, so one hot handler cannot starve its
 //! deque peers between shared polls.
@@ -1043,9 +1044,24 @@ impl HandlerScheduler {
     /// Registers a task, initially idle; the first
     /// [`notify`](TaskHandle::notify) schedules it.
     pub fn register(&self, task: Arc<dyn PooledTask>) -> TaskHandle {
+        self.handle(Some(task))
+    }
+
+    /// Like [`register`](Self::register), for a task that holds its own
+    /// handle (a handler's wake hook notifies through it): `build` receives
+    /// the handle and returns the task, which is registered before anyone
+    /// else can see the handle.
+    pub fn register_with<P: PooledTask>(&self, build: impl FnOnce(TaskHandle) -> Arc<P>) -> Arc<P> {
+        let handle = self.handle(None);
+        let task = build(handle.clone());
+        *handle.state.task.lock() = Some(Arc::clone(&task) as Arc<dyn PooledTask>);
+        task
+    }
+
+    fn handle(&self, task: Option<Arc<dyn PooledTask>>) -> TaskHandle {
         TaskHandle {
             state: Arc::new(TaskState {
-                task: Mutex::new(Some(task)),
+                task: Mutex::new(task),
                 flag: AtomicU8::new(IDLE),
                 pressure: AtomicBool::new(false),
                 scheduler: Arc::downgrade(&self.shared),
@@ -1226,6 +1242,38 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(task.executed.load(Ordering::SeqCst), UNITS);
+        scheduler.shutdown();
+    }
+
+    #[test]
+    fn a_task_built_around_its_handle_is_stepped_through_it() {
+        /// Re-arms itself through its own handle until it has run twice.
+        struct SelfWaking {
+            handle: TaskHandle,
+            steps: AtomicUsize,
+        }
+        impl PooledTask for SelfWaking {
+            fn step(&self) -> StepOutcome {
+                if self.steps.fetch_add(1, Ordering::SeqCst) == 0 {
+                    self.handle.notify();
+                    StepOutcome::Idle
+                } else {
+                    StepOutcome::Done
+                }
+            }
+        }
+        let scheduler = HandlerScheduler::new(1);
+        let task = scheduler.register_with(|handle| {
+            Arc::new(SelfWaking {
+                handle,
+                steps: AtomicUsize::new(0),
+            })
+        });
+        task.handle.notify();
+        while !task.handle.is_done() {
+            std::thread::yield_now();
+        }
+        assert_eq!(task.steps.load(Ordering::SeqCst), 2);
         scheduler.shutdown();
     }
 

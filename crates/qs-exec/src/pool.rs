@@ -4,10 +4,9 @@
 //! Cilk/BWS discipline discussed in §6 of the paper); an injector queue feeds
 //! external submissions.  The pool is used by the parallel (Cowichan)
 //! workloads and by the baseline paradigms.  Handlers are scheduled
-//! elsewhere: by default they are M:N multiplexed onto
-//! [`crate::handler_scheduler::HandlerScheduler`] (which tolerates blocking
-//! steps via compensation workers), with dedicated cached threads
-//! ([`crate::thread_cache`]) as the opt-in alternative.
+//! elsewhere: they are M:N multiplexed onto
+//! [`crate::handler_scheduler::HandlerScheduler`], which tolerates blocking
+//! steps via compensation workers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -1,7 +1,7 @@
 //! Differential corpus test for the effect-inference auto-read downgrade.
 //!
 //! Every corpus program runs at all five optimization levels with the
-//! `auto_read` knob forced on and forced off, under both schedulers.  The
+//! `auto_read` knob forced on and forced off, on a 2-worker pool.  The
 //! printed output must be identical everywhere — the downgrade is an
 //! optimisation, never a behaviour change — and the read-mostly program must
 //! actually take shared-read reservations when (and only when) the knob is
@@ -12,7 +12,7 @@ use qs_lang::programs::{
     two_stage_pipeline_expected, BANK_TRANSFER, COUNTER, HOT_READS, TWO_STAGE_PIPELINE,
 };
 use qs_lang::{compile, run_compiled, Compiled, QueryStrategy};
-use qs_runtime::{OptimizationLevel, Runtime, SchedulerMode};
+use qs_runtime::{OptimizationLevel, Runtime};
 
 fn corpus() -> Vec<(&'static str, Compiled, Vec<String>)> {
     let copy = copy_loop(64);
@@ -42,28 +42,20 @@ fn corpus_is_invariant_under_auto_read_at_every_level() {
     for (name, compiled, expected) in corpus() {
         for level in OptimizationLevel::ALL {
             for auto_read in [false, true] {
-                for scheduler in [
-                    SchedulerMode::Dedicated,
-                    SchedulerMode::Pooled { workers: 2 },
-                ] {
-                    let config = level
-                        .config()
-                        .with_auto_read(auto_read)
-                        .with_scheduler(scheduler);
-                    let runtime = Runtime::new(config);
-                    let strategy = if level == OptimizationLevel::Static {
-                        compiled.static_strategy()
-                    } else {
-                        QueryStrategy::RuntimeManaged
-                    };
-                    let output = run_compiled(&compiled, &runtime, strategy).unwrap_or_else(|e| {
-                        panic!("{name} failed at {level} auto_read={auto_read}: {e}")
-                    });
-                    assert_eq!(
-                        output.printed, expected,
-                        "{name} diverged at {level} auto_read={auto_read} scheduler={scheduler}"
-                    );
-                }
+                let config = level.config().with_auto_read(auto_read).with_workers(2);
+                let runtime = Runtime::new(config);
+                let strategy = if level == OptimizationLevel::Static {
+                    compiled.static_strategy()
+                } else {
+                    QueryStrategy::RuntimeManaged
+                };
+                let output = run_compiled(&compiled, &runtime, strategy).unwrap_or_else(|e| {
+                    panic!("{name} failed at {level} auto_read={auto_read}: {e}")
+                });
+                assert_eq!(
+                    output.printed, expected,
+                    "{name} diverged at {level} auto_read={auto_read}"
+                );
             }
         }
     }

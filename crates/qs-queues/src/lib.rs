@@ -89,9 +89,9 @@ pub use spsc::{spsc_channel, SpscConsumer, SpscProducer, SpscQueue};
 /// Producers invoke the hook after every operation that can make new work
 /// visible to the consumer — an enqueue or a close.  Consumers only poll
 /// (see the crate docs), so this is how one that found its queues empty — a
-/// pooled handler that returned to its scheduler, a dedicated thread that
-/// parked — is re-armed.  Producers may invoke the hook spuriously (more
-/// often than the queue transitions from empty to nonempty); deduplication
+/// handler that returned to its scheduler — is re-armed.  Producers may
+/// invoke the hook spuriously (more often than the queue transitions from
+/// empty to nonempty); deduplication
 /// is the receiver's job — the scheduler's schedule-flag protocol collapses
 /// redundant wakes, which keeps the queue-side contract trivial: *never miss
 /// one*, duplicates are free.
@@ -135,8 +135,8 @@ pub trait BlockWatcher: Send + Sync {
 ///   *bounded* queue crosses the half-full watermark (`len * 2 >= capacity`
 ///   after the push) or had to block for space; such a wake means the
 ///   producer is at (or near) the point of being throttled, and the consumer
-///   should be scheduled promptly so backpressured pipelines keep the fine
-///   producer/consumer interleaving dedicated threads would get.
+///   should be scheduled promptly so backpressured pipelines keep a fine
+///   producer/consumer interleaving.
 /// * All other enqueues fire [`Enqueue`](WakeReason::Enqueue), and a close
 ///   fires [`Close`](WakeReason::Close).
 /// * The queues themselves never fire [`Guard`](WakeReason::Guard); a

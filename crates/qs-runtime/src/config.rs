@@ -78,89 +78,17 @@ impl fmt::Display for OptimizationLevel {
     }
 }
 
-/// How handler main loops are mapped onto OS threads.
-///
-/// The paper's prototype multiplexes handlers over user-level threads so
-/// that "millions of objects" does not mean "millions of OS threads".  The
-/// runtime offers both substitutions:
-///
-/// The handler is the same resumable task either way — one loop, stepped
-/// until its queues run dry and re-armed by producer-side wake hooks when
-/// work arrives; the mode picks the driver:
-///
-/// * [`Dedicated`](SchedulerMode::Dedicated) — one (cached) OS thread per
-///   *live* handler steps it and parks while it is idle.  Handler bodies
-///   may block freely, but the number of concurrently live handlers is
-///   capped by what the OS tolerates in threads.
-/// * [`Pooled`](SchedulerMode::Pooled) — M:N: the task runs on a fixed
-///   work-stealing worker pool ([`qs_exec::HandlerScheduler`]).  Idle handlers cost no thread, so tens of thousands
-///   of mostly-idle handlers run on a handful of workers.  Steps that block
-///   (nested separate blocks, bounded-mailbox backpressure) pin a worker;
-///   the scheduler's monitor detects the stall and spawns compensation
-///   workers so the pool cannot starve itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulerMode {
-    /// One cached OS thread per live handler (the pre-M:N behaviour).
-    Dedicated,
-    /// Handlers are multiplexed onto `workers` pool threads; `0` sizes the
-    /// pool to the machine's available parallelism (at least 2, so a single
-    /// blocking handler on a single-core box does not immediately lean on
-    /// compensation).
-    Pooled {
-        /// Core worker threads; `0` = auto-size.
-        workers: usize,
-    },
-}
-
-impl SchedulerMode {
-    /// The number of pool workers this mode resolves to, or `None` for
-    /// dedicated threads.
-    pub fn effective_workers(self) -> Option<usize> {
-        match self {
-            SchedulerMode::Dedicated => None,
-            SchedulerMode::Pooled { workers: 0 } => Some(qs_exec::default_parallelism().max(2)),
-            SchedulerMode::Pooled { workers } => Some(workers),
-        }
-    }
-
-    /// Returns `true` for the pooled (M:N) mode.
-    pub fn is_pooled(self) -> bool {
-        matches!(self, SchedulerMode::Pooled { .. })
-    }
-
-    /// Short display label ("Dedicated" / "Pooled").
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerMode::Dedicated => "Dedicated",
-            SchedulerMode::Pooled { .. } => "Pooled",
-        }
-    }
-}
-
-impl Default for SchedulerMode {
-    /// Defaults to the auto-sized pooled scheduler.
-    fn default() -> Self {
-        SchedulerMode::Pooled { workers: 0 }
-    }
-}
-
-impl fmt::Display for SchedulerMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// What the runtime does about wait-for cycles among handlers and clients.
 ///
 /// Bounded mailboxes (the default) add blocking edges the paper's §2.5
 /// deadlock argument does not cover: a producer blocked pushing into a full
 /// mailbox.  With a policy other than [`Off`](DeadlockPolicy::Off), the
 /// runtime's blocking edges — query/sync handoffs, blocked bounded pushes,
-/// handlers parked on open private queues, `reserve().when(...)` retries —
-/// report into a per-runtime `qs-deadlock` wait-for registry, and a
-/// detector thread runs incremental cycle detection over it.  (Not yet
-/// tracked: acquiring the lock-based configuration's handler lock itself;
-/// see the ROADMAP follow-up.)
+/// handlers parked on open private queues, `reserve().when(...)` retries,
+/// and, on the lock-based configuration, acquiring a handler lock another
+/// client holds — report into a per-runtime `qs-deadlock` wait-for
+/// registry, and a detector thread runs incremental cycle detection over
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DeadlockPolicy {
     /// No tracking, no detector thread, zero overhead on every blocking
@@ -238,13 +166,16 @@ pub struct RuntimeConfig {
     /// synced-flag check.  This flag exists for reporting purposes (it does
     /// not change runtime behaviour on its own).
     pub assume_static_sync: bool,
-    /// How handler main loops are mapped onto OS threads: one dedicated
-    /// cached thread per live handler, or M:N over a fixed work-stealing
-    /// pool (the default).  Applies to every [`OptimizationLevel`].
-    pub scheduler: SchedulerMode,
-    /// Maximum number of idle handler threads kept cached for reuse
-    /// (dedicated scheduling mode only).
-    pub handler_thread_cache: usize,
+    /// Core worker threads of the M:N pool every handler runs on
+    /// ([`qs_exec::HandlerScheduler`]); `0` (the default) sizes it to the
+    /// machine's available parallelism, at least 2.  Idle handlers cost no
+    /// thread, and a client about to wait on an idle handler steps it
+    /// itself.  A step that blocks (a nested separate block, bounded-mailbox
+    /// backpressure, a handler body waiting on something outside the
+    /// runtime) pins its worker; the scheduler's monitor observes a pinned
+    /// worker that is off-CPU and adds a compensation worker, so the pool
+    /// cannot starve itself.  Applies to every [`OptimizationLevel`].
+    pub workers: usize,
     /// Bound on each client mailbox (private SPSC queue on the
     /// queue-of-queues path, shared request queue on the lock-based path).
     /// `None` reverts to the paper's unbounded queues; with a bound, clients
@@ -290,8 +221,7 @@ impl RuntimeConfig {
             client_executed_queries: false,
             dynamic_sync_coalescing: false,
             assume_static_sync: false,
-            scheduler: SchedulerMode::default(),
-            handler_thread_cache: 64,
+            workers: 0,
             mailbox_capacity: Some(DEFAULT_MAILBOX_CAPACITY),
             max_batch: DEFAULT_MAX_BATCH,
             deadlock_policy: DeadlockPolicy::Off,
@@ -307,8 +237,7 @@ impl RuntimeConfig {
             client_executed_queries: true,
             dynamic_sync_coalescing: true,
             assume_static_sync: true,
-            scheduler: SchedulerMode::default(),
-            handler_thread_cache: 64,
+            workers: 0,
             mailbox_capacity: Some(DEFAULT_MAILBOX_CAPACITY),
             max_batch: DEFAULT_MAX_BATCH,
             deadlock_policy: DeadlockPolicy::Off,
@@ -342,12 +271,22 @@ impl RuntimeConfig {
         self
     }
 
-    /// Returns this configuration with the handler scheduling mode replaced
-    /// (`SchedulerMode::Dedicated` = one cached OS thread per live handler,
-    /// `SchedulerMode::Pooled { workers }` = M:N on a work-stealing pool).
-    pub fn with_scheduler(mut self, scheduler: SchedulerMode) -> Self {
-        self.scheduler = scheduler;
+    /// Returns this configuration with the pool's core worker count
+    /// replaced (`0` = auto-size; see [`workers`](Self::workers)).
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
         self
+    }
+
+    /// The pool's core worker count: [`workers`](Self::workers), or when
+    /// that is `0` the machine's available parallelism, at least 2 (so a
+    /// single blocking handler on a single-core box does not immediately
+    /// lean on compensation).
+    pub fn effective_workers(&self) -> usize {
+        match self.workers {
+            0 => qs_exec::default_parallelism().max(2),
+            workers => workers,
+        }
     }
 
     /// Returns this configuration with the deadlock-detection policy
@@ -452,36 +391,18 @@ mod tests {
     }
 
     #[test]
-    fn every_level_defaults_to_the_pooled_scheduler() {
+    fn every_level_auto_sizes_the_pool() {
         for level in OptimizationLevel::ALL {
-            let c = level.config();
-            assert_eq!(c.scheduler, SchedulerMode::Pooled { workers: 0 }, "{level}");
-            assert!(c.scheduler.is_pooled(), "{level}");
+            assert_eq!(level.config().workers, 0, "{level}");
         }
     }
 
     #[test]
-    fn scheduler_mode_resolves_workers() {
-        assert_eq!(SchedulerMode::Dedicated.effective_workers(), None);
-        assert_eq!(
-            SchedulerMode::Pooled { workers: 3 }.effective_workers(),
-            Some(3)
-        );
-        let auto = SchedulerMode::Pooled { workers: 0 }
-            .effective_workers()
-            .expect("pooled resolves to a worker count");
+    fn workers_resolve_to_a_pool_size() {
+        let c = RuntimeConfig::default().with_workers(3);
+        assert_eq!(c.effective_workers(), 3);
+        let auto = c.with_workers(0).effective_workers();
         assert!(auto >= 2, "auto-sizing keeps at least two workers: {auto}");
-        assert_eq!(SchedulerMode::Dedicated.to_string(), "Dedicated");
-        assert_eq!(SchedulerMode::default().label(), "Pooled");
-    }
-
-    #[test]
-    fn scheduler_builder_overrides_the_mode() {
-        let c = RuntimeConfig::default().with_scheduler(SchedulerMode::Dedicated);
-        assert_eq!(c.scheduler, SchedulerMode::Dedicated);
-        assert!(!c.scheduler.is_pooled());
-        let c = c.with_scheduler(SchedulerMode::Pooled { workers: 2 });
-        assert_eq!(c.scheduler.effective_workers(), Some(2));
     }
 
     #[test]

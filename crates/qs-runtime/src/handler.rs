@@ -14,31 +14,26 @@
 //! [`RuntimeConfig::queue_of_queues`] is off) drains a single shared request
 //! queue instead.
 //!
-//! # One loop, three drivers
+//! # One loop, two drivers
 //!
 //! Each loop exists exactly once, as a resumable *step*
 //! (`HandlerCore::step_queue_of_queues` / `HandlerCore::step_lock_based`,
 //! reached only through [`PooledHandler`]'s [`PooledTask`] impl): it polls
 //! its queues, applies what it finds, keeps its position in
 //! [`PooledLoopState`], and *returns* [`StepOutcome::Idle`] when the queues
-//! are momentarily empty instead of blocking.  Every request a producer
-//! makes visible fires the handler's one wake hook, and
-//! [`RuntimeConfig::scheduler`] only chooses who answers it:
+//! are momentarily empty instead of blocking.  Two parties step it:
 //!
-//! * **pooled** (the default) — the [`qs_exec::HandlerScheduler`] re-arms
-//!   the task on its worker pool, so tens of thousands of mostly-idle
-//!   handlers share a handful of threads;
-//! * **dedicated** — [`PooledHandler::drive`], a dozen lines on a cached OS
-//!   thread (from the [`qs_exec::ThreadCache`]): step until `Done`, on
-//!   `Idle` spin briefly and then park on one per-handler [`Parker`] that
-//!   the hook wakes.  Live handler count is bounded by OS thread count.
+//! * **the pool** — every request a producer makes visible fires the
+//!   handler's wake hook, and the [`qs_exec::HandlerScheduler`] re-arms the
+//!   task on its worker pool, so tens of thousands of mostly-idle handlers
+//!   share a handful of threads;
+//! * **the client** — a handler that is idle when a client is about to
+//!   wait for it is stepped on that client's thread.
 //!
-//! The third driver is the client.  A pooled handler that is idle when a
-//! client is about to wait for it is stepped on that client's thread
-//! (`HandlerCore::run_here` over [`qs_exec::TaskHandle::run_here`]), the
-//! paper's §3.2 handoff without a worker in between: the client's
-//! wait costs no OS wake-up of a worker, and the client is not parked when
-//! its own sync completes.  It happens at exactly two points, both on the
+//! The client's step (`HandlerCore::run_here` over
+//! [`qs_exec::TaskHandle::run_here`]) is the paper's §3.2 handoff without a
+//! worker in between: the client's wait costs no OS wake-up of a worker,
+//! and the client is not parked when its own sync completes.  It happens at exactly two points, both on the
 //! queue-of-queues path:
 //!
 //! * the push of the `Sync` a `query`/`sync` is about to wait on.  The step
@@ -56,8 +51,7 @@
 //! Never on a `call`, nor at the END of a block with calls outstanding: a
 //! client that logs work and walks away must not run that work itself, or
 //! fanning calls out to idle handlers (Cowichan's `broadcast`) would compute
-//! serially on the client.  The dedicated driver is unchanged — a client
-//! there just fires the hook.
+//! serially on the client.
 //!
 //! The step preserves the §3.2 client-executed-query contract: after
 //! completing a sync the handler cannot proceed past the syncing client's
@@ -74,7 +68,7 @@ use std::sync::Arc;
 use qs_deadlock::{EdgeGuard, EdgeKind, ParticipantId};
 use qs_exec::{PooledTask, StepOutcome, TaskHandle};
 use qs_queues::{Closed, MailboxConsumer, MutexQueue, QueueOfQueues, WakeHook, WakeReason};
-use qs_sync::{Backoff, Event, GateWake, OnceValue, Parker, ReadGate, SpinLock};
+use qs_sync::{Backoff, Event, GateWake, ReadGate, SpinLock};
 
 use crate::config::RuntimeConfig;
 use crate::deadlock::{HandlerScope, Tracking};
@@ -115,6 +109,28 @@ pub(crate) struct ClientMailbox<T> {
 /// this.
 fn batch_prealloc(max_batch: usize) -> usize {
     max_batch.min(1024)
+}
+
+/// The handler's wake hook over its task.  A pressure wake (bounded mailbox
+/// at its watermark or a blocked producer) routes through the scheduler's
+/// priority lane so the handler runs promptly; so does a guard wake (clients
+/// parked on a wait condition this handler's pending work may decide) and a
+/// writable wake (the handler has a stashed batch waiting for readers to
+/// leave its object's gate).
+fn wake_hook(task: TaskHandle, stats: Arc<RuntimeStats>) -> WakeHook {
+    Arc::new(move |reason| {
+        let scheduled = match reason {
+            WakeReason::Pressure => {
+                RuntimeStats::bump(&stats.pressure_wakes);
+                task.notify_pressure()
+            }
+            WakeReason::Guard | WakeReason::Writable => task.notify_pressure(),
+            _ => task.notify(),
+        };
+        if scheduled {
+            RuntimeStats::bump(&stats.handler_wakeups);
+        }
+    })
 }
 
 /// Requests a handler may apply in one step before yielding (fairness
@@ -169,13 +185,11 @@ pub(crate) struct HandlerCore<T> {
 
     /// The handler's wake hook: copied into every mailbox producer this
     /// handler hands out and registered on the request queue, so any
-    /// producer making work visible re-arms whichever driver steps this
-    /// handler.  Set once, before any client can reach the core.
-    wake_hook: OnceValue<WakeHook>,
-    /// The pooled driver's task, through which a client steps this handler
-    /// on its own thread ([`run_here`](Self::run_here)); unset under the
-    /// dedicated driver.
-    task: OnceValue<TaskHandle>,
+    /// producer making work visible re-arms the handler's task.
+    pub(crate) wake_hook: WakeHook,
+    /// The handler's task on the scheduler, through which a client steps
+    /// this handler on its own thread ([`run_here`](Self::run_here)).
+    task: TaskHandle,
 
     /// Deadlock-detection hook (registry + this handler's participant
     /// identity); `None` when the runtime's `DeadlockPolicy` is `Off`, which
@@ -215,8 +229,12 @@ impl<T: Send + 'static> HandlerCore<T> {
         stats: Arc<RuntimeStats>,
         object: T,
         deadlock: Option<Tracking>,
+        task: TaskHandle,
     ) -> Arc<Self> {
         let guards = Arc::new(crate::guard::GuardRegistry::new(Arc::clone(&stats)));
+        let wake_hook = wake_hook(task.clone(), Arc::clone(&stats));
+        let request_queue = MutexQueue::with_capacity(config.mailbox_capacity);
+        request_queue.set_wake_hook(Arc::clone(&wake_hook));
         Arc::new(HandlerCore {
             id,
             config,
@@ -225,14 +243,14 @@ impl<T: Send + 'static> HandlerCore<T> {
             object_taken: AtomicBool::new(false),
             qoq: QueueOfQueues::new(),
             reservation_lock: SpinLock::new(()),
-            request_queue: MutexQueue::with_capacity(config.mailbox_capacity),
+            request_queue,
             client_lock: parking_lot::Mutex::new(()),
             lock_holder: std::sync::atomic::AtomicU64::new(0),
             stopped: AtomicBool::new(false),
             finished: Event::new(),
             final_value: SpinLock::new(None),
-            wake_hook: OnceValue::new(),
-            task: OnceValue::new(),
+            wake_hook,
+            task,
             deadlock,
             guards,
             gate: Arc::new(ReadGate::new()),
@@ -240,53 +258,19 @@ impl<T: Send + 'static> HandlerCore<T> {
         })
     }
 
-    /// Registers the driver's wake hook on the handler and its request
-    /// queue, and — pooled — the task a client may step.  Must be called
-    /// before any client can reach the handler (i.e. before `spawn_handler`
-    /// returns its handle).
-    pub(crate) fn set_driver(&self, hook: WakeHook, task: Option<TaskHandle>) {
-        self.request_queue.set_wake_hook(Arc::clone(&hook));
-        let _ = self.wake_hook.set(hook);
-        if let Some(task) = task {
-            let _ = self.task.set(task);
-        }
-    }
-
-    /// The wake hook of whichever driver steps this handler.
-    pub(crate) fn wake_hook(&self) -> &WakeHook {
-        self.wake_hook
-            .get()
-            .expect("the driver installs its hook before the handle escapes")
-    }
-
-    /// The third driver (see the module docs): a client that is about to
+    /// The client driver (see the module docs): a client that is about to
     /// wait for this handler, or is closing a block the handler has nothing
     /// left of, steps it here when the pool has it idle, applying at most
     /// `budget` requests (with none, only sync tokens; see `apply_batch`).
-    /// Otherwise — busy, already scheduled, or a dedicated driver — the hook
-    /// fires `reason` as for any push.  Returns whether this thread stepped
-    /// the handler and left nothing to the pool.
-    pub(crate) fn run_here(&self, reason: WakeReason, budget: usize) -> bool {
-        let Some(task) = self.task.get() else {
-            self.wake_hook()(reason);
-            return false;
-        };
-        let ran = task.run_here(budget);
+    /// Otherwise — busy or already scheduled — the task is notified as for
+    /// any push.  Returns whether this thread stepped the handler and left
+    /// nothing to the pool.
+    pub(crate) fn run_here(&self, budget: usize) -> bool {
+        let ran = self.task.run_here(budget);
         if ran.scheduled {
             RuntimeStats::bump(&self.stats.handler_wakeups);
         }
         ran.stepped && !ran.scheduled
-    }
-
-    /// Dedicated scheduling: installs a hook that wakes one per-handler
-    /// [`Parker`] — for every [`WakeReason`] alike — and returns the body of
-    /// the thread that will step this handler.
-    pub(crate) fn dedicated_driver(self: &Arc<Self>) -> impl FnOnce() + Send + 'static {
-        let parker = Arc::new(Parker::new());
-        let waker = Arc::clone(&parker);
-        self.set_driver(Arc::new(move |_reason| waker.wake()), None);
-        let task = PooledHandler::new(Arc::clone(self));
-        move || task.drive(&parker)
     }
 
     /// Pointer to the handler-owned object.
@@ -409,7 +393,7 @@ impl<T: Send + 'static> HandlerCore<T> {
         if !self.stopped.swap(true, Ordering::AcqRel) {
             self.qoq.close();
             // The queue-of-queues has no hook of its own.
-            self.wake_hook()(WakeReason::Close);
+            (self.wake_hook)(WakeReason::Close);
             self.request_queue.close();
             // Guard waiters parked on a dying handler must not strand: wake
             // them so their next evaluation observes the shutdown.
@@ -654,7 +638,7 @@ impl<T: Send + 'static> HandlerCore<T> {
             // Lost-wake protocol: enlist the wake hook, then re-try — either
             // the retry sees the gate free, or the releasing reader sees the
             // hook.
-            let hook = Arc::clone(self.wake_hook());
+            let hook = Arc::clone(&self.wake_hook);
             self.gate.enlist(
                 true,
                 GateWake::Hook(Arc::new(move || hook(WakeReason::Writable))),
@@ -676,7 +660,6 @@ impl<T: Send + 'static> HandlerCore<T> {
             self.apply(request);
         }
         self.gate.end_write();
-        state.progressed = true;
         if syncs_only {
             return None;
         }
@@ -746,9 +729,6 @@ pub(crate) struct PooledLoopState<T> {
     /// Deadlock tracking: live `WriterWait` edges, one per reader the
     /// stashed batch is blocked behind.
     writer_edges: Vec<EdgeGuard>,
-    /// Set whenever a batch is applied; taken by the dedicated driver to
-    /// tell an idle step that followed work from one that found none.
-    progressed: bool,
 }
 
 impl<T> PooledLoopState<T> {
@@ -766,8 +746,8 @@ impl<T> PooledLoopState<T> {
     }
 }
 
-/// The [`PooledTask`] every driver steps a handler through: the M:N
-/// scheduler's workers, or [`drive`](Self::drive) on a dedicated thread.
+/// The [`PooledTask`] both drivers step a handler through: the M:N
+/// scheduler's workers, and a client about to wait on the handler.
 pub(crate) struct PooledHandler<T: Send + 'static> {
     core: Arc<HandlerCore<T>>,
     /// Loop state; a driver runs at most one step of a task at a time, so
@@ -790,41 +770,12 @@ impl<T: Send + 'static> PooledHandler<T> {
                 pending: None,
                 write_requested: false,
                 writer_edges: Vec::new(),
-                progressed: false,
             }),
         }
     }
 
-    /// The dedicated driver: step on the calling thread until `Done`; when
-    /// a step finds nothing to do, spin briefly (the next request of a
-    /// ping-ponging client is usually already on its way) and then park
-    /// until the handler's wake hook fires.  A wake that lands between the
-    /// empty step and the park stays pending in the [`Parker`] and ends the
-    /// park at once, so none is missed.
-    pub(crate) fn drive(&self, wake: &Parker) {
-        let spin = Backoff::new();
-        loop {
-            match self.step() {
-                StepOutcome::Done => return,
-                StepOutcome::Yielded => spin.reset(),
-                StepOutcome::Idle => {
-                    // The spin window opens when requests were applied, not
-                    // when the park ends: the hook also fires for work this
-                    // handler cannot take yet (another client's request
-                    // arriving while it is pinned to an open block), and
-                    // such a wake must cost one empty step, not a backoff
-                    // ladder taken from the client it is waiting for.
-                    if std::mem::take(&mut self.state.lock().progressed) {
-                        spin.reset();
-                    }
-                    if spin.is_completed() {
-                        wake.park_until(|| false);
-                    } else {
-                        spin.snooze();
-                    }
-                }
-            }
-        }
+    pub(crate) fn core(&self) -> &Arc<HandlerCore<T>> {
+        &self.core
     }
 
     /// One step; `cap` bounds the requests it may apply (see
@@ -1032,20 +983,19 @@ impl<T: Send + 'static> std::fmt::Debug for Handler<T> {
 mod tests {
     use super::*;
     use crate::config::OptimizationLevel;
+    use crate::runtime::Runtime;
 
-    fn spawn_inline<T: Send + 'static>(config: RuntimeConfig, object: T) -> Handler<T> {
-        // Handler with the dedicated driver on a plain std thread (the full
-        // runtime uses the cached-thread layer; these tests exercise the core
-        // directly).
-        let stats = RuntimeStats::new();
-        let core = HandlerCore::new(1, config, stats, object, None);
-        std::thread::spawn(core.dedicated_driver());
-        Handler::from_core(core)
+    /// A handler on its own runtime, returned alongside it: the runtime
+    /// owns the scheduler, so it must outlive the test's blocks.
+    fn spawn<T: Send + 'static>(config: RuntimeConfig, object: T) -> (Runtime, Handler<T>) {
+        let rt = Runtime::new(config);
+        let handler = rt.spawn_handler(object);
+        (rt, handler)
     }
 
     #[test]
     fn calls_and_queries_apply_in_order_qoq() {
-        let handler = spawn_inline(RuntimeConfig::all_optimizations(), Vec::<u32>::new());
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), Vec::<u32>::new());
         handler.separate(|s| {
             for i in 0..100 {
                 s.call(move |v| v.push(i));
@@ -1059,7 +1009,7 @@ mod tests {
 
     #[test]
     fn calls_and_queries_apply_in_order_lock_based() {
-        let handler = spawn_inline(OptimizationLevel::None.config(), Vec::<u32>::new());
+        let (_rt, handler) = spawn(OptimizationLevel::None.config(), Vec::<u32>::new());
         handler.separate(|s| {
             for i in 0..100 {
                 s.call(move |v| v.push(i));
@@ -1076,7 +1026,7 @@ mod tests {
         // batch buffer pre-allocation on either loop flavour.
         for level in [OptimizationLevel::All, OptimizationLevel::None] {
             let config = level.config().with_max_batch(usize::MAX);
-            let handler = spawn_inline(config, 0u64);
+            let (_rt, handler) = spawn(config, 0u64);
             handler.separate(|s| {
                 for _ in 0..100 {
                     s.call(|n| *n += 1);
@@ -1089,7 +1039,7 @@ mod tests {
 
     #[test]
     fn detached_helpers_work() {
-        let handler = spawn_inline(RuntimeConfig::all_optimizations(), 0u64);
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), 0u64);
         handler.call_detached(|n| *n += 5);
         assert_eq!(handler.query_detached(|n| *n), 5);
         handler.stop();
@@ -1098,7 +1048,7 @@ mod tests {
 
     #[test]
     fn dropping_last_handle_stops_handler() {
-        let handler = spawn_inline(RuntimeConfig::all_optimizations(), 1u8);
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), 1u8);
         let clone = handler.clone();
         let core = Arc::clone(handler.core());
         drop(handler);
@@ -1110,7 +1060,7 @@ mod tests {
 
     #[test]
     fn shutdown_and_take_returns_object_once() {
-        let handler = spawn_inline(RuntimeConfig::all_optimizations(), String::from("state"));
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), String::from("state"));
         let other = handler.clone();
         assert_eq!(handler.shutdown_and_take().as_deref(), Some("state"));
         assert_eq!(other.shutdown_and_take(), None);
@@ -1118,7 +1068,7 @@ mod tests {
 
     #[test]
     fn panicking_call_does_not_kill_handler() {
-        let handler = spawn_inline(RuntimeConfig::all_optimizations(), 0i32);
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), 0i32);
         handler.separate(|s| {
             s.call(|_| panic!("bad call"));
             s.call(|n| *n = 3);
@@ -1130,7 +1080,7 @@ mod tests {
 
     #[test]
     fn debug_output_mentions_id() {
-        let handler = spawn_inline(RuntimeConfig::all_optimizations(), ());
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), ());
         assert!(format!("{handler:?}").contains("id"));
         handler.stop();
     }

@@ -83,8 +83,8 @@ pub mod separate;
 pub mod stats;
 
 pub use config::{
-    DeadlockPolicy, ObservabilityMode, OptimizationLevel, RuntimeConfig, SchedulerMode,
-    DEFAULT_MAILBOX_CAPACITY, DEFAULT_MAX_BATCH,
+    DeadlockPolicy, ObservabilityMode, OptimizationLevel, RuntimeConfig, DEFAULT_MAILBOX_CAPACITY,
+    DEFAULT_MAX_BATCH,
 };
 pub use contracts::{assert_postcondition, check_postcondition, WaitConfig, WaitTimeout};
 pub use handler::{Handler, HandlerId};

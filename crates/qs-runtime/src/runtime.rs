@@ -5,10 +5,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qs_deadlock::{DeadlockMonitor, DeadlockReport, WaitRegistry};
-use qs_exec::{HandlerScheduler, ThreadCache};
-use qs_queues::{WakeHook, WakeReason};
+use qs_exec::HandlerScheduler;
 
-use crate::config::{DeadlockPolicy, OptimizationLevel, RuntimeConfig, SchedulerMode};
+use crate::config::{DeadlockPolicy, OptimizationLevel, RuntimeConfig};
 use crate::deadlock::Tracking;
 use crate::handler::{Handler, HandlerCore, HandlerId, PooledHandler};
 use crate::stats::{RuntimeStats, StatsSnapshot};
@@ -55,12 +54,10 @@ impl DeadlockRuntime {
 struct RuntimeInner {
     config: RuntimeConfig,
     stats: Arc<RuntimeStats>,
-    thread_cache: Arc<ThreadCache>,
-    /// M:N handler scheduler, created lazily at the first pooled
-    /// `spawn_handler`; its threads start when a handler is first handed
-    /// to the pool, so runtimes that never spawn, run dedicated, or whose
-    /// handlers are only ever stepped by their clients pay no worker
-    /// threads.
+    /// M:N handler scheduler, created lazily at the first `spawn_handler`;
+    /// its threads start when a handler is first handed to the pool, so
+    /// runtimes that never spawn, or whose handlers are only ever stepped by
+    /// their clients, pay no worker threads.
     scheduler: parking_lot::Mutex<Option<Arc<HandlerScheduler>>>,
     /// Deadlock detection; `None` while the policy is `Off`.
     deadlock: Option<DeadlockRuntime>,
@@ -69,18 +66,12 @@ struct RuntimeInner {
 
 impl Drop for RuntimeInner {
     fn drop(&mut self) {
-        // Retire the cached handler threads; without this, every dropped
-        // runtime would leave its idle threads parked forever (visible as
-        // unbounded thread growth in benchmarks that create runtimes in a
-        // loop).  Handlers still running keep their threads until they stop.
-        self.thread_cache.shutdown();
-        // Tear the pooled scheduler down on a detached reaper thread: the
-        // shutdown drains queued steps and joins workers, which can take as
-        // long as the longest in-flight (possibly blocking) handler step —
-        // and the dedicated mode's contract is that dropping the runtime
-        // never waits on running handlers.  Handlers notified after the
-        // shutdown flag is set run their steps inline on the notifying
-        // thread, so no work is stranded either way.
+        // Tear the scheduler down on a detached reaper thread: the shutdown
+        // drains queued steps and joins workers, which can take as long as
+        // the longest in-flight (possibly blocking) handler step, and
+        // dropping the runtime never waits on running handlers.  Handlers
+        // notified after the shutdown flag is set run their steps inline on
+        // the notifying thread, so no work is stranded either way.
         if let Some(scheduler) = self.scheduler.lock().take() {
             let _ = std::thread::Builder::new()
                 .name("qs-sched-reaper".to_string())
@@ -93,7 +84,7 @@ impl Drop for RuntimeInner {
 ///
 /// The runtime owns the shared resources of the execution model — the
 /// configuration (which optimisations are active), the statistics block and
-/// the cache of handler threads — and creates [`Handler`]s.  Cloning a
+/// the M:N scheduler handlers run on — and creates [`Handler`]s.  Cloning a
 /// `Runtime` is cheap and yields a handle to the same instance.
 ///
 /// ```
@@ -129,7 +120,6 @@ impl Runtime {
             inner: Arc::new(RuntimeInner {
                 config,
                 stats,
-                thread_cache: ThreadCache::new(config.handler_thread_cache),
                 scheduler: parking_lot::Mutex::new(None),
                 deadlock,
                 next_handler_id: AtomicU64::new(1),
@@ -148,19 +138,13 @@ impl Runtime {
             .unwrap_or_default()
     }
 
-    /// The M:N scheduler, created on first use (pooled mode only).
+    /// The M:N scheduler, created on first use.
     fn scheduler(&self) -> Arc<HandlerScheduler> {
         let mut slot = self.inner.scheduler.lock();
         if let Some(scheduler) = slot.as_ref() {
             return Arc::clone(scheduler);
         }
-        let workers = self
-            .inner
-            .config
-            .scheduler
-            .effective_workers()
-            .expect("scheduler() is only called in pooled mode");
-        let scheduler = HandlerScheduler::new(workers);
+        let scheduler = HandlerScheduler::new(self.inner.config.effective_workers());
         *slot = Some(Arc::clone(&scheduler));
         scheduler
     }
@@ -186,7 +170,7 @@ impl Runtime {
     }
 
     /// Convenience: a point-in-time snapshot of the statistics, including
-    /// the pooled scheduler's steal count and the deadlock monitor's scan
+    /// the scheduler's steal count and the deadlock monitor's scan
     /// count when either is running.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let mut snapshot = self.inner.stats.snapshot();
@@ -212,9 +196,8 @@ impl Runtime {
         self.inner.stats.snapshot().handlers_spawned
     }
 
-    /// Creates a new handler owning `object` and schedules its main loop —
-    /// on a dedicated cached thread or as an M:N pooled task, per
-    /// [`RuntimeConfig::scheduler`].
+    /// Creates a new handler owning `object` and registers its main loop as
+    /// a task on the runtime's M:N scheduler.
     ///
     /// The handler begins processing requests immediately and runs until it
     /// is stopped (explicitly or by dropping the last [`Handler`] handle).
@@ -251,50 +234,20 @@ impl Runtime {
             registry: Arc::clone(&deadlock.registry),
             participant: deadlock.registry.participant(format!("handler-{id}")),
         });
-        let core = HandlerCore::new(id, config, Arc::clone(&self.inner.stats), object, tracking);
-        match config.scheduler {
-            // Either way the handler is the same resumable task and producers
-            // re-arm it through its wake hook, which must be registered
-            // before the handle escapes so no client can enqueue into a
-            // hook-less queue.
-            SchedulerMode::Dedicated => {
-                // One cached OS thread per live handler steps the task and
-                // parks on the hook; creating/retiring handlers stays cheap
-                // (the paper's lightweight-thread substitution), but live
-                // handler count is thread-bounded.
-                self.inner.thread_cache.run(core.dedicated_driver());
-            }
-            SchedulerMode::Pooled { .. } => {
-                // M:N: the hook hands the task to the scheduler's workers; a
-                // client about to wait on the handler may step the task itself.
-                let scheduler = self.scheduler();
-                let handle = scheduler.register(Arc::new(PooledHandler::new(Arc::clone(&core))));
-                let stats = Arc::clone(&self.inner.stats);
-                let task = handle.clone();
-                let hook: WakeHook = Arc::new(move |reason| {
-                    // A pressure wake (bounded mailbox at its watermark or a
-                    // blocked producer) routes through the scheduler's
-                    // priority lane so this handler runs promptly; so does a
-                    // guard wake (clients parked on a wait condition this
-                    // handler's pending work may decide) and a writable wake
-                    // (the handler has a stashed batch waiting for readers
-                    // to leave its object's gate).
-                    let scheduled = if reason == WakeReason::Pressure {
-                        RuntimeStats::bump(&stats.pressure_wakes);
-                        handle.notify_pressure()
-                    } else if reason == WakeReason::Guard || reason == WakeReason::Writable {
-                        handle.notify_pressure()
-                    } else {
-                        handle.notify()
-                    };
-                    if scheduled {
-                        RuntimeStats::bump(&stats.handler_wakeups);
-                    }
-                });
-                core.set_driver(hook, Some(task));
-            }
-        }
-        Handler::from_core(core)
+        // The hook that re-arms the task is part of the core, so it is in
+        // place before any client can enqueue into a hook-less queue.
+        let task = self.scheduler().register_with(|task| {
+            let core = HandlerCore::new(
+                id,
+                config,
+                Arc::clone(&self.inner.stats),
+                object,
+                tracking,
+                task,
+            );
+            Arc::new(PooledHandler::new(core))
+        });
+        Handler::from_core(Arc::clone(task.core()))
     }
 
     /// Spawns one handler per element of `objects`, returning the handles in
@@ -307,23 +260,9 @@ impl Runtime {
         objects.into_iter().map(|o| self.spawn_handler(o)).collect()
     }
 
-    /// Number of OS threads created for handlers so far (dedicated mode;
-    /// after warm-up this stays flat thanks to the thread cache).  Always
-    /// zero under pooled scheduling — see
-    /// [`scheduler_threads`](Self::scheduler_threads).
-    pub fn handler_threads_created(&self) -> usize {
-        self.inner.thread_cache.threads_created()
-    }
-
-    /// Number of handler activations that reused a cached thread (dedicated
-    /// mode).
-    pub fn handler_threads_reused(&self) -> usize {
-        self.inner.thread_cache.threads_reused()
-    }
-
     /// Number of M:N scheduler worker threads currently alive (core workers
-    /// plus live compensation workers); zero until a pooled handler is
-    /// first handed to the pool, and always under the dedicated mode.
+    /// plus live compensation workers); zero until a handler is first
+    /// handed to the pool.
     pub fn scheduler_threads(&self) -> usize {
         self.inner
             .scheduler
@@ -379,28 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_are_reused_across_handler_generations() {
-        // Dedicated mode: handler threads come from the cache and are
-        // recycled between handler generations.
-        let rt = Runtime::new(
-            RuntimeConfig::all_optimizations().with_scheduler(SchedulerMode::Dedicated),
-        );
-        for _ in 0..20 {
-            let h = rt.spawn_handler(0u8);
-            h.separate(|s| s.call(|v| *v += 1));
-            h.stop();
-            h.wait_finished();
-        }
-        assert!(
-            rt.handler_threads_created() < 20,
-            "expected thread reuse, created {}",
-            rt.handler_threads_created()
-        );
-        assert!(rt.handler_threads_reused() > 0);
-    }
-
-    #[test]
-    fn pooled_mode_spawns_no_dedicated_threads() {
+    fn handlers_share_a_fixed_pool() {
         let rt = Runtime::fully_optimized();
         assert_eq!(rt.scheduler_threads(), 0, "scheduler starts lazily");
         let handlers = rt.spawn_handlers((0..256).map(|i| i as u64));
@@ -410,9 +328,8 @@ mod tests {
                 assert_eq!(s.query(|v| *v), i as u64 + 1);
             });
         }
-        // 256 live handlers, zero dedicated threads, a fixed-size pool.
-        assert_eq!(rt.handler_threads_created(), 0);
-        let workers = rt.config().scheduler.effective_workers().unwrap();
+        // 256 live handlers on a fixed-size pool.
+        let workers = rt.config().effective_workers();
         assert!(
             rt.scheduler_threads() >= workers,
             "all {workers} pool workers must be alive, saw {}",
@@ -459,26 +376,6 @@ mod tests {
             10,
             "retired pooled handlers leaked their cores/objects"
         );
-    }
-
-    #[test]
-    fn pooled_and_dedicated_agree_on_results() {
-        for mode in [
-            SchedulerMode::Dedicated,
-            SchedulerMode::Pooled { workers: 2 },
-        ] {
-            for level in OptimizationLevel::ALL {
-                let rt = Runtime::new(level.config().with_scheduler(mode));
-                let h = rt.spawn_handler(0u64);
-                h.separate(|s| {
-                    for _ in 0..100 {
-                        s.call(|v| *v += 1);
-                    }
-                    assert_eq!(s.query(|v| *v), 100, "{level} / {mode}");
-                });
-                assert_eq!(h.shutdown_and_take(), Some(100), "{level} / {mode}");
-            }
-        }
     }
 
     #[test]

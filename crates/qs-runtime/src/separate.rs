@@ -102,7 +102,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             let (producer, consumer) = mailbox(core.config.mailbox_capacity);
             // Every request logged into this private queue must re-arm the
             // handler's driver.
-            let producer = producer.with_wake_hook(Arc::clone(core.wake_hook()));
+            let producer = producer.with_wake_hook(Arc::clone(&core.wake_hook));
             // Deadlock tracking: tag the queue with the reserving party so
             // the handler's "parked on this open queue" state becomes a
             // named Serving edge, validated at scan time by the
@@ -380,7 +380,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// Performs the sync round-trip unconditionally.
     ///
     /// On the queue-of-queues path the client, about to block on the sync,
-    /// steps an idle pooled handler itself (see [`HandlerCore::run_here`]):
+    /// steps an idle handler itself (see [`HandlerCore::run_here`]):
     /// the step applies everything queued ahead of the sync, then the sync,
     /// and parks the handler on this block's queue — so the wait below
     /// usually finds the handoff complete.
@@ -396,8 +396,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
                 let pending = Arc::clone(&handoff);
                 tracking.query_edge(Some(Arc::new(move || !pending.is_ready()) as ProbeFn))
             });
-            self.core
-                .run_here(WakeReason::Enqueue, self.core.config.max_batch.max(1));
+            self.core.run_here(self.core.config.max_batch.max(1));
         } else {
             self.enqueue(sync);
         }
@@ -574,7 +573,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             // `HandlerCore::apply_batch`).
             let stepped = if self.progress != Progress::Pending {
                 producer.close_without_wake();
-                self.core.run_here(WakeReason::Close, 0)
+                self.core.run_here(0)
             } else {
                 producer.close();
                 false
@@ -590,7 +589,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             // scheduler a Guard wake rides the priority lane like Pressure,
             // keeping wake-to-resume latency low under load.
             if !stepped && self.signal_guards && self.core.guards.has_waiters() {
-                self.core.wake_hook()(WakeReason::Guard);
+                (self.core.wake_hook)(WakeReason::Guard);
             }
         }
         let lock_based = self.lock_guard.is_some();
@@ -821,17 +820,19 @@ mod tests {
     use super::*;
     use crate::config::{OptimizationLevel, RuntimeConfig};
     use crate::handler::Handler;
+    use crate::runtime::Runtime;
 
-    fn spawn<T: Send + 'static>(config: RuntimeConfig, object: T) -> Handler<T> {
-        let stats = RuntimeStats::new();
-        let core = HandlerCore::new(7, config, stats, object, None);
-        std::thread::spawn(core.dedicated_driver());
-        Handler::from_core(core)
+    /// A handler on its own runtime, returned alongside it: the runtime
+    /// owns the scheduler, so it must outlive the test's blocks.
+    fn spawn<T: Send + 'static>(config: RuntimeConfig, object: T) -> (Runtime, Handler<T>) {
+        let rt = Runtime::new(config);
+        let handler = rt.spawn_handler(object);
+        (rt, handler)
     }
 
     #[test]
     fn dynamic_coalescing_elides_second_sync() {
-        let handler = spawn(OptimizationLevel::Dynamic.config(), 5u32);
+        let (_rt, handler) = spawn(OptimizationLevel::Dynamic.config(), 5u32);
         handler.separate(|s| {
             assert_eq!(s.query(|n| *n), 5);
             assert_eq!(s.query(|n| *n), 5);
@@ -845,7 +846,7 @@ mod tests {
 
     #[test]
     fn without_coalescing_every_query_syncs() {
-        let handler = spawn(OptimizationLevel::QoQ.config(), 5u32);
+        let (_rt, handler) = spawn(OptimizationLevel::QoQ.config(), 5u32);
         handler.separate(|s| {
             for _ in 0..4 {
                 s.query(|n| *n);
@@ -861,7 +862,7 @@ mod tests {
 
     #[test]
     fn call_invalidates_synced_state() {
-        let handler = spawn(RuntimeConfig::all_optimizations(), 0u32);
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), 0u32);
         handler.separate(|s| {
             s.query(|n| *n);
             assert!(s.is_synced());
@@ -878,7 +879,7 @@ mod tests {
     fn explicit_sync_plus_unsynced_queries() {
         // The shape the static pass produces for Fig. 14: one sync hoisted
         // out of the loop, unsynced reads inside it.
-        let handler = spawn(
+        let (_rt, handler) = spawn(
             OptimizationLevel::Static.config(),
             (0..64).collect::<Vec<u32>>(),
         );
@@ -899,7 +900,7 @@ mod tests {
 
     #[test]
     fn handler_executed_queries_return_results() {
-        let handler = spawn(OptimizationLevel::None.config(), String::from("abc"));
+        let (_rt, handler) = spawn(OptimizationLevel::None.config(), String::from("abc"));
         let len = handler.separate(|s| {
             s.call(|t| t.push('d'));
             s.query(|t| t.len())
@@ -913,7 +914,7 @@ mod tests {
     fn separate_blocks_from_two_threads_do_not_interleave() {
         // Fig. 1: with two clients logging on the same handler, each client's
         // requests are applied contiguously.
-        let handler = spawn(RuntimeConfig::all_optimizations(), Vec::<(u8, u32)>::new());
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), Vec::<(u8, u32)>::new());
         let h1 = handler.clone();
         let h2 = handler.clone();
         let t1 = std::thread::spawn(move || {
@@ -944,7 +945,7 @@ mod tests {
     #[test]
     fn query_async_pipelines_and_orders_with_calls() {
         for level in [OptimizationLevel::All, OptimizationLevel::None] {
-            let handler = spawn(level.config(), 0u64);
+            let (_rt, handler) = spawn(level.config(), 0u64);
             let (first, second) = handler.separate(|s| {
                 s.call(|n| *n = 10);
                 let first = s.query_async(|n| *n);
@@ -963,7 +964,7 @@ mod tests {
 
     #[test]
     fn query_async_try_take_yields_exactly_once() {
-        let handler = spawn(RuntimeConfig::all_optimizations(), 7u32);
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), 7u32);
         let mut token = handler.separate(|s| s.query_async(|n| *n));
         // Spin until the handler has deposited the result.
         let value = loop {
@@ -979,7 +980,7 @@ mod tests {
 
     #[test]
     fn query_async_invalidates_the_synced_flag() {
-        let handler = spawn(RuntimeConfig::all_optimizations(), 1u32);
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), 1u32);
         handler.separate(|s| {
             s.sync();
             assert!(s.is_synced());
@@ -993,63 +994,49 @@ mod tests {
 
     #[test]
     fn try_call_rejects_on_a_full_capacity_one_mailbox() {
-        use crate::config::SchedulerMode;
-        use crate::runtime::Runtime;
-
-        // Both loop flavours and both scheduling modes: fill the capacity-1
-        // mailbox while the handler is provably busy, then assert the
-        // non-blocking path hands the call back instead of stalling.
+        // Both loop flavours: fill the capacity-1 mailbox while the handler
+        // is provably busy, then assert the non-blocking path hands the call
+        // back instead of stalling.
         for level in [OptimizationLevel::All, OptimizationLevel::None] {
-            for mode in [
-                SchedulerMode::Dedicated,
-                SchedulerMode::Pooled { workers: 2 },
-            ] {
-                let rt = Runtime::new(
-                    level
-                        .config()
-                        .with_mailbox_capacity(Some(1))
-                        .with_scheduler(mode),
-                );
-                let handler = rt.spawn_handler(0u64);
-                let context = format!("{level} / {mode}");
-                handler.separate(|s| {
-                    let gate = Arc::new(qs_sync::Event::new());
-                    let opened = Arc::clone(&gate);
-                    // Occupies the handler until the gate opens.
-                    s.call(move |_| opened.wait());
-                    // Fills the capacity-1 mailbox; by the time this
-                    // blocking enqueue returns, the handler has drained the
-                    // gate call (making room) and is stuck executing it.
-                    s.call(|n| *n += 1);
-                    // Non-blocking: must reject, not stall.
-                    let rejected = s
-                        .try_call(|n| *n += 10)
-                        .expect_err(&format!("{context}: mailbox must be full"));
-                    assert!(format!("{rejected}").contains("mailbox full"), "{context}");
-                    assert!(format!("{rejected:?}").contains("MailboxFull"), "{context}");
-                    gate.set();
-                    // The rejected closure is handed back executable; the
-                    // boxed retry form re-submits it without re-wrapping.
-                    let mut pending = s.try_call_boxed(rejected.call);
-                    while let Err(again) = pending {
-                        std::thread::yield_now();
-                        pending = s.try_call_boxed(again.call);
-                    }
-                    assert_eq!(s.query(|n| *n), 11, "{context}");
-                });
-                let snap = handler.stats().snapshot();
-                assert!(
-                    snap.backpressure_rejections >= 1,
-                    "{context}: rejection must be counted, got {snap:?}"
-                );
-                assert_eq!(handler.shutdown_and_take(), Some(11), "{context}");
-            }
+            let (_rt, handler) = spawn(level.config().with_mailbox_capacity(Some(1)), 0u64);
+            let context = level.to_string();
+            handler.separate(|s| {
+                let gate = Arc::new(qs_sync::Event::new());
+                let opened = Arc::clone(&gate);
+                // Occupies the handler until the gate opens.
+                s.call(move |_| opened.wait());
+                // Fills the capacity-1 mailbox; by the time this
+                // blocking enqueue returns, the handler has drained the
+                // gate call (making room) and is stuck executing it.
+                s.call(|n| *n += 1);
+                // Non-blocking: must reject, not stall.
+                let rejected = s
+                    .try_call(|n| *n += 10)
+                    .expect_err(&format!("{context}: mailbox must be full"));
+                assert!(format!("{rejected}").contains("mailbox full"), "{context}");
+                assert!(format!("{rejected:?}").contains("MailboxFull"), "{context}");
+                gate.set();
+                // The rejected closure is handed back executable; the
+                // boxed retry form re-submits it without re-wrapping.
+                let mut pending = s.try_call_boxed(rejected.call);
+                while let Err(again) = pending {
+                    std::thread::yield_now();
+                    pending = s.try_call_boxed(again.call);
+                }
+                assert_eq!(s.query(|n| *n), 11, "{context}");
+            });
+            let snap = handler.stats().snapshot();
+            assert!(
+                snap.backpressure_rejections >= 1,
+                "{context}: rejection must be counted, got {snap:?}"
+            );
+            assert_eq!(handler.shutdown_and_take(), Some(11), "{context}");
         }
     }
 
     #[test]
     fn try_call_never_rejects_on_an_unbounded_mailbox() {
-        let handler = spawn(
+        let (_rt, handler) = spawn(
             RuntimeConfig::all_optimizations().with_mailbox_capacity(None),
             0u64,
         );
@@ -1070,7 +1057,7 @@ mod tests {
         // leave the client parked forever on a handoff nobody would ever
         // complete.  The CompletionGuard now abandons it, surfacing a
         // panic to the waiting client instead.
-        let handler = spawn(OptimizationLevel::None.config(), 5u32);
+        let (_rt, handler) = spawn(OptimizationLevel::None.config(), 5u32);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             handler.separate(|s| s.query(|_: &mut u32| -> u32 { panic!("query bomb") }))
         }));
@@ -1102,7 +1089,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "after the separate block ended")]
     fn using_an_ended_guard_panics() {
-        let handler = spawn(RuntimeConfig::all_optimizations(), 0u32);
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), 0u32);
         handler.separate(|s| {
             s.end();
             s.call(|n| *n += 1);

@@ -3,8 +3,7 @@
 //!
 //! Every blocking path in the workspace that is not a [`crate::Handoff`]
 //! (a bounded producer waiting for space, a guard waiter, a reader or writer
-//! behind the object gate, a dedicated handler thread with nothing to step)
-//! parks here.  The protocol is the three-state word `EMPTY / PARKED /
+//! behind the object gate) parks here.  The protocol is the three-state word `EMPTY / PARKED /
 //! NOTIFIED`, and both sides move it with read-modify-write operations only,
 //! so they are totally ordered: either the waker's swap observes `PARKED`
 //! (and unparks), or the waiter's `EMPTY -> PARKED` exchange observes

@@ -193,8 +193,8 @@ impl ReadGate {
     }
 
     /// Takes the gate in write mode, spinning/parking the calling thread
-    /// until it succeeds.  Convenience for dedicated (thread-per-handler)
-    /// paths where blocking the OS thread is fine.
+    /// until it succeeds.  For paths where blocking the OS thread is fine,
+    /// such as a client executing a query on the object.
     pub fn write(&self) {
         if self.try_write() {
             return;

@@ -19,7 +19,7 @@
 //! quick CI-sized run).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use scoop_qs::prelude::*;
@@ -77,11 +77,18 @@ fn run(readers: usize, reads_per_reader: usize, shared: bool) -> f64 {
     let rt = Runtime::new(RuntimeConfig::all_optimizations());
     let board = rt.spawn_handler(Leaderboard::new(16));
     let stop_writer = Arc::new(AtomicBool::new(false));
+    // The writer starts only once every reader has left its opening read
+    // block: an announced writer refuses new readers, so a writer running
+    // during the rendezvous below would wait for the readers already in,
+    // while they wait at the rendezvous for the readers it keeps out.
+    let writer_start = Arc::new(Barrier::new(readers + 1));
 
     let writer = {
         let board = board.clone();
         let stop = Arc::clone(&stop_writer);
+        let start = Arc::clone(&writer_start);
         std::thread::spawn(move || {
+            start.wait();
             let mut player = 0u32;
             while !stop.load(Ordering::Acquire) {
                 player = (player + 7) % 16;
@@ -100,16 +107,18 @@ fn run(readers: usize, reads_per_reader: usize, shared: bool) -> f64 {
     // deterministic record of reader overlap (sub-microsecond holds in the
     // hot loop can convoy and serialise for long stretches, so sampling
     // overlap from the loop alone is unreliable).
-    let rendezvous = Arc::new(std::sync::Barrier::new(readers));
+    let rendezvous = Arc::new(Barrier::new(readers));
     let started = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..readers {
             let board = board.clone();
             let rendezvous = Arc::clone(&rendezvous);
+            let writer_start = Arc::clone(&writer_start);
             scope.spawn(move || {
                 if shared {
                     reserve(&board).read().run(|_| rendezvous.wait());
                 }
+                writer_start.wait();
                 let mut last_top = 0u64;
                 for _ in 0..reads_per_reader {
                     let (_, top) = if shared {

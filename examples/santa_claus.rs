@@ -20,8 +20,7 @@
 //!
 //! Every waiter parks on the handler's guard-waiter registry and is
 //! signalled when a block completes on it; nobody polls.  The example runs
-//! the season on both scheduler modes and asserts the exact toy/question
-//! accounting — and that the waiters genuinely parked and were woken by
+//! the season and asserts the exact toy/question accounting — and that the waiters genuinely parked and were woken by
 //! signals (`guard_wakeups`), not by timers.
 //!
 //! Run with a hard timeout in CI: a lost wake-up turns this example into a
@@ -51,8 +50,8 @@ struct NorthPole {
     groups_helped: u32,
 }
 
-fn run_season(mode: SchedulerMode) {
-    let rt = Runtime::new(RuntimeConfig::all_optimizations().with_scheduler(mode));
+fn run_season(workers: usize) {
+    let rt = Runtime::new(RuntimeConfig::all_optimizations().with_workers(workers));
     let north_pole = rt.spawn_handler(NorthPole::default());
 
     let reindeer: Vec<_> = (0..REINDEER)
@@ -118,21 +117,20 @@ fn run_season(mode: SchedulerMode) {
     }
 
     let season = north_pole.query_detached(|s| (s.deliveries, s.groups_helped, s.elves_queued));
-    assert_eq!(season, (DELIVERIES, GROUPS, 0), "{mode}: season accounting");
+    assert_eq!(season, (DELIVERIES, GROUPS, 0), "season accounting");
     let snapshot = rt.stats_snapshot();
     assert!(
         snapshot.guard_signals > 0 && snapshot.guard_wakeups > 0,
-        "{mode}: waiters must park and be signalled, not poll: {snapshot:?}"
+        "waiters must park and be signalled, not poll: {snapshot:?}"
     );
     println!(
-        "[{mode}] {DELIVERIES} deliveries, {GROUPS} elf groups; \
+        "[{workers} workers] {DELIVERIES} deliveries, {GROUPS} elf groups; \
          {} condition evaluations, {} guard signals, {} parked wake-ups",
         snapshot.wait_condition_checks, snapshot.guard_signals, snapshot.guard_wakeups
     );
 }
 
 fn main() {
-    run_season(SchedulerMode::Dedicated);
-    run_season(SchedulerMode::Pooled { workers: 4 });
+    run_season(4);
     println!("santa_claus: OK");
 }

@@ -55,7 +55,7 @@ fn main() {
 fn run_workload(handlers: usize, calls_per_handler: usize) {
     let rt = Runtime::new(
         RuntimeConfig::all_optimizations()
-            .with_scheduler(SchedulerMode::Pooled { workers: 4 })
+            .with_workers(4)
             .with_observability(ObservabilityMode::Full),
     );
     let fleet: Vec<_> = (0..handlers).map(|_| rt.spawn_handler(0u64)).collect();

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use qs_runtime::{
         read, reserve, DeadlockEdgeKind, DeadlockPolicy, DeadlockReport, GuardedReservation,
         Handler, MailboxError, MailboxFull, ObservabilityMode, OptimizationLevel, QueryToken, Read,
-        ReadSeparate, Reservation, ReservationSet, Runtime, RuntimeConfig, RuntimeStats,
-        SchedulerMode, Separate, WaitCondition, WaitConfig, WaitTimeout,
+        ReadSeparate, Reservation, ReservationSet, Runtime, RuntimeConfig, RuntimeStats, Separate,
+        WaitCondition, WaitConfig, WaitTimeout,
     };
 }

@@ -1,15 +1,16 @@
-//! The third driver: a client about to wait on an idle pooled handler steps
-//! it on its own thread.
+//! The two drivers of a handler: a client about to wait on an idle handler
+//! steps it on its own thread, and the pool's workers step it otherwise.
 //!
 //! Deterministic checks only — counts, thread ids and logs, no wall-clock
 //! ratios: a synced block wakes no worker; a call whose block ends unsynced
 //! never runs on the client that logged it; a nested client step completes;
 //! an END runs no other client's request, neither one that waits for what
 //! the ending client does next nor one that waits for a reservation the
-//! ending thread still holds; and §2.2's per-client order and block contiguity
-//! hold with clients stepping the handler, on both deadlock policies, with
-//! the dedicated driver as the control.  Every multi-threaded test runs
-//! under a watchdog, so a lost wake-up fails instead of hanging the suite.
+//! ending thread still holds; a handler body that blocks cannot wedge a
+//! one-worker pool; and §2.2's per-client order and block contiguity hold
+//! with clients stepping the handler, on both deadlock policies, with a
+//! one-worker pool as the control.  Every multi-threaded test runs under a
+//! watchdog, so a lost wake-up fails instead of hanging the suite.
 
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread::ThreadId;
@@ -33,7 +34,7 @@ fn within<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'stat
 }
 
 fn pooled() -> RuntimeConfig {
-    RuntimeConfig::all_optimizations().with_scheduler(SchedulerMode::Pooled { workers: 2 })
+    RuntimeConfig::all_optimizations().with_workers(2)
 }
 
 #[test]
@@ -185,6 +186,37 @@ fn an_end_leaves_other_clients_requests_to_the_pool_while_its_thread_holds_a_res
     }
 }
 
+#[test]
+fn a_blocking_handler_body_cannot_wedge_a_one_worker_pool() {
+    // Handler A's call blocks in `recv` on the pool's only worker; handler
+    // B's call, logged after A's call has started, holds the sender.  B can
+    // then run only on a second thread, which the scheduler's monitor adds
+    // once it observes the worker pinned off-CPU.
+    let (received, peak) = within("blocking body on one worker", || {
+        let rt = Runtime::new(pooled().with_workers(1));
+        let (a, b) = (rt.spawn_handler(0u64), rt.spawn_handler(false));
+        let (tx, rx) = mpsc::channel::<u64>();
+        let (started_tx, started) = mpsc::channel();
+        a.separate(|s| {
+            s.call(move |n| {
+                started_tx.send(()).expect("the client is waiting");
+                *n = rx.recv().expect("B's message");
+            })
+        });
+        started.recv().expect("A's call started");
+        b.separate(|s| {
+            s.call(move |sent| {
+                tx.send(7).expect("A's call is alive");
+                *sent = true;
+            })
+        });
+        assert!(b.separate(|s| s.query(|sent| *sent)), "B's call ran");
+        (a.separate(|s| s.query(|n| *n)), rt.scheduler_peak_threads())
+    });
+    assert_eq!(received, 7, "A's call received B's message");
+    assert!(peak >= 2, "no compensation worker was added: peak {peak}");
+}
+
 /// Which requests one block of the §2.2 check logs.
 #[derive(Clone, Copy)]
 enum Shape {
@@ -243,10 +275,7 @@ fn per_client_order_and_block_contiguity_hold_under_client_stepping() {
             "pooled, deadlock report",
             pooled().with_deadlock_policy(DeadlockPolicy::Report),
         ),
-        (
-            "dedicated",
-            RuntimeConfig::all_optimizations().with_scheduler(SchedulerMode::Dedicated),
-        ),
+        ("one worker", pooled().with_workers(1)),
     ];
     for (name, config) in configs {
         for clients in 2..=4 {

@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 
 use scoop_qs::prelude::*;
 
-fn runtime(mode: SchedulerMode) -> Runtime {
-    Runtime::new(RuntimeConfig::all_optimizations().with_scheduler(mode))
+fn runtime(workers: usize) -> Runtime {
+    Runtime::new(RuntimeConfig::all_optimizations().with_workers(workers))
 }
 
 /// A hundred clients park on one handler; ten state changes resolve them
@@ -22,11 +22,12 @@ fn runtime(mode: SchedulerMode) -> Runtime {
 /// number of signals (a handful per waiter), not with elapsed time — a
 /// loop re-evaluating every millisecond would do so tens of thousands of
 /// times over the same quarter second.
-fn hundred_waiters_resolve_with_few_evaluations(mode: SchedulerMode) {
+#[test]
+fn hundred_waiters_resolve_with_few_evaluations_pooled() {
     const WAITERS: usize = 100;
     const TARGET: u64 = 10;
 
-    let rt = runtime(mode);
+    let rt = runtime(4);
     let counter = rt.spawn_handler(0u64);
     let waiters: Vec<_> = (0..WAITERS)
         .map(|_| {
@@ -52,28 +53,18 @@ fn hundred_waiters_resolve_with_few_evaluations(mode: SchedulerMode) {
         counter.call_detached(|c| *c += 1);
     }
     for waiter in waiters {
-        assert!(waiter.join().unwrap() >= TARGET, "{mode}");
+        assert!(waiter.join().unwrap() >= TARGET);
     }
 
     let snapshot = rt.stats_snapshot();
-    assert!(snapshot.guard_signals > 0, "{mode}: {snapshot:?}");
-    assert!(snapshot.guard_wakeups > 0, "{mode}: {snapshot:?}");
+    assert!(snapshot.guard_signals > 0, "{snapshot:?}");
+    assert!(snapshot.guard_wakeups > 0, "{snapshot:?}");
     // O(signals): ~9 spin evaluations per waiter plus one per wakeup, far
     // under the ≥20,000 a quarter second of 100 × 1ms-polling would cost.
     assert!(
         snapshot.wait_condition_checks < 10_000,
-        "{mode}: waiters polled instead of parking: {snapshot:?}"
+        "waiters polled instead of parking: {snapshot:?}"
     );
-}
-
-#[test]
-fn hundred_waiters_resolve_with_few_evaluations_dedicated() {
-    hundred_waiters_resolve_with_few_evaluations(SchedulerMode::Dedicated);
-}
-
-#[test]
-fn hundred_waiters_resolve_with_few_evaluations_pooled() {
-    hundred_waiters_resolve_with_few_evaluations(SchedulerMode::Pooled { workers: 4 });
 }
 
 /// The lost-signal hammer: one client chases a counter another client keeps
@@ -81,10 +72,11 @@ fn hundred_waiters_resolve_with_few_evaluations_pooled() {
 /// park handshake while closes race in from the producer.  A signal falling
 /// into any gap of that handshake would park the waiter forever and hang
 /// the test.
-fn signals_racing_registration_are_never_lost(mode: SchedulerMode) {
+#[test]
+fn signals_racing_registration_are_never_lost_pooled() {
     const ROUNDS: usize = 2_000;
 
-    let rt = runtime(mode);
+    let rt = runtime(4);
     let counter = rt.spawn_handler(0u64);
     let stop = Arc::new(AtomicBool::new(false));
     let producer = {
@@ -110,7 +102,7 @@ fn signals_racing_registration_are_never_lost(mode: SchedulerMode) {
         let observed = reserve(&counter)
             .when(move |c: &u64| *c > last_seen)
             .run(|guard| guard.query(|c| *c));
-        assert!(observed > last_seen, "{mode}: round {round}");
+        assert!(observed > last_seen, "round {round}");
         last_seen = observed;
     }
     stop.store(true, Ordering::Release);
@@ -119,18 +111,8 @@ fn signals_racing_registration_are_never_lost(mode: SchedulerMode) {
     let snapshot = rt.stats_snapshot();
     assert!(
         snapshot.guard_wakeups > 0,
-        "{mode}: the hammer never parked, the race went unexercised: {snapshot:?}"
+        "the hammer never parked, the race went unexercised: {snapshot:?}"
     );
-}
-
-#[test]
-fn signals_racing_registration_are_never_lost_dedicated() {
-    signals_racing_registration_are_never_lost(SchedulerMode::Dedicated);
-}
-
-#[test]
-fn signals_racing_registration_are_never_lost_pooled() {
-    signals_racing_registration_are_never_lost(SchedulerMode::Pooled { workers: 4 });
 }
 
 /// The two ways one wait loop gives up.  A wall-clock timeout stays
@@ -143,7 +125,7 @@ fn wall_clock_timeouts_are_clamped_and_attempt_budgets_never_park() {
     // Generous CI headroom; the point is "one budget", not "ten naps".
     const OVERSHOOT: Duration = Duration::from_millis(250);
 
-    let rt = runtime(SchedulerMode::Dedicated);
+    let rt = runtime(2);
     let cell = rt.spawn_handler(0u8);
 
     // No attempt budget: one deadline-bounded park.
@@ -261,7 +243,7 @@ fn run_parked_guard_cycle(rt: &Runtime, a_wait: WaitConfig) -> CycleOutcome {
 fn parked_guard_cycle_is_reported() {
     let rt = Runtime::new(
         RuntimeConfig::all_optimizations()
-            .with_scheduler(SchedulerMode::Dedicated)
+            .with_workers(2)
             .with_deadlock_policy(DeadlockPolicy::Report),
     );
     // A's wait is bounded at 2s — two orders of magnitude above the
@@ -294,7 +276,7 @@ fn parked_guard_cycle_is_reported() {
 fn parked_guard_cycle_is_broken_and_recovered_from() {
     let rt = Runtime::new(
         RuntimeConfig::all_optimizations()
-            .with_scheduler(SchedulerMode::Dedicated)
+            .with_workers(2)
             .with_deadlock_policy(DeadlockPolicy::Break),
     );
     let (a, b, x, y) = run_parked_guard_cycle(&rt, WaitConfig::default());

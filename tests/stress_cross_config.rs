@@ -2,7 +2,7 @@
 //! logs and queries across every `OptimizationLevel`, with deliberately tiny
 //! mailbox capacities (1, 2, 7) so the backpressure path is exercised
 //! constantly, plus the unbounded configuration as the stall-free control,
-//! and both handler scheduling modes (dedicated threads and the M:N pool).
+//! on the auto-sized M:N pool and on deliberately small ones.
 //!
 //! Each round asserts the full set of accounting invariants:
 //!
@@ -28,7 +28,7 @@ fn stress_round(
 ) {
     stress_round_scheduled(
         level,
-        SchedulerMode::default(),
+        0,
         capacity,
         clients,
         handler_count,
@@ -40,7 +40,7 @@ fn stress_round(
 #[allow(clippy::too_many_arguments)]
 fn stress_round_scheduled(
     level: OptimizationLevel,
-    scheduler: SchedulerMode,
+    workers: usize,
     capacity: Option<usize>,
     clients: usize,
     handler_count: usize,
@@ -50,7 +50,7 @@ fn stress_round_scheduled(
     let config = level
         .config()
         .with_mailbox_capacity(capacity)
-        .with_scheduler(scheduler);
+        .with_workers(workers);
     let rt = Runtime::new(config);
     let handlers: Vec<Handler<u64>> = (0..handler_count).map(|_| rt.spawn_handler(0u64)).collect();
 
@@ -181,17 +181,11 @@ fn capacity_one_fan_in_records_stalls() {
 
 /// The M:N pool at its most constrained: 200 live handlers multiplexed over
 /// 2 workers, across every optimisation level, asserting the full
-/// enqueued == executed accounting and clean shutdown.  The same workload
-/// runs under dedicated threads as the behavioural control.
+/// enqueued == executed accounting and clean shutdown.
 #[test]
 fn pooled_two_workers_two_hundred_handlers_across_levels() {
     for level in OptimizationLevel::ALL {
-        for scheduler in [
-            SchedulerMode::Pooled { workers: 2 },
-            SchedulerMode::Dedicated,
-        ] {
-            stress_round_scheduled(level, scheduler, Some(7), 4, 200, 8, 10);
-        }
+        stress_round_scheduled(level, 2, Some(7), 4, 200, 8, 10);
     }
 }
 
@@ -207,11 +201,7 @@ fn pooled_two_workers_two_hundred_handlers_across_levels() {
 #[test]
 fn lost_wakeup_hammer_idle_nonempty_race() {
     for level in [OptimizationLevel::All, OptimizationLevel::None] {
-        let rt = Runtime::new(
-            level
-                .config()
-                .with_scheduler(SchedulerMode::Pooled { workers: 1 }),
-        );
+        let rt = Runtime::new(level.config().with_workers(1));
         let handler = rt.spawn_handler(0u64);
         const ROUNDS: u64 = 2_000;
         std::thread::scope(|scope| {
@@ -250,11 +240,7 @@ fn lost_wakeup_hammer_idle_nonempty_race() {
 /// point) while every handler still makes progress when poked.
 #[test]
 fn thousands_of_idle_handlers_on_two_workers() {
-    let rt = Runtime::new(
-        OptimizationLevel::All
-            .config()
-            .with_scheduler(SchedulerMode::Pooled { workers: 2 }),
-    );
+    let rt = Runtime::new(OptimizationLevel::All.config().with_workers(2));
     let handlers: Vec<Handler<u64>> = (0..2_000).map(|_| rt.spawn_handler(0u64)).collect();
     // Poke a scattered subset.
     for (i, handler) in handlers.iter().enumerate().step_by(37) {
@@ -270,19 +256,16 @@ fn thousands_of_idle_handlers_on_two_workers() {
         "2000 idle handlers must not cost threads: peak {}",
         rt.scheduler_peak_threads()
     );
-    assert_eq!(rt.handler_threads_created(), 0);
     for handler in handlers {
         assert!(handler.shutdown_and_take().is_some());
     }
 }
 
-/// Sustained backpressure (the ISSUE 4 tentpole): pipelines whose blocks are
-/// far larger than their capacity-8 mailboxes, on a deliberately undersized
-/// 1-worker pool and on the dedicated-thread driver.  Both drive the same
-/// handler loop, so this checks causes, not a wall-clock ratio between them
-/// (that gate is `run_experiments scheduler`, in release, outside tier-1):
-/// producers must actually stall, the bounded mailboxes must fire pressure
-/// wakes, and everything enqueued must be executed.
+/// Sustained backpressure: pipelines whose blocks are far larger than their
+/// capacity-8 mailboxes, on a deliberately undersized 1-worker pool.  This
+/// checks causes, not throughput: producers must actually stall, the
+/// bounded mailboxes must fire pressure wakes, and everything enqueued must
+/// be executed.
 #[test]
 fn sustained_backpressure_stalls_fire_pressure_wakes_and_lose_nothing() {
     use qs_bench::experiments::{
@@ -290,24 +273,22 @@ fn sustained_backpressure_stalls_fire_pressure_wakes_and_lose_nothing() {
     };
 
     // The experiment (pipelines, capacity 8, calls per block, undersized
-    // 1-worker pool vs dedicated) lives in qs_bench::experiments so this
-    // test and the CI bench gate run the same thing.
+    // 1-worker pool) lives in qs_bench::experiments so this test and the
+    // `run_experiments scheduler` sweep run the same thing.
     const BLOCKS: usize = 6; // blocks >> capacity: sustained stalls
-    let (dedicated, pooled) = backpressure_sweep(BLOCKS, 1);
-    for point in [&dedicated, &pooled] {
-        assert!(
-            point.backpressure_stalls > 0,
-            "no sustained pressure: {point:?}"
-        );
-        assert_eq!(
-            point.requests,
-            (BACKPRESSURE_PIPELINES * BLOCKS * BACKPRESSURE_CALLS_PER_BLOCK) as u64,
-            "enqueued != executed: {point:?}"
-        );
-    }
+    let point = backpressure_sweep(BLOCKS, 1);
     assert!(
-        pooled.pressure_wakes > 0,
-        "bounded mailboxes at capacity must fire pressure wakes"
+        point.backpressure_stalls > 0,
+        "no sustained pressure: {point:?}"
+    );
+    assert_eq!(
+        point.requests,
+        (BACKPRESSURE_PIPELINES * BLOCKS * BACKPRESSURE_CALLS_PER_BLOCK) as u64,
+        "enqueued != executed: {point:?}"
+    );
+    assert!(
+        point.pressure_wakes > 0,
+        "bounded mailboxes at capacity must fire pressure wakes: {point:?}"
     );
 }
 
@@ -361,7 +342,7 @@ fn two_preloaded_handlers_share_one_worker_fairly() {
                 // without ever blocking, so the fairness of the drain itself
                 // is what is measured.
                 .with_mailbox_capacity(None)
-                .with_scheduler(SchedulerMode::Pooled { workers: 1 }),
+                .with_workers(1),
         );
         let a = rt.spawn_handler(0u64);
         let b = rt.spawn_handler(0u64);
@@ -428,71 +409,65 @@ fn two_preloaded_handlers_share_one_worker_fairly() {
 
 /// Per-handler mailbox-capacity overrides coexist with the runtime-wide
 /// default on one runtime: a capacity-1 handler applies hard backpressure
-/// while sibling handlers keep the roomy default, on both loop flavours and
-/// both scheduling modes.
+/// while sibling handlers keep the roomy default, on both loop flavours.
 #[test]
 fn per_handler_capacity_override_coexists_with_global_default() {
     for level in [OptimizationLevel::All, OptimizationLevel::None] {
-        for scheduler in [
-            SchedulerMode::Pooled { workers: 2 },
-            SchedulerMode::Dedicated,
-        ] {
-            let context = format!("{level} / {scheduler}");
-            let rt = Runtime::new(level.config().with_scheduler(scheduler));
-            let roomy = rt.spawn_handler(0u64);
-            let tiny = rt.spawn_with_capacity(0u64, Some(1));
-            assert_eq!(tiny.config().mailbox_capacity, Some(1), "{context}");
-            assert_eq!(
-                roomy.config().mailbox_capacity,
-                rt.config().mailbox_capacity,
-                "{context}"
-            );
+        let context = level.to_string();
+        let rt = Runtime::new(level.config().with_workers(2));
+        let roomy = rt.spawn_handler(0u64);
+        let tiny = rt.spawn_with_capacity(0u64, Some(1));
+        assert_eq!(tiny.config().mailbox_capacity, Some(1), "{context}");
+        assert_eq!(
+            roomy.config().mailbox_capacity,
+            rt.config().mailbox_capacity,
+            "{context}"
+        );
 
-            // The roomy handler first: blocks far below the default bound
-            // must finish without a single stall.
-            std::thread::scope(|scope| {
-                for _ in 0..2 {
-                    let roomy = roomy.clone();
-                    scope.spawn(move || {
-                        for _ in 0..3 {
-                            roomy.separate(|s| {
-                                for _ in 0..100 {
-                                    s.call(|n| *n += 1);
-                                }
-                            });
-                        }
-                    });
-                }
-            });
-            assert_eq!(roomy.query_detached(|n| *n), 600, "{context}");
-            assert_eq!(
-                rt.stats_snapshot().backpressure_stalls,
-                0,
-                "{context}: the default-capacity handler must not stall"
-            );
-
-            // The capacity-1 handler: every burst vastly exceeds the bound,
-            // so the producers must stall — and still lose nothing.
-            std::thread::scope(|scope| {
-                for _ in 0..2 {
-                    let tiny = tiny.clone();
-                    scope.spawn(move || {
-                        tiny.separate(|s| {
-                            for _ in 0..500 {
+        // The roomy handler first: blocks far below the default bound
+        // must finish without a single stall.
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let roomy = roomy.clone();
+                scope.spawn(move || {
+                    for _ in 0..3 {
+                        roomy.separate(|s| {
+                            for _ in 0..100 {
                                 s.call(|n| *n += 1);
                             }
                         });
+                    }
+                });
+            }
+        });
+        assert_eq!(roomy.query_detached(|n| *n), 600, "{context}");
+        assert_eq!(
+            rt.stats_snapshot().backpressure_stalls,
+            0,
+            "{context}: the default-capacity handler must not stall"
+        );
+
+        // The capacity-1 handler: every burst vastly exceeds the bound,
+        // so the producers must stall — and still lose nothing.
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let tiny = tiny.clone();
+                scope.spawn(move || {
+                    tiny.separate(|s| {
+                        for _ in 0..500 {
+                            s.call(|n| *n += 1);
+                        }
                     });
-                }
-            });
-            assert_eq!(tiny.query_detached(|n| *n), 1_000, "{context}");
-            assert!(
-                rt.stats_snapshot().backpressure_stalls > 0,
-                "{context}: the capacity-1 override must apply backpressure"
-            );
-            assert_eq!(roomy.shutdown_and_take(), Some(600), "{context}");
-            assert_eq!(tiny.shutdown_and_take(), Some(1_000), "{context}");
-        }
+                });
+            }
+        });
+        assert_eq!(tiny.query_detached(|n| *n), 1_000, "{context}");
+        assert!(
+            rt.stats_snapshot().backpressure_stalls > 0,
+            "{context}: the capacity-1 override must apply backpressure"
+        );
+        assert_eq!(roomy.shutdown_and_take(), Some(600), "{context}");
+        assert_eq!(tiny.shutdown_and_take(), Some(1_000), "{context}");
     }
 }
 
@@ -555,20 +530,16 @@ fn entangle_ring(node: &mut RingNode) {
     });
 }
 
-/// Builds an `n`-node ring under `mode`/`policy` (capacity-1 mailboxes) and
-/// fires every node's entangling request.
-fn spawn_deadlocked_ring(
-    mode: SchedulerMode,
-    policy: DeadlockPolicy,
-    n: usize,
-) -> (Runtime, Vec<Handler<RingNode>>) {
+/// Builds an `n`-node ring under `policy` (capacity-1 mailboxes, a 2-worker
+/// pool) and fires every node's entangling request.
+fn spawn_deadlocked_ring(policy: DeadlockPolicy, n: usize) -> (Runtime, Vec<Handler<RingNode>>) {
     use std::sync::Arc;
 
     let rt = Runtime::new(
         OptimizationLevel::All
             .config()
             .with_mailbox_capacity(Some(1))
-            .with_scheduler(mode)
+            .with_workers(2)
             .with_deadlock_policy(policy),
     );
     let events: Vec<Arc<scoop_qs::sync::Event>> = (0..n)
@@ -610,38 +581,28 @@ fn await_detection(rt: &Runtime, context: &str) -> std::time::Duration {
     started.elapsed()
 }
 
-/// A real 2-party bounded-mailbox cycle in both scheduler modes: detected
-/// within the latency bound, reported with the right participants and edge
-/// kinds, broken by `DeadlockPolicy::Break`, and fully recovered from.
+/// A real 2-party bounded-mailbox cycle: detected within the latency bound,
+/// reported with the right participants and edge kinds, broken by
+/// `DeadlockPolicy::Break`, and fully recovered from.
 #[test]
 fn deadlock_two_party_cycle_detected_and_broken_across_modes() {
-    for mode in [
-        SchedulerMode::Dedicated,
-        SchedulerMode::Pooled { workers: 2 },
-    ] {
-        deadlocked_ring_round(mode, 2);
-    }
+    deadlocked_ring_round(2);
 }
 
 /// The same, for a 3-party ring: client A blocked pushing to B, B to C, C
 /// back to A.
 #[test]
 fn deadlock_three_party_cycle_detected_and_broken_across_modes() {
-    for mode in [
-        SchedulerMode::Dedicated,
-        SchedulerMode::Pooled { workers: 2 },
-    ] {
-        deadlocked_ring_round(mode, 3);
-    }
+    deadlocked_ring_round(3);
 }
 
-fn deadlocked_ring_round(mode: SchedulerMode, n: usize) {
-    let context = format!("{mode} / {n}-party");
-    let (rt, nodes) = spawn_deadlocked_ring(mode, DeadlockPolicy::Break, n);
+fn deadlocked_ring_round(n: usize) {
+    let context = format!("{n}-party");
+    let (rt, nodes) = spawn_deadlocked_ring(DeadlockPolicy::Break, n);
 
     // Latency bound: the detector confirms within two 10ms scan ticks of
-    // the cycle forming; the ring needs a rendezvous (and, pooled, possibly
-    // a ~100ms compensation spawn) first.  5s is two orders of magnitude of
+    // the cycle forming; the ring needs a rendezvous (and possibly a ~100ms
+    // compensation spawn) first.  5s is two orders of magnitude of
     // CI-noise headroom above that, and far below await_detection's 30s
     // hang backstop — a detection slowdown fails here first.
     let latency = await_detection(&rt, &context);
@@ -713,8 +674,7 @@ fn deadlocked_ring_round(mode: SchedulerMode, n: usize) {
 /// reported (and counted) but stays in place, and nothing is broken.
 #[test]
 fn deadlock_report_mode_observes_without_breaking() {
-    let mode = SchedulerMode::Pooled { workers: 2 };
-    let (rt, nodes) = spawn_deadlocked_ring(mode, DeadlockPolicy::Report, 2);
+    let (rt, nodes) = spawn_deadlocked_ring(DeadlockPolicy::Report, 2);
     let context = "report-mode 2-party";
     await_detection(&rt, context);
     // Give the monitor a few more ticks: the confirmed cycle must be
@@ -821,8 +781,7 @@ fn deadlock_lock_based_abba_cycle_is_reported_as_handler_lock_edges() {
 
 /// The no-false-positive control: a heavily backpressured but *acyclic*
 /// pipeline under `DeadlockPolicy::Report` must finish with plenty of
-/// genuine blocking (stalls > 0) and zero deadlock reports, in both
-/// scheduler modes.
+/// genuine blocking (stalls > 0) and zero deadlock reports.
 #[test]
 fn deadlock_soak_acyclic_backpressure_has_no_false_positives() {
     struct Stage {
@@ -849,82 +808,77 @@ fn deadlock_soak_acyclic_backpressure_has_no_false_positives() {
         }
     }
 
-    for mode in [
-        SchedulerMode::Dedicated,
-        SchedulerMode::Pooled { workers: 2 },
-    ] {
-        let context = format!("acyclic soak / {mode}");
-        let rt = Runtime::new(
-            OptimizationLevel::All
-                .config()
-                .with_mailbox_capacity(Some(4))
-                .with_scheduler(mode)
-                .with_deadlock_policy(DeadlockPolicy::Report),
-        );
-        let sink = rt.spawn_handler(Stage {
-            next: None,
-            received: 0,
-            pending: 0,
-        });
-        let mid = rt.spawn_handler(Stage {
-            next: Some(sink.clone()),
-            received: 0,
-            pending: 0,
-        });
-        let first = rt.spawn_handler(Stage {
-            next: Some(mid.clone()),
-            received: 0,
-            pending: 0,
-        });
+    let context = "acyclic soak";
+    let rt = Runtime::new(
+        OptimizationLevel::All
+            .config()
+            .with_mailbox_capacity(Some(4))
+            .with_workers(2)
+            .with_deadlock_policy(DeadlockPolicy::Report),
+    );
+    let sink = rt.spawn_handler(Stage {
+        next: None,
+        received: 0,
+        pending: 0,
+    });
+    let mid = rt.spawn_handler(Stage {
+        next: Some(sink.clone()),
+        received: 0,
+        pending: 0,
+    });
+    let first = rt.spawn_handler(Stage {
+        next: Some(mid.clone()),
+        received: 0,
+        pending: 0,
+    });
 
-        const CLIENTS: usize = 2;
-        const BLOCKS: usize = 40;
-        const CALLS_PER_BLOCK: usize = 16;
-        std::thread::scope(|scope| {
-            for _ in 0..CLIENTS {
-                let first = first.clone();
-                scope.spawn(move || {
-                    for _ in 0..BLOCKS {
-                        first.separate(|s| {
-                            for _ in 0..CALLS_PER_BLOCK {
-                                s.call(pump);
-                            }
-                        });
-                    }
-                });
-            }
-        });
-
-        // Every message flows through: 1280 into the first stage, forwarded
-        // in full batches of 8 all the way to the sink.
-        let expected = (CLIENTS * BLOCKS * CALLS_PER_BLOCK) as u64;
-        let started = std::time::Instant::now();
-        while sink.query_detached(|stage| stage.received) < expected {
-            assert!(
-                started.elapsed() < std::time::Duration::from_secs(60),
-                "{context}: pipeline stalled"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(2));
+    const CLIENTS: usize = 2;
+    const BLOCKS: usize = 40;
+    const CALLS_PER_BLOCK: usize = 16;
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            let first = first.clone();
+            scope.spawn(move || {
+                for _ in 0..BLOCKS {
+                    first.separate(|s| {
+                        for _ in 0..CALLS_PER_BLOCK {
+                            s.call(pump);
+                        }
+                    });
+                }
+            });
         }
+    });
 
-        let snapshot = rt.stats_snapshot();
+    // Every message flows through: 1280 into the first stage, forwarded
+    // in full batches of 8 all the way to the sink.
+    let expected = (CLIENTS * BLOCKS * CALLS_PER_BLOCK) as u64;
+    let started = std::time::Instant::now();
+    while sink.query_detached(|stage| stage.received) < expected {
         assert!(
-            snapshot.backpressure_stalls > 0,
-            "{context}: the soak must exercise real blocking, got {snapshot:?}"
+            started.elapsed() < std::time::Duration::from_secs(60),
+            "{context}: pipeline stalled"
         );
-        assert_eq!(
-            snapshot.deadlocks_detected,
-            0,
-            "{context}: false positive! reports: {:?}",
-            rt.deadlock_reports()
-        );
-        assert_eq!(snapshot.deadlocks_broken, 0, "{context}");
-        assert!(rt.deadlock_reports().is_empty(), "{context}");
-
-        // Clean teardown, producers first.
-        assert!(first.shutdown_and_take().is_some(), "{context}");
-        assert!(mid.shutdown_and_take().is_some(), "{context}");
-        let sink = sink.shutdown_and_take().expect("sink retires");
-        assert_eq!(sink.received, expected, "{context}");
+        std::thread::sleep(std::time::Duration::from_millis(2));
     }
+
+    let snapshot = rt.stats_snapshot();
+    assert!(
+        snapshot.backpressure_stalls > 0,
+        "{context}: the soak must exercise real blocking, got {snapshot:?}"
+    );
+    assert_eq!(
+        snapshot.deadlocks_detected,
+        0,
+        "{context}: false positive! reports: {:?}",
+        rt.deadlock_reports()
+    );
+    assert_eq!(snapshot.deadlocks_broken, 0, "{context}");
+    assert!(rt.deadlock_reports().is_empty(), "{context}");
+
+    // Clean teardown, producers first.
+    assert!(first.shutdown_and_take().is_some(), "{context}");
+    assert!(mid.shutdown_and_take().is_some(), "{context}");
+    let sink = sink.shutdown_and_take().expect("sink retires");
+    assert_eq!(sink.received, expected, "{context}");
 }

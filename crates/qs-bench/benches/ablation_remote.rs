@@ -1,8 +1,9 @@
 //! Transport ablation for the §7 future-work direction: the same
 //! counter workload against (a) an in-memory handler (shared-memory private
 //! queues), (b) a remote node over byte channels with no latency (pure
-//! serialisation overhead), and (c) a remote node with injected per-frame
-//! latency (a stand-in for a network hop).
+//! serialisation overhead), and (c) a remote node with injected per-write
+//! latency (a stand-in for a network hop; a block writes once per sync
+//! point).
 //!
 //! The interesting shape: serialisation costs a constant factor on every
 //! call, and latency multiplies with the number of *synchronous* operations —

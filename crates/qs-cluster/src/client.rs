@@ -22,10 +22,8 @@ use crate::ring::HashRing;
 /// How many idle connections the client keeps per node.
 const POOLED_PER_NODE: usize = 4;
 
-struct Conn {
-    requests: ByteSender,
-    responses: ByteReceiver,
-}
+/// One connection to a node: its request and response halves.
+type Conn = (ByteSender, ByteReceiver);
 
 /// A routing client for a cluster service.
 pub struct ClusterClient {
@@ -80,46 +78,30 @@ impl ClusterClient {
         }
     }
 
-    fn dial(&self, node: &str) -> Result<Conn, RemoteError> {
-        let addr = NodeAddr::parse(node).map_err(RemoteError::Protocol)?;
-        let (requests, responses) = addr.connect().map_err(|_| RemoteError::Disconnected)?;
-        requests
-            .send_frame(&Frame::Hello {
-                version: WIRE_VERSION,
-                client: self.client.clone(),
-            })
-            .map_err(|_| RemoteError::Disconnected)?;
-        Ok(Conn {
-            requests,
-            responses,
-        })
-    }
-
-    /// A connection to `node` with the `Open{handler}` (or none for
-    /// controls) already sent: a pooled connection whose first send
-    /// succeeds, else one fresh dial.  The single retry absorbs pooled
-    /// connections that died while idle.
-    fn conn_with_prologue(
-        &self,
-        node: &str,
-        prologue: Option<&Frame>,
-    ) -> Result<Conn, RemoteError> {
-        if let Some(conn) = self.checkout(node) {
-            match prologue {
-                Some(frame) if conn.requests.send_frame(frame).is_err() => {}
-                _ => return Ok(conn),
+    /// A connection to `node` with `prologue` already sent: a pooled
+    /// connection whose first send succeeds, else one fresh dial.  The
+    /// single retry absorbs pooled connections that died while idle.
+    fn conn_with_prologue(&self, node: &str, prologue: &Frame) -> Result<Conn, RemoteError> {
+        if let Some((requests, responses)) = self.checkout(node) {
+            if requests.send_frame(prologue).is_ok() {
+                return Ok((requests, responses));
             }
         }
-        let conn = self.dial(node)?;
-        if let Some(frame) = prologue {
-            conn.requests
-                .send_frame(frame)
-                .map_err(|_| RemoteError::Disconnected)?;
-        }
-        Ok(conn)
+        let (requests, responses) = dial(node, &self.client)?;
+        requests
+            .send_frame(prologue)
+            .map_err(|_| RemoteError::Disconnected)?;
+        Ok((requests, responses))
     }
 
     /// Opens a separate block against `handler`, routed to its owning node.
+    ///
+    /// The block's frames go out together at its sync points (see
+    /// [`RemoteSeparate`]), `Open` in the first write.  On a pooled
+    /// connection that first write falls back to one fresh dial if it
+    /// fails, as the connection may have died while idle.  Fails with
+    /// [`RemoteError::Disconnected`] when the node cannot be dialled or the
+    /// block's final write does not go through ([`RemoteSeparate::end`]).
     pub fn separate<R>(
         &self,
         handler: u64,
@@ -128,21 +110,30 @@ impl ClusterClient {
         let node = self
             .route(handler)
             .ok_or_else(|| RemoteError::Protocol("cluster has no nodes".to_string()))?;
-        let conn = self.conn_with_prologue(&node, Some(&Frame::Open { handler }))?;
-        let mut guard = RemoteSeparate::over(
-            conn.requests.clone(),
-            conn.responses.clone(),
-            self.response_timeout,
-        );
-        let result = body(&mut guard);
-        guard.end();
-        if !guard.is_failed() {
-            self.give_back(&node, conn);
+        let (requests, responses, pooled) = match self.checkout(&node) {
+            Some((requests, responses)) => (requests, responses, true),
+            None => {
+                let (requests, responses) = dial(&node, &self.client)?;
+                (requests, responses, false)
+            }
+        };
+        let mut guard = RemoteSeparate::over(requests, responses, self.response_timeout)
+            .with_prologue(&Frame::Open { handler });
+        if pooled {
+            let (node, client) = (node.clone(), self.client.clone());
+            guard = guard.with_redial(move || dial(&node, &client));
         }
-        Ok(result)
+        let result = body(&mut guard);
+        let ended = guard.end();
+        if !guard.is_failed() {
+            self.give_back(&node, guard.halves());
+        }
+        ended.map(|()| result)
     }
 
     /// Fire-and-forget convenience: one asynchronous call in its own block.
+    /// Fails with [`RemoteError::Disconnected`] when the call cannot be
+    /// written to its node.
     pub fn call(
         &self,
         handler: u64,
@@ -169,19 +160,19 @@ impl ClusterClient {
         op: &str,
         args: Vec<WireValue>,
     ) -> Result<WireValue, RemoteError> {
-        let conn = self.conn_with_prologue(
+        let (requests, responses) = self.conn_with_prologue(
             node,
-            Some(&Frame::Control {
+            &Frame::Control {
                 op: op.to_string(),
                 args,
-            }),
+            },
         )?;
-        match conn.responses.recv_frame_timeout(self.response_timeout) {
+        match responses.recv_frame_timeout(self.response_timeout) {
             Ok(Frame::ControlResult { result }) => {
                 // A node answering `shutdown` closes the connection next;
                 // pooling it would hand a dead connection to the next block.
                 if op != "shutdown" {
-                    self.give_back(node, conn);
+                    self.give_back(node, (requests, responses));
                 }
                 result.map_err(RemoteError::Application)
             }
@@ -248,6 +239,19 @@ impl ClusterClient {
             let _ = self.control(&member, "shutdown", vec![]);
         }
     }
+}
+
+/// Dials `node` and greets it as `client`.
+fn dial(node: &str, client: &str) -> Result<Conn, RemoteError> {
+    let addr = NodeAddr::parse(node).map_err(RemoteError::Protocol)?;
+    let (requests, responses) = addr.connect().map_err(|_| RemoteError::Disconnected)?;
+    requests
+        .send_frame(&Frame::Hello {
+            version: WIRE_VERSION,
+            client: client.to_string(),
+        })
+        .map_err(|_| RemoteError::Disconnected)?;
+    Ok((requests, responses))
 }
 
 impl std::fmt::Debug for ClusterClient {

@@ -4,10 +4,11 @@
 //! job; here the nodes share the test process so failures carry stack
 //! traces.)
 
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
-use qs_cluster::{bank_service, ClusterClient, NodeConfig, NodeServer};
-use qs_remote::{NodeAddr, RemoteError, WireValue};
+use qs_cluster::{bank_service, ClusterClient, ClusterService, NodeConfig, NodeServer};
+use qs_remote::{Frame, NodeAddr, RemoteError, WireValue, WIRE_VERSION};
 
 fn tcp_node() -> NodeServer<qs_cluster::Account> {
     NodeServer::start(
@@ -263,4 +264,278 @@ fn nodes_join_and_leave_the_ring() {
         client.query(user, "balance", vec![]).unwrap();
     }
     client.shutdown_cluster();
+}
+
+/// A node's `stats` control op, as counter name → value.
+fn stats(client: &ClusterClient, node: &str) -> BTreeMap<String, i64> {
+    let stats = client.control(node, "stats", vec![]).unwrap();
+    let mut counters = BTreeMap::new();
+    for pair in stats.as_list().unwrap() {
+        if let [key, value] = pair.as_list().unwrap() {
+            counters.insert(key.as_str().unwrap().to_string(), value.as_int().unwrap());
+        }
+    }
+    counters
+}
+
+fn stat(client: &ClusterClient, node: &str, name: &str) -> i64 {
+    stats(client, node)[name]
+}
+
+/// The node runtime's enqueued calls and handler wake-ups, read together.
+fn runtime_counts(client: &ClusterClient, node: &str) -> (i64, i64) {
+    let stats = stats(client, node);
+    (
+        stats["runtime_calls_enqueued"],
+        stats["runtime_handler_wakeups"],
+    )
+}
+
+#[test]
+fn calls_sent_with_their_query_run_at_its_sync_without_a_worker() {
+    let node = tcp_node();
+    let name = node.name().to_string();
+    let client = ClusterClient::new("fold", &[node.addr().clone()])
+        .with_response_timeout(Duration::from_secs(10));
+    let users = 0..8u64;
+    for user in users.clone() {
+        client.query(user, "balance", vec![]).unwrap();
+    }
+    let mut tally = [0i64; 8];
+
+    // Open, three deposits and the balance go out in one write; the node
+    // applies the deposits inside the query's sync on its connection
+    // thread, so the runtime neither enqueues a call nor wakes a worker.
+    let before = runtime_counts(&client, &name);
+    for block in 0..200usize {
+        let user = block % 8;
+        let balance = client
+            .separate(user as u64, |s| {
+                for amount in 1..=3 {
+                    s.call("deposit", vec![WireValue::Int(amount)]).unwrap();
+                }
+                s.query("balance", vec![]).unwrap()
+            })
+            .unwrap();
+        tally[user] += 6;
+        assert_eq!(balance, WireValue::Int(tally[user]), "block {block}");
+    }
+    assert_eq!(runtime_counts(&client, &name), before);
+
+    // Without a query the deposits arrive with `End` and are logged as
+    // calls, as before: every one reaches the handler through the pool.
+    let (calls_before, _) = runtime_counts(&client, &name);
+    for block in 0..200usize {
+        client
+            .separate((block % 8) as u64, |s| {
+                for amount in 1..=3 {
+                    s.call("deposit", vec![WireValue::Int(amount)]).unwrap();
+                }
+            })
+            .unwrap();
+        tally[block % 8] += 6;
+    }
+    let (calls_after, _) = runtime_counts(&client, &name);
+    assert_eq!(calls_after - calls_before, 600);
+    for user in users {
+        assert_eq!(
+            client.query(user, "balance", vec![]).unwrap(),
+            WireValue::Int(tally[user as usize]),
+            "user {user}"
+        );
+    }
+    assert_eq!(stat(&client, &name, "calls"), 1200);
+    assert_eq!(stat(&client, &name, "queries"), 8 + 200 + 8);
+    assert_eq!(stat(&client, &name, "blocks"), 8 + 400 + 8);
+    client.shutdown_cluster();
+}
+
+/// The bank, plus a method that panics.
+fn fragile_bank_node() -> NodeServer<qs_cluster::Account> {
+    let registry = qs_cluster::bank_registry().with("explode", |_, _| panic!("explode called"));
+    let service = ClusterService::new("fragile-bank", registry, |_| qs_cluster::Account::default());
+    NodeServer::start(
+        service,
+        NodeConfig::at(NodeAddr::parse("tcp:127.0.0.1:0").unwrap()),
+    )
+    .unwrap()
+}
+
+#[test]
+fn held_calls_keep_call_semantics_inside_the_query() {
+    let node = fragile_bank_node();
+    let name = node.name().to_string();
+    let client = ClusterClient::new("fold-semantics", &[node.addr().clone()])
+        .with_response_timeout(Duration::from_secs(10));
+    client.query(1, "balance", vec![]).unwrap();
+    let before = runtime_counts(&client, &name);
+    let panics_before = stat(&client, &name, "call_panics");
+
+    // One write: an overdraft (an `Err`, dropped), a panic (caught), and
+    // the deposits around them, answered by the balance in the same write.
+    let balance = client
+        .separate(1, |s| {
+            s.call("deposit", vec![WireValue::Int(10)]).unwrap();
+            s.call("withdraw", vec![WireValue::Int(1000)]).unwrap();
+            s.call("explode", vec![]).unwrap();
+            s.call("deposit", vec![WireValue::Int(5)]).unwrap();
+            s.query("balance", vec![]).unwrap()
+        })
+        .unwrap();
+    assert_eq!(balance, WireValue::Int(15));
+    assert_eq!(runtime_counts(&client, &name), before);
+    assert_eq!(stat(&client, &name, "call_panics"), panics_before + 1);
+
+    // A sync after held calls applies them the same way.
+    client
+        .separate(1, |s| {
+            s.call("explode", vec![]).unwrap();
+            s.call("deposit", vec![WireValue::Int(1)]).unwrap();
+            s.sync().unwrap();
+        })
+        .unwrap();
+    assert_eq!(runtime_counts(&client, &name), before);
+    assert_eq!(stat(&client, &name, "call_panics"), panics_before + 2);
+
+    // The connection survived both and serves the next block.
+    assert_eq!(
+        client.query(1, "balance", vec![]).unwrap(),
+        WireValue::Int(16)
+    );
+    assert_eq!(stat(&client, &name, "connections"), 1);
+    client.shutdown_cluster();
+}
+
+#[test]
+fn a_client_sending_frame_by_frame_is_served_as_before() {
+    let node = fragile_bank_node();
+    let name = node.name().to_string();
+    let control = ClusterClient::new("observer", &[node.addr().clone()])
+        .with_response_timeout(Duration::from_secs(10));
+    control.query(1, "balance", vec![]).unwrap();
+    let (calls_before, _) = runtime_counts(&control, &name);
+    let panics_before = stat(&control, &name, "call_panics");
+
+    let (requests, responses) = node.addr().connect().unwrap();
+    requests
+        .send_frame(&Frame::Hello {
+            version: WIRE_VERSION,
+            client: "frame-by-frame".into(),
+        })
+        .unwrap();
+    requests.send_frame(&Frame::Open { handler: 1 }).unwrap();
+    let calls = [
+        ("deposit", vec![WireValue::Int(10)]),
+        ("withdraw", vec![WireValue::Int(1000)]),
+        ("explode", vec![]),
+        ("deposit", vec![WireValue::Int(5)]),
+    ];
+    for (sent, (method, args)) in calls.into_iter().enumerate() {
+        requests
+            .send_frame(&Frame::Call {
+                method: method.into(),
+                args,
+            })
+            .unwrap();
+        // Nothing follows the call until the node has logged it on the
+        // handler: it took the path a call sent alone takes.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while runtime_counts(&control, &name).0 < calls_before + sent as i64 + 1 {
+            assert!(Instant::now() < deadline, "call {sent} was not logged");
+        }
+    }
+    requests
+        .send_frame(&Frame::Query {
+            method: "balance".into(),
+            args: vec![],
+        })
+        .unwrap();
+    assert_eq!(
+        responses.recv_frame_timeout(Some(Duration::from_secs(10))),
+        Ok(Frame::QueryResult {
+            result: Ok(WireValue::Int(15))
+        })
+    );
+    requests.send_frame(&Frame::End).unwrap();
+    assert_eq!(
+        control.query(1, "balance", vec![]).unwrap(),
+        WireValue::Int(15)
+    );
+    assert_eq!(runtime_counts(&control, &name).0, calls_before + 4);
+    // The runtime counted the panic of the logged call.
+    assert_eq!(stat(&control, &name, "call_panics"), panics_before + 1);
+    control.shutdown_cluster();
+}
+
+#[test]
+fn a_long_block_is_applied_while_the_client_is_still_sending_it() {
+    let node = tcp_node();
+    let name = node.name().to_string();
+    let client = ClusterClient::new("long-block", &[node.addr().clone()])
+        .with_response_timeout(Duration::from_secs(10));
+    let observer = ClusterClient::new("observer", &[node.addr().clone()])
+        .with_response_timeout(Duration::from_secs(10));
+    client.query(1, "balance", vec![]).unwrap();
+    let (calls_before, _) = runtime_counts(&observer, &name);
+
+    let calls = 100_000;
+    client
+        .separate(1, |s| {
+            for _ in 0..calls {
+                s.call("deposit", vec![WireValue::Int(1)]).unwrap();
+            }
+            // No `End` yet: the client wrote the calls in 16 KiB pieces as
+            // it logged them, and the node logs each piece on the handler
+            // as it arrives.  Only the last partial piece is still buffered.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while runtime_counts(&observer, &name).0 < calls_before + calls - 1_000 {
+                assert!(
+                    Instant::now() < deadline,
+                    "the node held the block's calls until its end"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+        .unwrap();
+    assert_eq!(
+        client.query(1, "balance", vec![]).unwrap(),
+        WireValue::Int(calls)
+    );
+    assert_eq!(runtime_counts(&observer, &name).0, calls_before + calls);
+    observer.shutdown_cluster();
+}
+
+#[test]
+fn a_call_to_a_gone_node_fails_when_its_pooled_connection_cannot_be_redialled() {
+    // A one-block "node" on a Unix socket: it answers one query, then
+    // closes the connection and its listener, so the client's pooled
+    // connection is dead (a write to it fails at once) and a redial finds
+    // nothing listening.
+    let path = std::env::temp_dir().join(format!("qs-cluster-gone-{}.sock", std::process::id()));
+    let addr = NodeAddr::Unix(path);
+    let listener = qs_remote::NodeListener::bind(&addr).unwrap();
+    let node = std::thread::spawn(move || {
+        let (responses, requests) = listener.accept().unwrap();
+        assert!(matches!(requests.recv_frame(), Ok(Frame::Hello { .. })));
+        assert_eq!(requests.recv_frame(), Ok(Frame::Open { handler: 1 }));
+        assert!(matches!(requests.recv_frame(), Ok(Frame::Query { .. })));
+        responses
+            .send_frame(&Frame::QueryResult {
+                result: Ok(WireValue::Int(0)),
+            })
+            .unwrap();
+        assert_eq!(requests.recv_frame(), Ok(Frame::End));
+    });
+    let client = ClusterClient::new("bereaved", std::slice::from_ref(&addr))
+        .with_response_timeout(Duration::from_secs(10));
+    assert_eq!(
+        client.query(1, "balance", vec![]).unwrap(),
+        WireValue::Int(0)
+    );
+    node.join().unwrap();
+
+    assert_eq!(
+        client.call(1, "deposit", vec![WireValue::Int(1)]),
+        Err(RemoteError::Disconnected)
+    );
 }

@@ -5,7 +5,7 @@
 //! the node/proxy machinery in [`crate::node`] works unchanged over either:
 //!
 //! * **in-process byte channels** ([`byte_channel`]) — ordered bytes,
-//!   blocking reads, half-close, and (optionally) injected per-flush latency
+//!   blocking reads, half-close, and (optionally) injected per-write latency
 //!   and bounded send buffers so wide-area behaviour can be studied on one
 //!   machine without a network;
 //! * **real sockets** ([`crate::transport`]) — TCP and Unix-domain streams,
@@ -33,10 +33,13 @@ use crate::wire::{decode_frame, encode_frame, DecodeError, Frame};
 /// Configuration of an in-process byte channel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChannelConfig {
-    /// Latency added to every frame flush (simulated network delay).
+    /// Latency added to every write (simulated network delay).
     pub latency: Option<Duration>,
     /// Maximum number of buffered bytes before senders block (simulated
-    /// socket send-buffer); `None` means unbounded.
+    /// socket send-buffer); `None` means unbounded.  A single write longer
+    /// than the capacity waits for the buffer to empty and then goes in
+    /// whole, so a frame never waits on itself; a block's writes are at
+    /// most about 16 KiB plus one frame.
     pub capacity: Option<usize>,
     /// How long a client waits for a query/sync/control response before
     /// surfacing a timeout instead of blocking forever (`None` = wait
@@ -52,7 +55,7 @@ impl ChannelConfig {
         ChannelConfig::default()
     }
 
-    /// A channel that delays every frame by `latency`.
+    /// A channel that delays every write by `latency`.
     pub fn with_latency(latency: Duration) -> Self {
         ChannelConfig {
             latency: Some(latency),
@@ -325,22 +328,6 @@ impl Drop for ChannelRx {
 }
 
 impl ByteReceiver {
-    /// Blocks until exactly `n` bytes are available and returns them, or
-    /// reports closure if the stream ends first.
-    pub fn recv_exact(&self, n: usize) -> Result<Vec<u8>, ChannelClosed> {
-        match &self.inner {
-            ReceiverInner::Channel(rx) => {
-                rx.recv_exact_deadline(n, None).map_err(|_| ChannelClosed)
-            }
-            ReceiverInner::Stream(rx) => {
-                let mut buffer = vec![0u8; n];
-                rx.read_exact(&mut buffer, None)
-                    .map_err(|_| ChannelClosed)?;
-                Ok(buffer)
-            }
-        }
-    }
-
     /// Receives one length-prefixed frame, blocking until it is complete.
     pub fn recv_frame(&self) -> Result<Frame, RecvError> {
         self.recv_frame_timeout(None)
@@ -350,33 +337,36 @@ impl ByteReceiver {
     /// (`None` = block forever).
     ///
     /// After [`RecvError::TimedOut`] on a *socket*, the stream may be
-    /// desynchronised (partial frames stay consumed by the kernel): abandon
+    /// desynchronised (a partial frame may sit in the read buffer): abandon
     /// the connection rather than reading further.
     pub fn recv_frame_timeout(&self, timeout: Option<Duration>) -> Result<Frame, RecvError> {
-        let body = match &self.inner {
-            ReceiverInner::Channel(rx) => {
-                let deadline = timeout.map(|t| Instant::now() + t);
-                let header = rx.recv_exact_deadline(4, deadline)?;
-                let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-                rx.recv_exact_deadline(len, deadline)?
-            }
-            ReceiverInner::Stream(rx) => {
-                let mut header = [0u8; 4];
-                rx.read_exact(&mut header, timeout)?;
-                let len = u32::from_le_bytes(header) as usize;
-                if len > crate::wire::MAX_FRAME_LEN {
-                    return Err(RecvError::Malformed(DecodeError {
-                        message: format!("frame length {len} exceeds the wire limit"),
-                    }));
-                }
-                let mut body = vec![0u8; len];
-                rx.read_exact(&mut body, timeout)?;
-                body
-            }
+        let rx = match &self.inner {
+            ReceiverInner::Channel(rx) => rx,
+            ReceiverInner::Stream(rx) => return rx.recv_frame(timeout),
         };
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let header = rx.recv_exact_deadline(4, deadline)?;
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        let body = rx.recv_exact_deadline(len, deadline)?;
         // 4 header bytes + body = the peer's FrameSend payload size.
         qs_obs::trace(qs_obs::TraceKind::FrameRecv, body.len() as u64 + 4, 0);
         decode_frame(&body).map_err(RecvError::Malformed)
+    }
+
+    /// Whether a complete frame is already buffered, so the next
+    /// [`recv_frame`](Self::recv_frame) returns without waiting for the
+    /// peer.  Never blocks and never reads the socket.
+    pub fn has_frame(&self) -> bool {
+        match &self.inner {
+            ReceiverInner::Channel(rx) => {
+                let buffer = &rx.shared.stream.lock().buffer;
+                buffer.len() >= 4 && {
+                    let len = u32::from_le_bytes([buffer[0], buffer[1], buffer[2], buffer[3]]);
+                    buffer.len() >= 4 + len as usize
+                }
+            }
+            ReceiverInner::Stream(rx) => rx.has_frame(),
+        }
     }
 
     /// Returns `true` when the sender has closed the channel and no buffered
@@ -392,12 +382,13 @@ impl ByteReceiver {
         }
     }
 
-    /// Number of bytes currently buffered in-process (diagnostics; socket
-    /// receivers report 0 — their backlog lives in the kernel).
+    /// Number of bytes received but not yet returned as frames
+    /// (diagnostics): the channel's buffer, or a socket's read buffer —
+    /// not what still waits in the kernel.
     pub fn buffered_bytes(&self) -> usize {
         match &self.inner {
             ReceiverInner::Channel(rx) => rx.shared.stream.lock().buffer.len(),
-            ReceiverInner::Stream(_) => 0,
+            ReceiverInner::Stream(rx) => rx.buffered_bytes(),
         }
     }
 }

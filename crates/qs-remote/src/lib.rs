@@ -12,7 +12,7 @@
 //! * [`wire`] — the frame format: length-prefixed, binary-encoded call frames
 //!   (`Hello`, `Call`, `Query`, `Sync`/`SyncAck`, `QueryResult`, `End`);
 //! * [`channel`] — the byte-channel substrate standing in for a socket pair,
-//!   with optional per-frame latency and bounded send buffers so wide-area
+//!   with optional per-write latency and bounded send buffers so wide-area
 //!   behaviour can be studied locally;
 //! * [`registry`] — method registries: a byte stream cannot carry a closure,
 //!   so remote calls name registered methods and carry serialised arguments;
@@ -57,4 +57,6 @@ pub use channel::{
 pub use node::{NodeStats, RemoteError, RemoteNode, RemoteProxy, RemoteSeparate};
 pub use registry::{counter_registry, MethodRegistry, RemoteObject};
 pub use transport::{NodeAddr, NodeListener};
-pub use wire::{decode_frame, encode_frame, DecodeError, Frame, WireValue, WIRE_VERSION};
+pub use wire::{
+    decode_frame, encode_frame, encode_frame_into, DecodeError, Frame, WireValue, WIRE_VERSION,
+};

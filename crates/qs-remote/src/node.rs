@@ -381,7 +381,9 @@ fn serve_private_queue<T>(
 impl RemoteProxy {
     /// Opens a separate block against the node: registers a fresh byte-channel
     /// private queue on the node's queue-of-queues, runs `body`, then logs the
-    /// END marker (Fig. 8 over the wire).
+    /// END marker (Fig. 8 over the wire).  Calls logged after the body's last
+    /// query or sync go out with that marker; a body that needs to know they
+    /// were delivered ends the block itself with [`RemoteSeparate::end`].
     pub fn separate<R>(&self, body: impl FnOnce(&mut RemoteSeparate) -> R) -> R {
         let (request_tx, request_rx) = byte_channel(self.shared.channel_config);
         let (response_tx, response_rx) = byte_channel(self.shared.channel_config);
@@ -394,24 +396,28 @@ impl RemoteProxy {
         } else {
             self.shared.register((request_rx, response_tx));
         }
-        let _ = request_tx.send_frame(&Frame::Hello {
-            version: WIRE_VERSION,
-            client: self.client.clone(),
-        });
         let mut guard = RemoteSeparate::over(
             request_tx,
             response_rx,
             self.shared.channel_config.response_timeout,
-        );
+        )
+        .with_prologue(&Frame::Hello {
+            version: WIRE_VERSION,
+            client: self.client.clone(),
+        });
         let result = body(&mut guard);
-        guard.end();
+        let _ = guard.end();
         result
     }
 
     /// Fire-and-forget convenience: a single asynchronous call in its own
-    /// block.
+    /// block.  Fails with [`RemoteError::Disconnected`] when the call could
+    /// not be written, e.g. because the node has stopped.
     pub fn call_detached(&self, method: &str, args: Vec<WireValue>) -> Result<(), RemoteError> {
-        self.separate(|s| s.call(method, args))
+        self.separate(|s| {
+            s.call(method, args)?;
+            s.end()
+        })
     }
 
     /// Convenience: a single query in its own block.
@@ -471,19 +477,21 @@ impl SocketProxy {
     }
 
     /// Opens a separate block over a fresh connection.  Fails with
-    /// [`RemoteError::Disconnected`] if the node cannot be reached.
+    /// [`RemoteError::Disconnected`] if the node cannot be reached, or if
+    /// the block's final write does not go through (see
+    /// [`RemoteSeparate::end`]).
     pub fn separate<R>(
         &self,
         body: impl FnOnce(&mut RemoteSeparate) -> R,
     ) -> Result<R, RemoteError> {
         let (requests, responses) = self.addr.connect().map_err(|_| RemoteError::Disconnected)?;
-        let _ = requests.send_frame(&Frame::Hello {
-            version: WIRE_VERSION,
-            client: self.client.clone(),
-        });
-        let mut guard = RemoteSeparate::over(requests, responses, self.response_timeout);
+        let mut guard = RemoteSeparate::over(requests, responses, self.response_timeout)
+            .with_prologue(&Frame::Hello {
+                version: WIRE_VERSION,
+                client: self.client.clone(),
+            });
         let result = body(&mut guard);
-        guard.end();
+        guard.end()?;
         Ok(result)
     }
 
@@ -493,11 +501,32 @@ impl SocketProxy {
     }
 }
 
+/// Dials a replacement connection for a block whose first write failed
+/// (see [`RemoteSeparate::with_redial`]).
+type Redial = Box<dyn FnOnce() -> Result<(ByteSender, ByteReceiver), RemoteError> + Send>;
+
+/// How many encoded bytes a block buffers before a call writes them: a long
+/// run of calls goes out in pieces of about this size, so neither the
+/// client's buffer nor what the node holds of it grows with the run.
+const FLUSH_AT: usize = 16 * 1024;
+
 /// One client's reservation of a remote node for the duration of a block.
+///
+/// Frames are encoded into a per-block buffer and written together at the
+/// block's sync points: a query or sync writes everything logged since the
+/// last write, then waits for its reply, and the end writes the rest.  A
+/// call therefore reaches the node with the next query, sync or end, not at
+/// once — which no client can observe, because the block holds the handler
+/// until its `End`, and `End` is always written.  A run of calls that fills
+/// 16 KiB of buffer is written at the call that fills it instead.
 pub struct RemoteSeparate {
     requests: ByteSender,
     responses: ByteReceiver,
     response_timeout: Option<Duration>,
+    /// Frames logged since the last write.
+    pending: Vec<u8>,
+    /// Taken by the first write: only that one may redial.
+    redial: Option<Redial>,
     synced: bool,
     ended: bool,
     failed: bool,
@@ -505,11 +534,11 @@ pub struct RemoteSeparate {
 
 impl RemoteSeparate {
     /// Builds a block guard over an already-connected request/response
-    /// stream pair, sending no prologue — the caller is responsible for any
-    /// handshake ([`RemoteProxy::separate`] sends `Hello`, a cluster client
-    /// sends `Open`).  The halves are clones, so a pooled connection
+    /// stream pair, sending no prologue — the caller adds any handshake with
+    /// [`with_prologue`](Self::with_prologue) ([`RemoteProxy::separate`]
+    /// puts `Hello` there, a cluster client `Open`).  A pooled connection
     /// survives the guard: the block ends with an explicit `End` frame, not
-    /// by closing the stream.
+    /// by closing the stream, and [`halves`](Self::halves) hands it back.
     pub fn over(
         requests: ByteSender,
         responses: ByteReceiver,
@@ -519,22 +548,85 @@ impl RemoteSeparate {
             requests,
             responses,
             response_timeout,
+            // Room for a typical block (an `Open`, a few calls and a query)
+            // without regrowing.
+            pending: Vec::with_capacity(256),
+            redial: None,
             synced: false,
             ended: false,
             failed: false,
         }
     }
 
-    /// Logs an asynchronous command (the `call` rule).
+    /// Puts `frame` ahead of the block's body, in its first write.
+    pub fn with_prologue(mut self, frame: &Frame) -> RemoteSeparate {
+        self.log(frame);
+        self
+    }
+
+    /// Lets the block's first write fall back to a fresh connection once.
+    /// If that write fails — the pooled connection died while idle — no
+    /// frame of the block has reached a node, so `redial` dials a
+    /// replacement (performing any connection handshake itself) and the
+    /// buffered prologue and body are written there instead.  A write that
+    /// fails after the first has reached the connection never redials: the
+    /// node may hold part of the block, and the block is marked failed.
+    pub fn with_redial(
+        mut self,
+        redial: impl FnOnce() -> Result<(ByteSender, ByteReceiver), RemoteError> + Send + 'static,
+    ) -> RemoteSeparate {
+        self.redial = Some(Box::new(redial));
+        self
+    }
+
+    /// The connection the block ran on — after a redial, the replacement —
+    /// for a pooling layer to reuse once the block has ended unfailed.
+    pub fn halves(&self) -> (ByteSender, ByteReceiver) {
+        (self.requests.clone(), self.responses.clone())
+    }
+
+    fn log(&mut self, frame: &Frame) {
+        let at = self.pending.len();
+        crate::wire::encode_frame_into(frame, &mut self.pending);
+        qs_obs::trace(
+            qs_obs::TraceKind::FrameSend,
+            (self.pending.len() - at) as u64,
+            0,
+        );
+    }
+
+    /// Writes the frames logged since the last write, as one write.
+    fn flush(&mut self) -> Result<(), RemoteError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let redial = self.redial.take();
+        let mut sent = self.requests.send_bytes(&self.pending);
+        if let (Err(_), Some(redial)) = (sent, redial) {
+            let (requests, responses) = redial().map_err(|e| self.fail(e))?;
+            self.requests = requests;
+            self.responses = responses;
+            sent = self.requests.send_bytes(&self.pending);
+        }
+        self.pending.clear();
+        sent.map_err(|_| self.fail(RemoteError::Disconnected))
+    }
+
+    /// Logs an asynchronous command (the `call` rule).  The frame is only
+    /// buffered — the socket is not touched until the buffer holds 16 KiB —
+    /// so a failure to deliver it surfaces at that call, or at the block's
+    /// next query, sync or [`end`](Self::end).
     pub fn call(&mut self, method: &str, args: Vec<WireValue>) -> Result<(), RemoteError> {
         assert!(!self.ended, "call after the separate block ended");
         self.synced = false;
-        self.requests
-            .send_frame(&Frame::Call {
-                method: method.to_string(),
-                args,
-            })
-            .map_err(|_| self.fail(RemoteError::Disconnected))
+        self.log(&Frame::Call {
+            method: method.to_string(),
+            args,
+        });
+        if self.pending.len() >= FLUSH_AT {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Waits for one response frame, converting transport failures and
@@ -560,16 +652,16 @@ impl RemoteSeparate {
         error
     }
 
-    /// Performs a synchronous query and returns its value (the `query` rule).
+    /// Performs a synchronous query and returns its value (the `query`
+    /// rule): writes everything logged so far together with the query.
     pub fn query(&mut self, method: &str, args: Vec<WireValue>) -> Result<WireValue, RemoteError> {
         assert!(!self.ended, "query after the separate block ended");
         let round_trip = qs_obs::timer();
-        self.requests
-            .send_frame(&Frame::Query {
-                method: method.to_string(),
-                args,
-            })
-            .map_err(|_| self.fail(RemoteError::Disconnected))?;
+        self.log(&Frame::Query {
+            method: method.to_string(),
+            args,
+        });
+        self.flush()?;
         let response = self.recv_response()?;
         round_trip.record(qs_obs::obs_histogram!("remote.call_rtt_ns"));
         match response {
@@ -593,9 +685,8 @@ impl RemoteSeparate {
             return Ok(());
         }
         let round_trip = qs_obs::timer();
-        self.requests
-            .send_frame(&Frame::Sync)
-            .map_err(|_| self.fail(RemoteError::Disconnected))?;
+        self.log(&Frame::Sync);
+        self.flush()?;
         let response = self.recv_response()?;
         round_trip.record(qs_obs::obs_histogram!("remote.call_rtt_ns"));
         match response {
@@ -615,26 +706,39 @@ impl RemoteSeparate {
     }
 
     /// Whether the block's connection suffered a transport or protocol
-    /// failure (timeout, disconnect, malformed or refused response).  A
-    /// pooling layer must discard such a connection instead of reusing it —
-    /// a timed-out socket stream may be desynchronised.
+    /// failure (timeout, disconnect, malformed or refused response, or a
+    /// write that did not go through).  A pooling layer must discard such a
+    /// connection instead of reusing it — a timed-out socket stream may be
+    /// desynchronised.
     pub fn is_failed(&self) -> bool {
         self.failed
     }
 
-    /// Ends the block (logged automatically when the guard is dropped).
-    pub fn end(&mut self) {
+    /// Ends the block, writing whatever is still buffered followed by
+    /// `End` (logged automatically when the guard is dropped).
+    ///
+    /// Fails with [`RemoteError::Disconnected`] when that write does not go
+    /// through, so the calls logged since the last query or sync may not
+    /// have reached the node.  A block that had already failed reports
+    /// nothing more here — its error went to the operation that hit it —
+    /// and ending an ended block is a no-op.
+    pub fn end(&mut self) -> Result<(), RemoteError> {
         if self.ended {
-            return;
+            return Ok(());
         }
         self.ended = true;
-        let _ = self.requests.send_frame(&Frame::End);
+        let failed_before = self.failed;
+        self.log(&Frame::End);
+        match self.flush() {
+            Err(error) if !failed_before => Err(error),
+            _ => Ok(()),
+        }
     }
 }
 
 impl Drop for RemoteSeparate {
     fn drop(&mut self) {
-        self.end();
+        let _ = self.end();
     }
 }
 
@@ -902,6 +1006,162 @@ mod tests {
             proxy.separate(|_| ()).unwrap_err(),
             RemoteError::Disconnected
         );
+    }
+
+    fn add(amount: i64) -> Frame {
+        Frame::Call {
+            method: "add".into(),
+            args: vec![WireValue::Int(amount)],
+        }
+    }
+
+    #[test]
+    fn calls_wait_for_the_next_sync_point_and_go_out_in_one_write() {
+        let (requests, node_side) = byte_channel(ChannelConfig::fast());
+        let (_responses_tx, responses) = byte_channel(ChannelConfig::fast());
+        let mut guard = RemoteSeparate::over(requests, responses, None)
+            .with_prologue(&Frame::Open { handler: 3 });
+        guard.call("add", vec![WireValue::Int(1)]).unwrap();
+        guard.call("add", vec![WireValue::Int(2)]).unwrap();
+        assert_eq!(node_side.buffered_bytes(), 0, "a call wrote to the stream");
+        guard.end().unwrap();
+        for frame in [Frame::Open { handler: 3 }, add(1), add(2), Frame::End] {
+            assert_eq!(node_side.recv_frame().unwrap(), frame);
+        }
+        assert!(!node_side.has_frame());
+    }
+
+    #[test]
+    fn a_failed_first_write_redials_once_and_sends_the_block_there() {
+        let (dead_requests, dead_node) = byte_channel(ChannelConfig::fast());
+        drop(dead_node);
+        let (_dead_responses_tx, dead_responses) = byte_channel(ChannelConfig::fast());
+        let (live_requests, live_node) = byte_channel(ChannelConfig::fast());
+        let (live_responses_tx, live_responses) = byte_channel(ChannelConfig::fast());
+        // The reply is queued up front, so the block's sync needs no peer
+        // thread.
+        live_responses_tx.send_frame(&Frame::SyncAck).unwrap();
+        let dials = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&dials);
+        let replacement = (live_requests, live_responses);
+        let mut guard =
+            RemoteSeparate::over(dead_requests, dead_responses, Some(Duration::from_secs(5)))
+                .with_prologue(&Frame::Open { handler: 7 })
+                .with_redial(move || {
+                    counted.fetch_add(1, Ordering::Relaxed);
+                    Ok(replacement)
+                });
+        guard.call("add", vec![WireValue::Int(1)]).unwrap();
+        guard.call("add", vec![WireValue::Int(2)]).unwrap();
+        guard.sync().unwrap();
+        guard.end().unwrap();
+        assert!(!guard.is_failed());
+        assert_eq!(dials.load(Ordering::Relaxed), 1);
+        // The live peer got the prologue and the body exactly once.
+        for frame in [
+            Frame::Open { handler: 7 },
+            add(1),
+            add(2),
+            Frame::Sync,
+            Frame::End,
+        ] {
+            assert_eq!(live_node.recv_frame().unwrap(), frame);
+        }
+        assert!(!live_node.has_frame());
+        // `halves()` is the replacement pair.
+        let (requests, responses) = guard.halves();
+        requests.send_frame(&Frame::Sync).unwrap();
+        assert_eq!(live_node.recv_frame().unwrap(), Frame::Sync);
+        live_responses_tx.send_frame(&Frame::SyncAck).unwrap();
+        assert_eq!(responses.recv_frame().unwrap(), Frame::SyncAck);
+    }
+
+    #[test]
+    fn a_write_failing_after_the_first_never_redials() {
+        let (requests, node_side) = byte_channel(ChannelConfig::fast());
+        let (responses_tx, responses) = byte_channel(ChannelConfig::fast());
+        responses_tx.send_frame(&Frame::SyncAck).unwrap();
+        let dials = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&dials);
+        let mut guard = RemoteSeparate::over(requests, responses, Some(Duration::from_secs(5)))
+            .with_prologue(&Frame::Open { handler: 1 })
+            .with_redial(move || {
+                counted.fetch_add(1, Ordering::Relaxed);
+                Err(RemoteError::Disconnected)
+            });
+        guard.call("add", vec![WireValue::Int(1)]).unwrap();
+        guard.sync().unwrap();
+        // The node has part of the block; now its end of the stream closes.
+        drop(node_side);
+        guard.call("add", vec![WireValue::Int(2)]).unwrap();
+        assert_eq!(guard.sync(), Err(RemoteError::Disconnected));
+        assert!(guard.is_failed());
+        assert_eq!(dials.load(Ordering::Relaxed), 0);
+        // The sync already reported the failure; the end adds nothing.
+        assert_eq!(guard.end(), Ok(()));
+    }
+
+    #[test]
+    fn an_end_whose_write_fails_reports_it() {
+        let (requests, node_side) = byte_channel(ChannelConfig::fast());
+        let (_responses_tx, responses) = byte_channel(ChannelConfig::fast());
+        drop(node_side);
+        let mut guard = RemoteSeparate::over(requests, responses, None)
+            .with_prologue(&Frame::Open { handler: 1 });
+        // Buffered, so the call itself cannot know.
+        guard.call("add", vec![WireValue::Int(1)]).unwrap();
+        assert_eq!(guard.end(), Err(RemoteError::Disconnected));
+        assert!(guard.is_failed());
+        assert_eq!(guard.end(), Ok(()), "ending twice is a no-op");
+    }
+
+    #[test]
+    fn call_detached_on_a_stopped_node_fails() {
+        let node = counter_node("counter");
+        let proxy = node.proxy("client");
+        proxy.call_detached("add", vec![WireValue::Int(1)]).unwrap();
+        node.stop();
+        assert_eq!(
+            proxy.call_detached("add", vec![WireValue::Int(1)]),
+            Err(RemoteError::Disconnected)
+        );
+    }
+
+    #[test]
+    fn a_long_run_of_calls_is_written_in_bounded_pieces() {
+        let (requests, node_side) = byte_channel(ChannelConfig::fast());
+        let (_responses_tx, responses) = byte_channel(ChannelConfig::fast());
+        let mut guard = RemoteSeparate::over(requests, responses, None)
+            .with_prologue(&Frame::Open { handler: 1 });
+        let calls = 100_000;
+        let mut writes = 0;
+        let mut written = 0;
+        for i in 0..calls {
+            guard.call("add", vec![WireValue::Int(i)]).unwrap();
+            assert!(
+                guard.pending.len() < FLUSH_AT,
+                "call {i} left a full buffer"
+            );
+            let now = node_side.buffered_bytes();
+            if now > written {
+                // One write: the buffer that had just reached the limit.
+                assert!(
+                    now - written < FLUSH_AT + 64,
+                    "a write of {}",
+                    now - written
+                );
+                writes += 1;
+                written = now;
+            }
+        }
+        // The node had most of the block before its end.
+        assert!(writes >= 100, "only {writes} writes for {calls} calls");
+        guard.end().unwrap();
+        assert_eq!(node_side.recv_frame().unwrap(), Frame::Open { handler: 1 });
+        for i in 0..calls {
+            assert_eq!(node_side.recv_frame().unwrap(), add(i));
+        }
+        assert_eq!(node_side.recv_frame().unwrap(), Frame::End);
     }
 
     #[test]

@@ -17,13 +17,23 @@
 //!   [`ByteSender`] shuts down the write direction (the peer reads
 //!   end-of-stream after draining); dropping the last [`ByteReceiver`]
 //!   clone shuts down reads.
+//! * **Reads are buffered.**  The receiving half owns a read buffer: one
+//!   `read` takes whatever the peer has sent, up to 16 KiB, and frames are
+//!   parsed from memory — a block whose frames arrive in one write costs
+//!   the node one syscall, not two per frame.  Bytes past the frame being
+//!   returned stay buffered for the next receive, and
+//!   [`ByteReceiver::has_frame`] reports whether one is complete there (the
+//!   node uses it to tell a call that arrived with its query from one sent
+//!   alone).  The buffer grows only for a frame longer than itself and
+//!   shrinks back once that frame is parsed.
 //! * **Timeouts are connection-fatal.**  A read deadline is implemented
 //!   with `SO_RCVTIMEO`; if it fires mid-frame the stream position is
 //!   unknown, so callers must abandon the connection after
 //!   [`crate::RecvError::TimedOut`] — which is what the peer-death
 //!   hardening in [`crate::node`] and `qs-cluster` does.
 //! * **Untrusted peers.**  Socket readers enforce
-//!   [`crate::wire::MAX_FRAME_LEN`] so a corrupt length prefix cannot force
+//!   [`crate::wire::MAX_FRAME_LEN`] on every length prefix before the read
+//!   buffer grows to hold its frame, so a corrupt prefix cannot force
 //!   a huge allocation.  No authentication or encryption is provided; bind
 //!   to loopback/Unix sockets or trusted networks only (see the README's
 //!   "Distributed mode" caveats).
@@ -40,6 +50,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::channel::{stream_halves, ByteReceiver, ByteSender, ChannelClosed, RecvError};
+use crate::wire::{decode_frame, DecodeError, Frame, MAX_FRAME_LEN};
 
 /// The address of a cluster node: a TCP endpoint or a Unix-domain socket
 /// path.
@@ -233,10 +244,60 @@ impl Socket {
     }
 }
 
+/// How much one `read` asks the socket for: a block's frames, or several
+/// replies, arrive in one call.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// The receiving direction of a socket: its programmed timeout and the
+/// bytes read but not yet parsed.
 struct ReadState {
     /// The `SO_RCVTIMEO` currently programmed on the socket; cached so
     /// back-to-back reads with the same deadline skip the setsockopt call.
     timeout: Option<Duration>,
+    /// Storage for bytes read from the socket; all of it is usable, the
+    /// unparsed bytes are `buffer[start..end]`.  Allocated by the first
+    /// read, grown only for a frame longer than itself.
+    buffer: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl ReadState {
+    /// Bytes the frame at the front of the buffer occupies, header
+    /// included — 4 while the header itself is incomplete.  A length prefix
+    /// over [`MAX_FRAME_LEN`] is an error here, before anything grows to
+    /// hold its frame.
+    fn front_frame(&self) -> Result<usize, RecvError> {
+        let Some(header) = self.buffer[self.start..self.end].first_chunk::<4>() else {
+            return Ok(4);
+        };
+        let len = u32::from_le_bytes(*header) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(RecvError::Malformed(DecodeError {
+                message: format!("frame length {len} exceeds the wire limit"),
+            }));
+        }
+        Ok(4 + len)
+    }
+
+    fn unparsed(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Makes room for a read that completes the frame of `needed` bytes at
+    /// the front: moves the unparsed bytes (less than that frame) to the
+    /// start of the storage, so the read gets all of it behind them, and
+    /// grows the storage only when the frame is longer than all of it.
+    fn make_room(&mut self, needed: usize) {
+        if self.start > 0 {
+            self.buffer.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if needed > self.buffer.len() {
+            self.buffer.resize(needed.max(READ_CHUNK), 0);
+        }
+    }
 }
 
 /// One connected socket shared by its sender and receiver halves.
@@ -252,19 +313,51 @@ impl StreamConn {
         self.socket.write_all(bytes).map_err(|_| ChannelClosed)
     }
 
-    fn read_exact(&self, buf: &mut [u8], timeout: Option<Duration>) -> Result<(), RecvError> {
+    /// Parses the next frame out of the read buffer, reading the socket
+    /// only while no complete frame is buffered.
+    fn recv_frame(&self, timeout: Option<Duration>) -> Result<Frame, RecvError> {
         let mut state = self.read.lock();
+        let total = loop {
+            let total = state.front_frame()?;
+            if state.unparsed() >= total {
+                break total;
+            }
+            state.make_room(total);
+            self.fill(&mut state, timeout)?;
+        };
+        let frame = decode_frame(&state.buffer[state.start + 4..state.start + total]);
+        state.start += total;
+        if state.unparsed() == 0 {
+            state.start = 0;
+            state.end = 0;
+            if state.buffer.len() > READ_CHUNK {
+                // A long frame grew the storage; give it back.
+                state.buffer.truncate(READ_CHUNK);
+                state.buffer.shrink_to_fit();
+            }
+        }
+        // 4 header bytes + body = the peer's FrameSend payload size.
+        qs_obs::trace(qs_obs::TraceKind::FrameRecv, total as u64, 0);
+        frame.map_err(RecvError::Malformed)
+    }
+
+    /// One `read` into the free storage behind the unparsed bytes: whatever
+    /// the peer has sent, blocking until some of it arrives or `timeout`
+    /// expires.
+    fn fill(&self, state: &mut ReadState, timeout: Option<Duration>) -> Result<(), RecvError> {
         if state.timeout != timeout {
             self.socket
                 .set_read_timeout(timeout)
                 .map_err(|_| RecvError::Closed)?;
             state.timeout = timeout;
         }
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.socket.read(&mut buf[filled..]) {
+        loop {
+            match self.socket.read(&mut state.buffer[state.end..]) {
                 Ok(0) => return Err(RecvError::Closed),
-                Ok(n) => filled += n,
+                Ok(n) => {
+                    state.end += n;
+                    return Ok(());
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -275,7 +368,6 @@ impl StreamConn {
                 Err(_) => return Err(RecvError::Closed),
             }
         }
-        Ok(())
     }
 }
 
@@ -312,12 +404,27 @@ pub(crate) struct StreamRx {
 }
 
 impl StreamRx {
-    pub(crate) fn read_exact(
-        &self,
-        buf: &mut [u8],
-        timeout: Option<Duration>,
-    ) -> Result<(), RecvError> {
-        self.conn.read_exact(buf, timeout)
+    pub(crate) fn recv_frame(&self, timeout: Option<Duration>) -> Result<Frame, RecvError> {
+        self.conn.recv_frame(timeout)
+    }
+
+    /// Whether a complete frame is already buffered.  `false` while another
+    /// thread is reading this socket: what it reads is its own.
+    pub(crate) fn has_frame(&self) -> bool {
+        self.conn.read.try_lock().is_some_and(|state| {
+            state
+                .front_frame()
+                .is_ok_and(|total| state.unparsed() >= total)
+        })
+    }
+
+    /// Bytes read from the socket and not yet parsed (0 while another
+    /// thread is reading it).
+    pub(crate) fn buffered_bytes(&self) -> usize {
+        self.conn
+            .read
+            .try_lock()
+            .map_or(0, |state| state.unparsed())
     }
 }
 
@@ -328,14 +435,20 @@ impl Drop for StreamRx {
 }
 
 fn socket_pair(socket: Socket) -> io::Result<(ByteSender, ByteReceiver)> {
-    // Frames are small and written whole; disabling Nagle keeps query
-    // round-trips from stalling on delayed ACKs.
+    // A block's frames up to its sync point are written whole, in one
+    // write; disabling Nagle keeps query round-trips from stalling on
+    // delayed ACKs.
     if let Socket::Tcp(stream) = &socket {
         let _ = stream.set_nodelay(true);
     }
     let conn = Arc::new(StreamConn {
         socket,
-        read: Mutex::new(ReadState { timeout: None }),
+        read: Mutex::new(ReadState {
+            timeout: None,
+            buffer: Vec::new(),
+            start: 0,
+            end: 0,
+        }),
         write: Mutex::new(()),
     });
     Ok(stream_halves(
@@ -438,6 +551,80 @@ mod tests {
             }
             other => panic!("expected Malformed, got {other:?}"),
         }
+    }
+
+    /// Sends a greeting and five frames in one write, then receives them:
+    /// once the greeting is in, the other five are buffered, each complete
+    /// before its own receive.
+    fn five_frames_in_one_write((tx, rx): (ByteSender, ByteReceiver)) {
+        let greeting = Frame::Hello {
+            version: crate::WIRE_VERSION,
+            client: "batch".into(),
+        };
+        let frames = [
+            Frame::Open { handler: 9 },
+            Frame::Call {
+                method: "deposit".into(),
+                args: vec![WireValue::Int(1)],
+            },
+            Frame::Call {
+                method: "deposit".into(),
+                args: vec![WireValue::Int(2)],
+            },
+            Frame::Query {
+                method: "balance".into(),
+                args: vec![],
+            },
+            Frame::End,
+        ];
+        let mut bytes = Vec::new();
+        for frame in std::iter::once(&greeting).chain(&frames) {
+            crate::wire::encode_frame_into(frame, &mut bytes);
+        }
+        tx.send_bytes(&bytes).unwrap();
+        // A socket's first read takes the whole write.
+        assert_eq!(rx.recv_frame().unwrap(), greeting);
+        for frame in &frames {
+            assert!(rx.has_frame(), "{frame:?} is not buffered");
+            assert_eq!(&rx.recv_frame().unwrap(), frame);
+        }
+        assert!(!rx.has_frame());
+        assert_eq!(rx.buffered_bytes(), 0);
+    }
+
+    #[test]
+    fn frames_written_together_are_buffered_on_every_substrate() {
+        five_frames_in_one_write(crate::byte_channel(crate::ChannelConfig::fast()));
+        let ((client_tx, _client_rx), (_server_tx, server_rx)) = loopback_pair();
+        five_frames_in_one_write((client_tx, server_rx));
+        let path =
+            std::env::temp_dir().join(format!("qs-transport-batch-{}.sock", std::process::id()));
+        let listener = NodeListener::bind(&NodeAddr::Unix(path.clone())).unwrap();
+        let accepted = std::thread::spawn(move || listener.accept().unwrap());
+        let (client_tx, _client_rx) = NodeAddr::Unix(path).connect().unwrap();
+        let (_server_tx, server_rx) = accepted.join().unwrap();
+        five_frames_in_one_write((client_tx, server_rx));
+    }
+
+    #[test]
+    fn a_frame_longer_than_one_read_decodes() {
+        let ((client_tx, _client_rx), (_server_tx, server_rx)) = loopback_pair();
+        let long = "x".repeat(100 * 1024);
+        let call = Frame::Call {
+            method: "store".into(),
+            args: vec![WireValue::Str(long)],
+        };
+        let sent = call.clone();
+        // The writer may block on the socket's send buffer until the
+        // reader drains it.
+        let writer = std::thread::spawn(move || {
+            client_tx.send_frame(&sent).unwrap();
+            client_tx.send_frame(&Frame::Sync).unwrap();
+        });
+        assert_eq!(server_rx.recv_frame().unwrap(), call);
+        assert_eq!(server_rx.recv_frame().unwrap(), Frame::Sync);
+        writer.join().unwrap();
+        assert_eq!(server_rx.buffered_bytes(), 0);
     }
 
     #[test]

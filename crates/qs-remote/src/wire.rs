@@ -18,7 +18,7 @@
 //! Values are encoded with a one-byte type tag.  The format is deliberately
 //! simple and versioned by [`WIRE_VERSION`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 /// Version byte embedded in every `Hello` frame.
 ///
@@ -200,70 +200,77 @@ fn decode_err<T>(message: impl Into<String>) -> Result<T, DecodeError> {
 /// Encodes a frame as a length-prefixed byte buffer ready to be written to a
 /// byte channel.
 pub fn encode_frame(frame: &Frame) -> Bytes {
-    let mut body = BytesMut::with_capacity(64);
+    let mut framed = Vec::with_capacity(64);
+    encode_frame_into(frame, &mut framed);
+    Bytes::from(framed)
+}
+
+/// Appends one length-prefixed frame to `out` — how a block guard batches
+/// the frames of a block into one write.
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.put_u32_le(0);
     match frame {
         Frame::Hello { version, client } => {
-            body.put_u8(TAG_HELLO);
-            body.put_u8(*version);
-            put_string(&mut body, client);
+            out.put_u8(TAG_HELLO);
+            out.put_u8(*version);
+            put_string(out, client);
         }
         Frame::Call { method, args } => {
-            body.put_u8(TAG_CALL);
-            put_string(&mut body, method);
-            put_values(&mut body, args);
+            out.put_u8(TAG_CALL);
+            put_string(out, method);
+            put_values(out, args);
         }
         Frame::Query { method, args } => {
-            body.put_u8(TAG_QUERY);
-            put_string(&mut body, method);
-            put_values(&mut body, args);
+            out.put_u8(TAG_QUERY);
+            put_string(out, method);
+            put_values(out, args);
         }
-        Frame::Sync => body.put_u8(TAG_SYNC),
-        Frame::SyncAck => body.put_u8(TAG_SYNC_ACK),
+        Frame::Sync => out.put_u8(TAG_SYNC),
+        Frame::SyncAck => out.put_u8(TAG_SYNC_ACK),
         Frame::QueryResult { result } => {
-            body.put_u8(TAG_QUERY_RESULT);
+            out.put_u8(TAG_QUERY_RESULT);
             match result {
                 Ok(value) => {
-                    body.put_u8(1);
-                    put_value(&mut body, value);
+                    out.put_u8(1);
+                    put_value(out, value);
                 }
                 Err(message) => {
-                    body.put_u8(0);
-                    put_string(&mut body, message);
+                    out.put_u8(0);
+                    put_string(out, message);
                 }
             }
         }
-        Frame::End => body.put_u8(TAG_END),
+        Frame::End => out.put_u8(TAG_END),
         Frame::Open { handler } => {
-            body.put_u8(TAG_OPEN);
-            body.put_u64_le(*handler);
+            out.put_u8(TAG_OPEN);
+            out.put_u64_le(*handler);
         }
         Frame::Nack { message } => {
-            body.put_u8(TAG_NACK);
-            put_string(&mut body, message);
+            out.put_u8(TAG_NACK);
+            put_string(out, message);
         }
         Frame::Control { op, args } => {
-            body.put_u8(TAG_CONTROL);
-            put_string(&mut body, op);
-            put_values(&mut body, args);
+            out.put_u8(TAG_CONTROL);
+            put_string(out, op);
+            put_values(out, args);
         }
         Frame::ControlResult { result } => {
-            body.put_u8(TAG_CONTROL_RESULT);
+            out.put_u8(TAG_CONTROL_RESULT);
             match result {
                 Ok(value) => {
-                    body.put_u8(1);
-                    put_value(&mut body, value);
+                    out.put_u8(1);
+                    put_value(out, value);
                 }
                 Err(message) => {
-                    body.put_u8(0);
-                    put_string(&mut body, message);
+                    out.put_u8(0);
+                    put_string(out, message);
                 }
             }
         }
     }
-    let mut framed = BytesMut::with_capacity(4 + body.len());
-    framed.put_u32_le(body.len() as u32);
-    framed.extend_from_slice(&body);
-    framed.freeze()
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decodes one frame from a body buffer (the length prefix must already have
@@ -346,7 +353,7 @@ pub fn decode_frame(mut body: &[u8]) -> Result<Frame, DecodeError> {
     Ok(frame)
 }
 
-fn put_string(buffer: &mut BytesMut, value: &str) {
+fn put_string(buffer: &mut Vec<u8>, value: &str) {
     buffer.put_u32_le(value.len() as u32);
     buffer.put_slice(value.as_bytes());
 }
@@ -369,7 +376,7 @@ fn get_string(body: &mut &[u8]) -> Result<String, DecodeError> {
     Ok(value)
 }
 
-fn put_values(buffer: &mut BytesMut, values: &[WireValue]) {
+fn put_values(buffer: &mut Vec<u8>, values: &[WireValue]) {
     buffer.put_u32_le(values.len() as u32);
     for value in values {
         put_value(buffer, value);
@@ -391,7 +398,7 @@ fn get_values(body: &mut &[u8]) -> Result<Vec<WireValue>, DecodeError> {
     Ok(values)
 }
 
-fn put_value(buffer: &mut BytesMut, value: &WireValue) {
+fn put_value(buffer: &mut Vec<u8>, value: &WireValue) {
     match value {
         WireValue::Unit => buffer.put_u8(VTAG_UNIT),
         WireValue::Int(n) => {
@@ -548,7 +555,7 @@ mod tests {
         // Trailing bytes.
         assert!(decode_frame(&[TAG_SYNC, 0]).is_err());
         // Non-UTF-8 method name.
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         body.put_u8(TAG_CALL);
         body.put_u32_le(2);
         body.put_slice(&[0xFF, 0xFE]);

@@ -72,7 +72,7 @@ fn main() {
     const ROWS: i64 = 64;
     const COLS: i64 = 32;
 
-    // A little per-frame latency makes the "remote" aspect visible without a
+    // A little per-write latency makes the "remote" aspect visible without a
     // network; set it to zero to measure pure protocol overhead.
     let wire = ChannelConfig::with_latency(Duration::from_micros(50));
 

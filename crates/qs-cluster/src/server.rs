@@ -19,23 +19,23 @@
 //! ```
 //!
 //! Connections are *multiplexed*: one connection carries any number of
-//! blocks against any handlers this node owns, in sequence.  The block
-//! itself maps onto [`qs_runtime::Handler::separate`], so the §2.2
-//! reasoning guarantees (per-block order, no interleaving) are enforced by
-//! the same runtime machinery as in-process code.
+//! blocks against any handlers this node owns, in sequence.  After `Open`
+//! the block is served by [`qs_remote::BlockServer::serve_block`] — the
+//! block server a `qs_remote::RemoteNode` uses too — which maps it onto
+//! [`qs_runtime::Handler::separate`], so the §2.2 reasoning guarantees
+//! (per-block order, no interleaving) are enforced by the same runtime
+//! machinery as in-process code.
 //!
 //! A cluster client writes a block's frames together, one write per sync
-//! point (`Open`, the calls and the query arrive as one), and the adapter
-//! thread reads them out of its socket's read buffer.  Calls that arrived
-//! with a query or sync are not logged one by one: they run at that sync,
-//! on the adapter thread, inside the query's own client-executed closure —
-//! so a remote block wakes no pool worker and hands nothing back through
-//! the scheduler (see `serve_block`).  The `stats` control op reports the
-//! runtime's `runtime_calls_enqueued` and `runtime_handler_wakeups`
-//! alongside the adapter's own counters, so the difference is visible from
-//! outside the node, and `call_panics` counts the panics of folded and
-//! logged calls alike.  The runtime's own stats see a folded run only as
-//! its query.
+//! point (`Open`, the calls and the query arrive as one).  The block server
+//! runs calls that arrived with a query or sync at that sync, on the
+//! adapter thread, inside the query's own client-executed closure — so a
+//! remote block wakes no pool worker and hands nothing back through the
+//! scheduler.  The `stats` control op reports the block server's counters
+//! with the runtime's `runtime_calls_enqueued` and
+//! `runtime_handler_wakeups`, so the difference is visible from outside the
+//! node; `call_panics` counts the panics of folded and logged calls alike,
+//! and a query whose method panics is answered with an application error.
 //!
 //! Placement is checked on every `Open`: the node routes the handler id on
 //! its own copy of the [`HashRing`] and answers [`Frame::Nack`] when the
@@ -51,8 +51,8 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 use qs_remote::transport::{NodeAddr, NodeListener};
 use qs_remote::wire::{Frame, WireValue, WIRE_VERSION};
-use qs_remote::{ByteReceiver, ByteSender, MethodRegistry};
-use qs_runtime::{Handler, Runtime, RuntimeConfig, Separate};
+use qs_remote::{BlockServer, ByteReceiver, ByteSender, MethodRegistry};
+use qs_runtime::{Handler, Runtime, RuntimeConfig};
 
 use crate::ring::HashRing;
 
@@ -132,18 +132,6 @@ impl NodeConfig {
     }
 }
 
-#[derive(Default)]
-struct NodeServerCounters {
-    connections: AtomicU64,
-    blocks: AtomicU64,
-    nacks: AtomicU64,
-    calls: AtomicU64,
-    queries: AtomicU64,
-    /// Panics caught in calls run at a sync (see `apply_calls`); logged
-    /// calls that panic are counted by the runtime.
-    folded_call_panics: AtomicU64,
-}
-
 struct ServerShared<S: Send + 'static> {
     service: ClusterService<S>,
     self_name: String,
@@ -156,7 +144,10 @@ struct ServerShared<S: Send + 'static> {
     /// observe the node's death instead of talking to a half-dead server
     /// (the in-process analogue of a dying process closing its sockets).
     conns: Mutex<Vec<ByteSender>>,
-    counters: NodeServerCounters,
+    /// Serves every block and counts what it applied.
+    server: Arc<BlockServer<S>>,
+    connections: AtomicU64,
+    nacks: AtomicU64,
     /// Bound address of the HTTP metrics endpoint, when one was requested;
     /// dialled once on stop to unblock its accept loop.
     metrics_addr: Option<std::net::SocketAddr>,
@@ -187,6 +178,7 @@ impl<S: Send + 'static> NodeServer<S> {
             .as_ref()
             .map(std::net::TcpListener::local_addr)
             .transpose()?;
+        let server = BlockServer::new(Arc::clone(&service.registry));
         let shared = Arc::new(ServerShared {
             service,
             self_name,
@@ -196,7 +188,9 @@ impl<S: Send + 'static> NodeServer<S> {
             handlers: Mutex::new(HashMap::new()),
             stopping: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
-            counters: NodeServerCounters::default(),
+            server,
+            connections: AtomicU64::new(0),
+            nacks: AtomicU64::new(0),
             metrics_addr,
         });
         if let Some(listener) = metrics_listener {
@@ -214,10 +208,7 @@ impl<S: Send + 'static> NodeServer<S> {
                         if accept_shared.stopping.load(Ordering::Acquire) {
                             return;
                         }
-                        accept_shared
-                            .counters
-                            .connections
-                            .fetch_add(1, Ordering::Relaxed);
+                        accept_shared.connections.fetch_add(1, Ordering::Relaxed);
                         accept_shared.conns.lock().push(responses.clone());
                         let conn_shared = Arc::clone(&accept_shared);
                         let _ = std::thread::Builder::new()
@@ -359,7 +350,7 @@ fn serve_connection<S: Send + 'static>(
                 }
                 let owner = shared.ring.lock().route(handler).map(str::to_string);
                 if owner.as_deref() != Some(shared.self_name.as_str()) {
-                    shared.counters.nacks.fetch_add(1, Ordering::Relaxed);
+                    shared.nacks.fetch_add(1, Ordering::Relaxed);
                     let message = match owner {
                         Some(owner) => {
                             format!(
@@ -377,8 +368,7 @@ fn serve_connection<S: Send + 'static>(
                     continue;
                 }
                 let handler = handler_for(shared, handler);
-                shared.counters.blocks.fetch_add(1, Ordering::Relaxed);
-                if serve_block(shared, &handler, requests, responses).is_err() {
+                if !shared.server.serve_block(&handler, requests, responses) {
                     return;
                 }
             }
@@ -415,118 +405,6 @@ fn drain_refused_block(requests: &ByteReceiver) -> Result<(), ()> {
     }
 }
 
-/// A call held back to run at its block's next sync (see [`serve_block`]).
-type HeldCall = (String, Vec<WireValue>);
-
-/// Serves one block: wire frames become operations on the handler's
-/// separate-block guard, so ordering and atomicity come from the runtime.
-///
-/// A `Call` whose successor frame is already in the read buffer arrived in
-/// the same write as the block's next frames, and is held rather than
-/// logged.  The `Query` or `Sync` that ends the run then becomes a single
-/// `guard.query` that applies the held calls in order — and answers the
-/// query — on this thread, with the handler synced: the §3.2 exclusivity
-/// that lets a client run its own query body also covers the calls that
-/// came with it, and the handler is stepped here instead of waking a pool
-/// worker for the calls and handing the query back.
-///
-/// `End`, an error, or a call with nothing buffered behind it logs the held
-/// calls with `guard.call` instead.  That last case is what keeps the held
-/// calls bounded by one read buffer: a long run of calls arrives in several
-/// writes (the client writes every 16 KiB), and each piece is logged as it
-/// ends, so the handler works through the run while the client is still
-/// sending it.  A client that sends frame by frame never has a frame
-/// buffered behind a call, and is served exactly as before.
-fn serve_block<S: Send + 'static>(
-    shared: &Arc<ServerShared<S>>,
-    handler: &Handler<S>,
-    requests: &ByteReceiver,
-    responses: &ByteSender,
-) -> Result<(), ()> {
-    handler.separate(|guard| {
-        let mut held: Vec<HeldCall> = Vec::new();
-        let served = loop {
-            match requests.recv_frame() {
-                Ok(Frame::Call { method, args }) => {
-                    shared.counters.calls.fetch_add(1, Ordering::Relaxed);
-                    held.push((method, args));
-                    if !requests.has_frame() {
-                        log_calls(&shared.service.registry, guard, &mut held);
-                    }
-                }
-                Ok(Frame::Query { method, args }) => {
-                    shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-                    let node = Arc::clone(shared);
-                    let calls = std::mem::take(&mut held);
-                    let result = guard.query(move |state| {
-                        apply_calls(&node, state, calls);
-                        node.service.registry.dispatch(state, &method, &args)
-                    });
-                    if responses
-                        .send_frame(&Frame::QueryResult { result })
-                        .is_err()
-                    {
-                        break Err(());
-                    }
-                }
-                Ok(Frame::Sync) => {
-                    if held.is_empty() {
-                        guard.sync();
-                    } else {
-                        let node = Arc::clone(shared);
-                        let calls = std::mem::take(&mut held);
-                        guard.query(move |state| apply_calls(&node, state, calls));
-                    }
-                    if responses.send_frame(&Frame::SyncAck).is_err() {
-                        break Err(());
-                    }
-                }
-                Ok(Frame::End) => break Ok(()),
-                Ok(_) | Err(_) => break Err(()),
-            }
-        };
-        log_calls(&shared.service.registry, guard, &mut held);
-        served
-    })
-}
-
-/// Logs `calls` on the handler as asynchronous calls, in order.
-fn log_calls<S: Send + 'static>(
-    registry: &Arc<MethodRegistry<S>>,
-    guard: &mut Separate<'_, S>,
-    calls: &mut Vec<HeldCall>,
-) {
-    for (method, args) in calls.drain(..) {
-        let registry = Arc::clone(registry);
-        // An asynchronous call has nobody to report errors to; the
-        // dispatch result is dropped, matching RemoteNode.
-        guard.call(move |state| {
-            let _ = registry.dispatch(state, &method, &args);
-        });
-    }
-}
-
-/// Applies held calls with call semantics: a dispatch error is dropped and
-/// a panic is contained to its call, as the handler loop would for a logged
-/// call, so neither reaches the query that follows them.
-///
-/// The runtime sees the run only as the query it is applied in: its
-/// `requests_executed` counts one request and its `call_panics` none, so
-/// panics are counted here, and the `stats` op adds them to the runtime's.
-fn apply_calls<S: Send + 'static>(shared: &ServerShared<S>, state: &mut S, calls: Vec<HeldCall>) {
-    for (method, args) in calls {
-        let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.service.registry.dispatch(state, &method, &args)
-        }));
-        if applied.is_err() {
-            shared
-                .counters
-                .folded_call_panics
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Applies one management operation.
 fn apply_control<S: Send + 'static>(
     shared: &ServerShared<S>,
@@ -540,8 +418,7 @@ fn apply_control<S: Send + 'static>(
         ))),
         "handlers" => Ok(WireValue::Int(shared.handlers.lock().len() as i64)),
         "stats" => {
-            let c = &shared.counters;
-            let runtime = shared.runtime.stats_snapshot();
+            let stats = shared.server.stats(&shared.runtime);
             let pair = |k: &str, v: u64| {
                 WireValue::List(vec![
                     WireValue::Str(k.to_string()),
@@ -549,19 +426,17 @@ fn apply_control<S: Send + 'static>(
                 ])
             };
             Ok(WireValue::List(vec![
-                pair("connections", c.connections.load(Ordering::Relaxed)),
-                pair("blocks", c.blocks.load(Ordering::Relaxed)),
-                pair("nacks", c.nacks.load(Ordering::Relaxed)),
-                pair("calls", c.calls.load(Ordering::Relaxed)),
-                pair("queries", c.queries.load(Ordering::Relaxed)),
-                // Logged and folded calls alike.
-                pair(
-                    "call_panics",
-                    runtime.call_panics + c.folded_call_panics.load(Ordering::Relaxed),
-                ),
+                pair("connections", shared.connections.load(Ordering::Relaxed)),
+                pair("blocks", stats.blocks_served),
+                pair("nacks", shared.nacks.load(Ordering::Relaxed)),
+                pair("calls", stats.calls_applied),
+                pair("queries", stats.queries_applied),
+                pair("syncs", stats.syncs_acked),
+                pair("application_errors", stats.application_errors),
+                pair("call_panics", stats.call_panics),
                 pair("handlers", shared.handlers.lock().len() as u64),
-                pair("runtime_calls_enqueued", runtime.calls_enqueued),
-                pair("runtime_handler_wakeups", runtime.handler_wakeups),
+                pair("runtime_calls_enqueued", stats.runtime_calls_enqueued),
+                pair("runtime_handler_wakeups", stats.runtime_handler_wakeups),
             ]))
         }
         "ring" => {

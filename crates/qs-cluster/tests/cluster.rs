@@ -407,6 +407,31 @@ fn held_calls_keep_call_semantics_inside_the_query() {
 }
 
 #[test]
+fn a_panicking_method_leaves_the_node_serving() {
+    let node = fragile_bank_node();
+    let name = node.name().to_string();
+    let client = ClusterClient::new("fragile", &[node.addr().clone()])
+        .with_response_timeout(Duration::from_secs(2));
+    let started = Instant::now();
+    client.call(1, "deposit", vec![WireValue::Int(4)]).unwrap();
+    client.call(1, "explode", vec![]).unwrap();
+    let err = client.query(1, "explode", vec![]).unwrap_err();
+    assert_eq!(
+        err,
+        RemoteError::Application("method `explode` panicked".into())
+    );
+    assert_eq!(
+        client.query(1, "balance", vec![]).unwrap(),
+        WireValue::Int(4)
+    );
+    assert!(started.elapsed() < Duration::from_secs(2), "a reply waited");
+    assert_eq!(stat(&client, &name, "call_panics"), 1);
+    assert_eq!(stat(&client, &name, "application_errors"), 2);
+    assert_eq!(stat(&client, &name, "connections"), 1);
+    client.shutdown_cluster();
+}
+
+#[test]
 fn a_client_sending_frame_by_frame_is_served_as_before() {
     let node = fragile_bank_node();
     let name = node.name().to_string();

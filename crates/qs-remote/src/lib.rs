@@ -16,11 +16,14 @@
 //!   behaviour can be studied locally;
 //! * [`registry`] — method registries: a byte stream cannot carry a closure,
 //!   so remote calls name registered methods and carry serialised arguments;
+//! * [`server`] — the block server: the one place `Call`/`Query`/`Sync`/`End`
+//!   frames are applied, inside a separate block on a `qs-runtime` handler;
 //! * [`node`] — remote handler nodes and client proxies: a
-//!   [`node::RemoteNode`] owns an object and drains a queue-of-queues whose
-//!   private queues are byte channels (the Fig. 7 loop over frames); a
-//!   [`node::RemoteProxy`] opens separate blocks, logs calls, performs
-//!   queries and syncs, preserving the per-block ordering guarantee of §2.2.
+//!   [`node::RemoteNode`] is one runtime handler whose serving thread takes
+//!   private queues (byte channels or accepted sockets) in arrival order and
+//!   serves each with the block server; a [`node::RemoteProxy`] opens
+//!   separate blocks, logs calls, performs queries and syncs, preserving the
+//!   per-block ordering guarantee of §2.2.
 //!
 //! ## Example
 //!
@@ -48,14 +51,16 @@
 pub mod channel;
 pub mod node;
 pub mod registry;
+pub mod server;
 pub mod transport;
 pub mod wire;
 
 pub use channel::{
     byte_channel, ByteReceiver, ByteSender, ChannelClosed, ChannelConfig, RecvError,
 };
-pub use node::{NodeStats, RemoteError, RemoteNode, RemoteProxy, RemoteSeparate};
+pub use node::{RemoteError, RemoteNode, RemoteProxy, RemoteSeparate};
 pub use registry::{counter_registry, MethodRegistry, RemoteObject};
+pub use server::{BlockServer, NodeStats};
 pub use transport::{NodeAddr, NodeListener};
 pub use wire::{
     decode_frame, encode_frame, encode_frame_into, DecodeError, Frame, WireValue, WIRE_VERSION,

@@ -1,98 +1,78 @@
 //! Remote handler nodes and client proxies.
 //!
 //! A [`RemoteNode`] plays the role of a SCOOP handler whose private queues
-//! are byte streams instead of shared-memory SPSC queues: clients register a
-//! channel pair (requests out, responses back) on the node's queue-of-queues,
-//! and the node drains one private queue at a time — exactly the Fig. 7 loop,
-//! with `recv_frame` in place of `dequeue`.  The §2.2 reasoning guarantees
-//! carry over unchanged: frames of one block are applied in order and blocks
-//! are never interleaved, because the node finishes a private queue before
-//! taking the next.
+//! are byte streams instead of shared-memory SPSC queues.  It is one
+//! [`qs_runtime::Handler`] on a runtime of its own plus a serving thread:
+//! every block — an in-process [`RemoteProxy`] registering a channel pair
+//! (requests out, responses back), or a socket accepted by
+//! [`RemoteNode::listen`] — reaches that thread as a private queue, in
+//! arrival order, and the thread serves one private queue at a time with
+//! [`BlockServer::serve_block`], the block server `qs-cluster` nodes use
+//! too.  The §2.2 reasoning guarantees carry over unchanged: each block
+//! runs inside [`qs_runtime::Handler::separate`], so its frames are applied
+//! in order and blocks are never interleaved.
 //!
-//! Differences from the in-memory runtime, all forced by the byte stream:
+//! The serving thread is the handler's client, so the runtime's
+//! optimisations apply to it: a query runs on the serving thread after a
+//! sync (§3.2), the calls that arrived with it run inside that query, and a
+//! block that ends synced steps the handler without waking a pool worker.
+//! Two differences from the in-memory runtime are forced by the byte
+//! stream:
 //!
-//! * queries are handler-executed (the client cannot touch remote memory),
-//!   so the §3.2 client-executed-query optimisation does not apply — its
-//!   remote analogue is *sync coalescing*, which is implemented: a query
-//!   implies synchronisation, so an immediately following `sync` is elided;
+//! * the client cannot touch remote memory, so its analogue of the §3.2
+//!   optimisation is *sync coalescing*: a query implies synchronisation, so
+//!   an immediately following `sync` is elided;
 //! * calls carry method names and serialised arguments ([`crate::registry`])
 //!   rather than closures.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use qs_queues::{Closed, QueueOfQueues};
+use qs_runtime::{Runtime, RuntimeConfig};
 
 use crate::channel::{byte_channel, ByteReceiver, ByteSender, ChannelConfig, RecvError};
 use crate::registry::RemoteObject;
+use crate::server::{BlockServer, NodeStats};
 use crate::transport::{NodeAddr, NodeListener, SocketFile};
 use crate::wire::{Frame, WireValue, WIRE_VERSION};
 
-/// Counters describing one node's activity (the remote analogue of
-/// `qs_runtime::RuntimeStats`).
-#[derive(Debug, Default)]
-struct NodeCounters {
-    blocks_served: AtomicU64,
-    calls_applied: AtomicU64,
-    queries_applied: AtomicU64,
-    syncs_acked: AtomicU64,
-    application_errors: AtomicU64,
-    protocol_errors: AtomicU64,
-}
-
-/// A point-in-time copy of a node's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Private queues (separate blocks) fully served.
-    pub blocks_served: u64,
-    /// Asynchronous calls applied.
-    pub calls_applied: u64,
-    /// Queries applied (and answered).
-    pub queries_applied: u64,
-    /// Sync tokens acknowledged.
-    pub syncs_acked: u64,
-    /// Application-level method errors (reported to clients for queries,
-    /// counted for calls).
-    pub application_errors: u64,
-    /// Malformed or unexpected frames.
-    pub protocol_errors: u64,
-}
+/// One block's streams, as the serving thread receives them: its requests
+/// and where to answer them.
+type PrivateQueue = (ByteReceiver, ByteSender);
 
 struct NodeShared {
     name: String,
-    qoq: QueueOfQueues<(ByteReceiver, ByteSender)>,
-    /// The serving thread, which parks between private queues: unparked
-    /// after every registration on `qoq` and on close (the queue-of-queues
-    /// itself wakes nobody).  Set before any proxy exists.
-    server: std::sync::OnceLock<std::thread::Thread>,
     channel_config: ChannelConfig,
-    counters: NodeCounters,
-    /// Socket listeners feeding this node's queue-of-queues: the address
-    /// [`RemoteNode::stop`] dials once to unblock the accept loop, and for
-    /// Unix sockets the file it then removes.
+    /// Where blocks register for the serving thread; `None` once the node
+    /// has stopped, which ends the serving thread's loop after the blocks
+    /// already registered.
+    queues: Mutex<Option<mpsc::Sender<PrivateQueue>>>,
+    /// Socket listeners feeding this node: the address [`RemoteNode::stop`]
+    /// dials once to unblock the accept loop, and for Unix sockets the file
+    /// it then removes.
     listeners: Mutex<Vec<(NodeAddr, Option<SocketFile>)>>,
 }
 
 impl NodeShared {
-    /// Registers a private queue and wakes the serving thread to it.
-    fn register(&self, queue: (ByteReceiver, ByteSender)) {
-        self.qoq.enqueue(queue);
-        self.wake_server();
+    /// Hands a private queue to the serving thread.  A stopped node drops
+    /// it instead, so the client's queries observe `Disconnected` rather
+    /// than waiting for a reply that will never come.
+    fn register(&self, queue: PrivateQueue) {
+        if let Some(queues) = &*self.queues.lock() {
+            let _ = queues.send(queue);
+        }
     }
 
-    fn wake_server(&self) {
-        if let Some(server) = self.server.get() {
-            server.unpark();
-        }
+    fn is_stopped(&self) -> bool {
+        self.queues.lock().is_none()
     }
 
     /// Stops accepting new private queues and retires the socket listeners.
     fn stop(&self) {
-        self.qoq.close();
-        self.wake_server();
+        self.queues.lock().take();
         for (addr, socket_file) in self.listeners.lock().drain(..) {
             // Unblock the accept loop so its thread exits.
             let _ = addr.connect();
@@ -109,10 +89,13 @@ impl NodeShared {
 
 /// A handler node owning one remote object and serving clients over byte
 /// channels.
-pub struct RemoteNode<T> {
+pub struct RemoteNode<T: Send + 'static> {
     shared: Arc<NodeShared>,
-    final_state: Arc<Mutex<Option<T>>>,
-    thread: Option<JoinHandle<()>>,
+    server: Arc<BlockServer<T>>,
+    runtime: Runtime,
+    /// The serving thread, which returns the object once it has served the
+    /// last block and shut the handler down.
+    thread: Option<JoinHandle<Option<T>>>,
 }
 
 /// A client-side handle used to open separate blocks against a node.
@@ -134,7 +117,7 @@ pub enum RemoteError {
     Timeout,
     /// The node answered with something unexpected (protocol violation).
     Protocol(String),
-    /// The invoked method reported an error.
+    /// The invoked method reported an error (or panicked).
     Application(String),
 }
 
@@ -152,34 +135,39 @@ impl std::fmt::Display for RemoteError {
 impl std::error::Error for RemoteError {}
 
 impl<T: Send + 'static> RemoteNode<T> {
-    /// Spawns a node thread hosting `object`; private queues created by
-    /// proxies use `channel_config` (latency / capacity injection).
+    /// Spawns a node hosting `object`; private queues created by proxies
+    /// use `channel_config` (latency / capacity injection).
     pub fn spawn(name: &str, object: RemoteObject<T>, channel_config: ChannelConfig) -> Self {
-        let shared = Arc::new(NodeShared {
-            name: name.to_string(),
-            qoq: QueueOfQueues::new(),
-            server: std::sync::OnceLock::new(),
-            channel_config,
-            counters: NodeCounters::default(),
-            listeners: Mutex::new(Vec::new()),
-        });
-        let final_state = Arc::new(Mutex::new(None));
-        let thread_shared = Arc::clone(&shared);
-        let thread_final = Arc::clone(&final_state);
+        // One handler needs one pool worker.
+        let runtime = Runtime::new(RuntimeConfig::default().with_workers(1));
+        let handler = runtime.spawn_handler(object.state);
+        let server = BlockServer::new(object.registry);
+        let (queues, arrivals) = mpsc::channel::<PrivateQueue>();
+        let serving = Arc::clone(&server);
         let thread = std::thread::Builder::new()
             .name(format!("remote-node-{name}"))
             .spawn(move || {
-                let mut object = object;
-                serve(&thread_shared, &mut object);
-                *thread_final.lock() = Some(object.state);
+                for (requests, responses) in arrivals {
+                    match requests.recv_frame() {
+                        Ok(Frame::Hello { version, .. }) if version == WIRE_VERSION => {
+                            let _ = serving.serve_block(&handler, &requests, &responses);
+                        }
+                        Err(RecvError::Closed) => {}
+                        Ok(_) | Err(_) => serving.protocol_error(),
+                    }
+                }
+                handler.shutdown_and_take()
             })
             .expect("spawn remote node thread");
-        // The serving thread polls the queue-of-queues and parks in between;
-        // its handle is in place before any proxy exists to enqueue.
-        let _ = shared.server.set(thread.thread().clone());
         RemoteNode {
-            shared,
-            final_state,
+            shared: Arc::new(NodeShared {
+                name: name.to_string(),
+                channel_config,
+                queues: Mutex::new(Some(queues)),
+                listeners: Mutex::new(Vec::new()),
+            }),
+            server,
+            runtime,
             thread: Some(thread),
         }
     }
@@ -199,23 +187,14 @@ impl<T: Send + 'static> RemoteNode<T> {
 
     /// A snapshot of the node's counters.
     pub fn stats(&self) -> NodeStats {
-        let c = &self.shared.counters;
-        NodeStats {
-            blocks_served: c.blocks_served.load(Ordering::Relaxed),
-            calls_applied: c.calls_applied.load(Ordering::Relaxed),
-            queries_applied: c.queries_applied.load(Ordering::Relaxed),
-            syncs_acked: c.syncs_acked.load(Ordering::Relaxed),
-            application_errors: c.application_errors.load(Ordering::Relaxed),
-            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-        }
+        self.server.stats(&self.runtime)
     }
 
     /// Serves socket connections on `listener`: each accepted connection is
-    /// one separate block — its frames form a private queue registered on
-    /// the node's queue-of-queues, so remote clients interleave with
-    /// in-process proxies under the same Fig. 7 loop.  Returns the bound
-    /// address (with any ephemeral TCP port resolved) for clients to dial
-    /// with [`SocketProxy::connect`].
+    /// one separate block, queued for the serving thread alongside the
+    /// in-process proxies' blocks.  Returns the bound address (with any
+    /// ephemeral TCP port resolved) for clients to dial with
+    /// [`SocketProxy::new`].
     pub fn listen(&self, listener: NodeListener) -> std::io::Result<NodeAddr> {
         let addr = listener.local_addr()?;
         self.shared
@@ -225,16 +204,13 @@ impl<T: Send + 'static> RemoteNode<T> {
         let shared = Arc::clone(&self.shared);
         std::thread::Builder::new()
             .name(format!("remote-accept-{}", self.shared.name))
-            .spawn(move || loop {
-                match listener.accept() {
-                    Ok((responses, requests)) => {
-                        if shared.qoq.is_closed() {
-                            // Also covers the wake-up connection stop() makes.
-                            return;
-                        }
-                        shared.register((requests, responses));
+            .spawn(move || {
+                while let Ok((responses, requests)) = listener.accept() {
+                    // Also covers the wake-up connection stop() makes.
+                    if shared.is_stopped() {
+                        return;
                     }
-                    Err(_) => return,
+                    shared.register((requests, responses));
                 }
             })
             .expect("spawn remote accept thread");
@@ -242,24 +218,21 @@ impl<T: Send + 'static> RemoteNode<T> {
     }
 
     /// Stops accepting new private queues; already-registered blocks are
-    /// still drained.  When this returns, the socket files of the node's
+    /// still served.  When this returns, the socket files of the node's
     /// Unix listeners are gone and their paths free to bind again.
     pub fn stop(&self) {
         self.shared.stop();
     }
 
-    /// Stops the node, waits for the serving thread and returns the final
-    /// object state.
+    /// Stops the node, waits for the serving thread to serve the blocks
+    /// already registered, and returns the final object state.
     pub fn shutdown_and_take(mut self) -> Option<T> {
         self.stop();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-        self.final_state.lock().take()
+        self.thread.take()?.join().ok().flatten()
     }
 }
 
-impl<T> Drop for RemoteNode<T> {
+impl<T: Send + 'static> Drop for RemoteNode<T> {
     fn drop(&mut self) {
         self.shared.stop();
         if let Some(thread) = self.thread.take() {
@@ -277,125 +250,16 @@ impl<T: Send + 'static> std::fmt::Debug for RemoteNode<T> {
     }
 }
 
-/// The node's serving loop: Fig. 7 over byte channels.  Between private
-/// queues the thread parks; every registration and the close unpark it,
-/// and an unpark that lands between an empty poll and the park stays
-/// pending and ends the park at once.
-fn serve<T>(shared: &Arc<NodeShared>, object: &mut RemoteObject<T>) {
-    loop {
-        match shared.qoq.try_dequeue() {
-            Ok(Some((requests, responses))) => {
-                serve_private_queue(shared, object, &requests, &responses);
-                shared
-                    .counters
-                    .blocks_served
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(None) => std::thread::park(),
-            Err(Closed) => return,
-        }
-    }
-}
-
-fn serve_private_queue<T>(
-    shared: &Arc<NodeShared>,
-    object: &mut RemoteObject<T>,
-    requests: &ByteReceiver,
-    responses: &ByteSender,
-) {
-    loop {
-        match requests.recv_frame() {
-            Ok(Frame::Hello { version, .. }) => {
-                if version != WIRE_VERSION {
-                    shared
-                        .counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            Ok(Frame::Call { method, args }) => {
-                shared
-                    .counters
-                    .calls_applied
-                    .fetch_add(1, Ordering::Relaxed);
-                if object.apply(&method, &args).is_err() {
-                    // An asynchronous call has nobody to report to; count it,
-                    // matching the in-memory runtime's `call_panics` counter.
-                    shared
-                        .counters
-                        .application_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Ok(Frame::Query { method, args }) => {
-                shared
-                    .counters
-                    .queries_applied
-                    .fetch_add(1, Ordering::Relaxed);
-                let result = object.apply(&method, &args);
-                if result.is_err() {
-                    shared
-                        .counters
-                        .application_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if responses
-                    .send_frame(&Frame::QueryResult { result })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(Frame::Sync) => {
-                shared.counters.syncs_acked.fetch_add(1, Ordering::Relaxed);
-                if responses.send_frame(&Frame::SyncAck).is_err() {
-                    return;
-                }
-            }
-            Ok(Frame::End) => return,
-            Ok(unexpected) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = unexpected;
-                return;
-            }
-            Err(RecvError::Closed) => return,
-            // The node reads without a deadline, but the arm keeps the match
-            // exhaustive (and correct if that ever changes): a timeout means
-            // the stream is unusable.
-            Err(RecvError::TimedOut) => return,
-            Err(RecvError::Malformed(_)) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-}
-
 impl RemoteProxy {
-    /// Opens a separate block against the node: registers a fresh byte-channel
-    /// private queue on the node's queue-of-queues, runs `body`, then logs the
-    /// END marker (Fig. 8 over the wire).  Calls logged after the body's last
-    /// query or sync go out with that marker; a body that needs to know they
-    /// were delivered ends the block itself with [`RemoteSeparate::end`].
+    /// Opens a separate block against the node: hands a fresh byte-channel
+    /// private queue to the node, runs `body`, then logs the END marker
+    /// (Fig. 8 over the wire).  Calls logged after the body's last query or
+    /// sync go out with that marker; a body that needs to know they were
+    /// delivered ends the block itself with [`RemoteSeparate::end`].
     pub fn separate<R>(&self, body: impl FnOnce(&mut RemoteSeparate) -> R) -> R {
         let (request_tx, request_rx) = byte_channel(self.shared.channel_config);
         let (response_tx, response_rx) = byte_channel(self.shared.channel_config);
-        if self.shared.qoq.is_closed() {
-            // The node has shut down: dropping the response sender here makes
-            // every query/sync in the body observe `Disconnected` instead of
-            // blocking on a reply that will never come.
-            drop(response_tx);
-            drop(request_rx);
-        } else {
-            self.shared.register((request_rx, response_tx));
-        }
+        self.shared.register((request_rx, response_tx));
         let mut guard = RemoteSeparate::over(
             request_tx,
             response_rx,
@@ -744,6 +608,8 @@ impl Drop for RemoteSeparate {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
     use crate::registry::{counter_registry, MethodRegistry};
 
@@ -854,6 +720,70 @@ mod tests {
         let stats = node.stats();
         assert_eq!(stats.application_errors, 2);
         assert!(err.to_string().contains("no method"));
+    }
+
+    #[test]
+    fn a_panicking_method_leaves_the_node_serving() {
+        let registry = counter_registry().with("explode", |_, _| panic!("explode called"));
+        let node = RemoteNode::spawn(
+            "fragile",
+            RemoteObject::new(0i64, registry),
+            ChannelConfig::fast().with_response_timeout(Duration::from_secs(2)),
+        );
+        let proxy = node.proxy("client");
+        let started = std::time::Instant::now();
+        proxy.call_detached("add", vec![WireValue::Int(4)]).unwrap();
+        proxy.call_detached("explode", vec![]).unwrap();
+        let err = proxy.query_detached("explode", vec![]).unwrap_err();
+        assert_eq!(
+            err,
+            RemoteError::Application("method `explode` panicked".into())
+        );
+        assert_eq!(proxy.query_detached("value", vec![]), Ok(WireValue::Int(4)));
+        assert!(started.elapsed() < Duration::from_secs(2), "a reply waited");
+        let stats = node.stats();
+        assert_eq!(stats.call_panics, 1);
+        assert_eq!(stats.application_errors, 2);
+        assert_eq!(node.shutdown_and_take(), Some(4));
+    }
+
+    #[test]
+    fn calls_sent_with_their_query_run_at_its_sync_without_a_worker() {
+        let node = counter_node("fold");
+        let proxy = node.proxy("client");
+        proxy.query_detached("value", vec![]).unwrap();
+        let runtime_counts =
+            |stats: NodeStats| (stats.runtime_calls_enqueued, stats.runtime_handler_wakeups);
+
+        // Hello, three adds and the query go out in one write; the serving
+        // thread applies the adds inside the query's sync, so the runtime
+        // neither enqueues a call nor wakes a worker.
+        let before = runtime_counts(node.stats());
+        for block in 1..=200 {
+            let value = proxy.separate(|s| {
+                for amount in 1..=3 {
+                    s.call("add", vec![WireValue::Int(amount)]).unwrap();
+                }
+                s.query("value", vec![]).unwrap()
+            });
+            assert_eq!(value, WireValue::Int(6 * block), "block {block}");
+        }
+        assert_eq!(runtime_counts(node.stats()), before);
+
+        // Without a query the adds arrive with `End` and are logged as
+        // calls: every one reaches the handler through the pool.
+        for _ in 0..200 {
+            proxy.separate(|s| {
+                for amount in 1..=3 {
+                    s.call("add", vec![WireValue::Int(amount)]).unwrap();
+                }
+            });
+        }
+        assert_eq!(
+            proxy.query_detached("value", vec![]),
+            Ok(WireValue::Int(2400))
+        );
+        assert_eq!(node.stats().runtime_calls_enqueued - before.0, 600);
     }
 
     #[test]

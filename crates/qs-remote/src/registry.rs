@@ -2,8 +2,10 @@
 //!
 //! A memory-resident private queue carries closures; a remote one carries
 //! method names plus arguments.  A [`MethodRegistry`] maps those names to
-//! functions over the handler-owned state, and a [`RemoteObject`] bundles the
-//! state with its registry so a [`crate::node::RemoteNode`] can host it.
+//! functions over the handler-owned state; a [`crate::server::BlockServer`]
+//! dispatches every frame it applies through one.  A [`RemoteObject`]
+//! bundles the state with its registry so a [`crate::node::RemoteNode`] can
+//! host it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -82,7 +84,8 @@ impl<T> std::fmt::Debug for MethodRegistry<T> {
 }
 
 /// Handler-owned state paired with the registry that gives it behaviour;
-/// this is what a [`crate::node::RemoteNode`] hosts.
+/// this is what a [`crate::node::RemoteNode`] hosts (the state on its
+/// handler, the registry in its block server).
 pub struct RemoteObject<T> {
     /// The state owned by the hosting node's handler.
     pub state: T,
@@ -97,12 +100,6 @@ impl<T> RemoteObject<T> {
             state,
             registry: Arc::new(registry),
         }
-    }
-
-    /// Dispatches a named method against the state.
-    pub fn apply(&mut self, name: &str, args: &[WireValue]) -> Result<WireValue, String> {
-        let registry = Arc::clone(&self.registry);
-        registry.dispatch(&mut self.state, name, args)
     }
 }
 
@@ -176,8 +173,14 @@ mod tests {
     #[test]
     fn remote_object_applies_methods_to_its_state() {
         let mut object = RemoteObject::new(10i64, counter_registry());
-        object.apply("add", &[WireValue::Int(5)]).unwrap();
-        assert_eq!(object.apply("value", &[]).unwrap(), WireValue::Int(15));
+        let registry = Arc::clone(&object.registry);
+        registry
+            .dispatch(&mut object.state, "add", &[WireValue::Int(5)])
+            .unwrap();
+        assert_eq!(
+            registry.dispatch(&mut object.state, "value", &[]).unwrap(),
+            WireValue::Int(15)
+        );
         assert!(format!("{object:?}").contains("15"));
     }
 }

@@ -205,8 +205,8 @@ pub(crate) struct HandlerCore<T> {
     /// `&mut` access — the main loop applying a batch, a client-executed
     /// query under an exclusive reservation — holds it in write mode.  With
     /// no read reservation ever taken, the gate costs the write paths one
-    /// uncontended CAS per batch.  `Arc` so scan-time deadlock probes can
-    /// outlive a borrow of the core.
+    /// uncontended CAS and one release RMW per batch, and no lock.  `Arc`
+    /// so scan-time deadlock probes can outlive a borrow of the core.
     pub(crate) gate: Arc<ReadGate>,
     /// Deadlock-tracking identities of the clients currently holding read
     /// reservations on this handler, so a writer blocked behind readers can
@@ -639,10 +639,8 @@ impl<T: Send + 'static> HandlerCore<T> {
             // the retry sees the gate free, or the releasing reader sees the
             // hook.
             let hook = Arc::clone(&self.wake_hook);
-            self.gate.enlist(
-                true,
-                GateWake::Hook(Arc::new(move || hook(WakeReason::Writable))),
-            );
+            self.gate
+                .enlist(GateWake::Hook(Arc::new(move || hook(WakeReason::Writable))));
             if !self.gate.try_write() {
                 state.pending = Some((drained, pressured));
                 return Some(StepOutcome::Idle);

@@ -34,6 +34,7 @@
 //! concrete read holder, so reader/writer cycles are named, reported and
 //! breakable like every other wait in the runtime.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use qs_deadlock::{EdgeKind, WakerFn};
@@ -97,6 +98,9 @@ pub struct ReadSeparate<'a, T: Send + 'static> {
     holder: Option<qs_deadlock::ParticipantId>,
     /// Whether the gate is currently held in read mode by this guard.
     active: bool,
+    /// Queries run through this guard, added to the shared
+    /// [`RuntimeStats`] once, on release.
+    queries: Cell<u64>,
     /// Prevents `Send`/`Sync` auto-derivation.
     _not_send: std::marker::PhantomData<*const ()>,
 }
@@ -121,6 +125,7 @@ impl<'a, T: Send + 'static> ReadSeparate<'a, T> {
             core,
             holder: None,
             active: false,
+            queries: Cell::new(0),
             _not_send: std::marker::PhantomData,
         }
     }
@@ -184,9 +189,7 @@ impl<'a, T: Send + 'static> ReadSeparate<'a, T> {
             }
             // Lost-wake protocol: enlist, then re-try — either the retry
             // sees the gate free, or the releasing writer sees the waiter.
-            self.core
-                .gate
-                .enlist(false, GateWake::Parker(Arc::clone(&parker)));
+            self.core.gate.enlist(GateWake::Parker(Arc::clone(&parker)));
             if self.core.gate.try_read() {
                 return;
             }
@@ -206,7 +209,7 @@ impl<'a, T: Send + 'static> ReadSeparate<'a, T> {
     /// in place.  Because nothing crosses threads, the closure needs
     /// neither `Send` nor `'static`.
     pub fn query<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        RuntimeStats::bump(&self.core.stats.queries_client_executed);
+        self.queries.set(self.queries.get() + 1);
         // SAFETY: this guard holds the gate in read mode; every `&mut` site
         // takes the gate in write mode first, so only other readers can be
         // touching the object concurrently.
@@ -265,6 +268,10 @@ impl<'a, T: Send + 'static> ReadSeparate<'a, T> {
 
 impl<T: Send + 'static> Drop for ReadSeparate<'_, T> {
     fn drop(&mut self) {
+        RuntimeStats::add(
+            &self.core.stats.queries_client_executed,
+            self.queries.take(),
+        );
         if !self.active {
             return;
         }

@@ -50,6 +50,12 @@ pub struct Separate<'a, T: Send + 'static> {
     signal_guards: bool,
     /// How far the handler is known to have got through this block.
     progress: Progress,
+    /// Queries this block ran on the client, and syncs it elided: plain
+    /// counts, added to the shared [`RuntimeStats`] once, by
+    /// [`end`](Separate::end), so a query after a sync touches no shared
+    /// counter.
+    queries_client_executed: u64,
+    syncs_elided: u64,
     ended: bool,
     /// Prevents `Send`/`Sync` auto-derivation.
     _not_send: std::marker::PhantomData<*const ()>,
@@ -167,6 +173,8 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             tracking,
             signal_guards: !crate::guard::in_probe_round(),
             progress: Progress::Empty,
+            queries_client_executed: 0,
+            syncs_elided: 0,
             ended: false,
             _not_send: std::marker::PhantomData,
         }
@@ -252,7 +260,8 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// serialising this client's `&mut` against their concurrent `&`.
     /// Returns a guard that releases the gate on drop — also on unwind, so
     /// a panicking query closure cannot wedge readers out forever.  With no
-    /// read reservation active this is one uncontended CAS.
+    /// read reservation active this is one uncontended CAS, and the release
+    /// one RMW.
     fn write_gate(&self) -> WriteGateGuard<'_> {
         self.core
             .write_gate_blocking(self.tracking.as_ref().map(|tracking| tracking.waiter));
@@ -371,7 +380,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// what makes the unoptimised configurations slow on query-heavy code.
     pub fn sync(&mut self) {
         if self.is_synced() && self.core.config.dynamic_sync_coalescing {
-            RuntimeStats::bump(&self.core.stats.syncs_elided);
+            self.syncs_elided += 1;
             return;
         }
         self.force_sync();
@@ -408,7 +417,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// round-trip when the runtime can prove it redundant.
     fn ensure_synced(&mut self) {
         if self.is_synced() && self.core.config.dynamic_sync_coalescing {
-            RuntimeStats::bump(&self.core.stats.syncs_elided);
+            self.syncs_elided += 1;
             return;
         }
         // Without coalescing the runtime does not exploit the knowledge
@@ -428,7 +437,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
         let round_trip = qs_obs::timer();
         if self.core.config.client_executed_queries {
             self.ensure_synced();
-            RuntimeStats::bump(&self.core.stats.queries_client_executed);
+            self.queries_client_executed += 1;
             let _write = self.write_gate();
             // SAFETY: the sync above guarantees the handler has drained this
             // client's requests and is now parked waiting on this client's
@@ -463,6 +472,11 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// dominating [`sync`](Separate::sync) exists on every path and that no
     /// intervening asynchronous call invalidated it.  Calling it without that
     /// guarantee is a logic error; in debug builds it is detected.
+    ///
+    /// With no shared-read reservation active, the cost is the gate's write
+    /// hold — one uncontended CAS to take it and one RMW to release it —
+    /// plus the closure.  The query and its elided sync are counted on this
+    /// guard and reach [`RuntimeStats`] when the block ends.
     pub fn query_unsynced<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
         assert!(!self.ended, "query after the separate block ended");
         debug_assert!(
@@ -470,8 +484,8 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             "query_unsynced called while not synced; the static sync-coalescing \
              contract is violated"
         );
-        RuntimeStats::bump(&self.core.stats.queries_client_executed);
-        RuntimeStats::bump(&self.core.stats.syncs_elided);
+        self.queries_client_executed += 1;
+        self.syncs_elided += 1;
         let _write = self.write_gate();
         // SAFETY: as in `query` — the caller (the static pass) guarantees a
         // dominating sync with no intervening asynchronous call, so the
@@ -559,6 +573,15 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// Called automatically when the guard is dropped; calling it twice is
     /// harmless.
     pub fn end(&mut self) {
+        // First, so a block that unwinds reports its client-side counts too.
+        RuntimeStats::add(
+            &self.core.stats.queries_client_executed,
+            std::mem::take(&mut self.queries_client_executed),
+        );
+        RuntimeStats::add(
+            &self.core.stats.syncs_elided,
+            std::mem::take(&mut self.syncs_elided),
+        );
         if self.ended {
             return;
         }
@@ -895,6 +918,66 @@ mod tests {
         let snap = handler.stats().snapshot();
         assert_eq!(snap.syncs_performed, 1);
         assert_eq!(snap.queries_client_executed, 64);
+        handler.stop();
+    }
+
+    /// The shape of [`client_side_counts_survive_an_unwinding_block`]: a
+    /// sync, 10 unsynced queries and 5 synced ones.
+    fn sync_then_fifteen_queries(s: &mut Separate<'_, u32>) {
+        s.sync();
+        for _ in 0..10 {
+            s.query_unsynced(|n| *n);
+        }
+        for _ in 0..5 {
+            s.query(|n| *n);
+        }
+    }
+
+    #[test]
+    fn client_side_counts_survive_an_unwinding_block() {
+        let (_rt, normal) = spawn(RuntimeConfig::all_optimizations(), 3u32);
+        normal.separate(sync_then_fifteen_queries);
+        let expected = normal.stats().snapshot();
+        assert_eq!(expected.queries_client_executed, 15);
+        assert_eq!(expected.syncs_elided, 15);
+
+        let (_rt2, unwound) = spawn(RuntimeConfig::all_optimizations(), 3u32);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            unwound.separate(|s| {
+                sync_then_fifteen_queries(s);
+                panic!("block bomb");
+            })
+        }));
+        assert!(result.is_err());
+        let snap = unwound.stats().snapshot();
+        assert_eq!(
+            snap.queries_client_executed,
+            expected.queries_client_executed
+        );
+        assert_eq!(snap.syncs_elided, expected.syncs_elided);
+        assert_eq!(snap.syncs_performed, expected.syncs_performed);
+        assert_eq!(
+            unwound.query_detached(|n| *n),
+            3,
+            "the handler still serves"
+        );
+        normal.stop();
+        unwound.stop();
+    }
+
+    #[test]
+    fn read_guard_queries_count_once_released() {
+        const QUERIES: u64 = 37;
+        let (_rt, handler) = spawn(RuntimeConfig::all_optimizations(), 9u32);
+        let sum = crate::reserve(&handler).read().run(|r| {
+            (0..QUERIES)
+                .map(|_| u64::from(r.query(|n| *n)))
+                .sum::<u64>()
+        });
+        assert_eq!(sum, 9 * QUERIES);
+        let snap = handler.stats().snapshot();
+        assert_eq!(snap.queries_client_executed, QUERIES);
+        assert_eq!(snap.syncs_elided, 0);
         handler.stop();
     }
 

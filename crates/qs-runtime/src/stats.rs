@@ -45,7 +45,10 @@ fn batch_bucket_index(size: usize) -> usize {
 pub struct RuntimeStats {
     /// Asynchronous calls enqueued on private queues / request queues.
     pub calls_enqueued: AtomicU64,
-    /// Queries executed on the client after a sync (§3.2 optimisation).
+    /// Queries executed on the client after a sync (§3.2 optimisation), or
+    /// under a shared-read reservation.  Each reservation guard counts its
+    /// own and adds them here when it is released (also on unwind), so a
+    /// block's queries show up once the block has ended.
     pub queries_client_executed: AtomicU64,
     /// Queries packaged, sent to and executed by the handler.
     pub queries_handler_executed: AtomicU64,
@@ -53,7 +56,9 @@ pub struct RuntimeStats {
     pub queries_pipelined: AtomicU64,
     /// Sync round-trips actually performed (client blocked on the handler).
     pub syncs_performed: AtomicU64,
-    /// Sync operations elided by dynamic or static coalescing.
+    /// Sync operations elided by dynamic or static coalescing.  Counted
+    /// like `queries_client_executed`: added when the block's guard is
+    /// released.
     pub syncs_elided: AtomicU64,
     /// Separate blocks entered (single reservations).
     pub separate_blocks: AtomicU64,
@@ -142,6 +147,14 @@ impl RuntimeStats {
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds `n` to a counter; adding nothing touches no shared cache line.
+    #[inline]
+    pub(crate) fn add(counter: &AtomicU64, n: u64) {
+        if n != 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Raises a high-water-mark counter to `value` if it is below it.

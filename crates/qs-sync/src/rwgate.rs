@@ -10,8 +10,9 @@
 //! The design goals, in order:
 //!
 //! 1. **Free when unused.** A handler with no read reservations must pay one
-//!    uncontended CAS per batch, nothing more — the exclusive-only fast paths
-//!    of the runtime must not regress.
+//!    uncontended CAS to take the gate and one RMW to release it per batch,
+//!    nothing more — no lock on either side — so the exclusive-only fast
+//!    paths of the runtime do not regress.
 //! 2. **Writer preference.** A stream of readers must not starve the handler:
 //!    once a writer announces itself, new readers are refused until it has
 //!    run, so the reader population can only shrink while a writer waits.
@@ -23,8 +24,11 @@
 //!    pooled handler through its scheduler hook.
 //!
 //! The state packs into one `AtomicU64`: bits 0..32 count active readers,
-//! bit 32 flags an active writer, bits 33.. count announced (waiting)
-//! writers.  A single load classifies the gate; acquisition is a single CAS.
+//! bit 32 flags an active writer, bit 33 flags a non-empty waiter list, and
+//! bits 34.. count announced (waiting) writers.  A single load classifies the
+//! gate; acquisition is a single CAS.  The waiter bit is what keeps releases
+//! lock-free: a release drains the waiter list only when the value its own
+//! release RMW returned has the bit set.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,8 +40,12 @@ use crate::spinlock::SpinLock;
 const READERS_MASK: u64 = (1 << 32) - 1;
 /// Set while a writer holds the gate.
 const WRITER_ACTIVE: u64 = 1 << 32;
-/// One announced (waiting) writer; the count occupies bits 33 and up.
-const WRITER_WAITING_UNIT: u64 = 1 << 33;
+/// Set while the waiter list is non-empty; changed only under its lock.
+const WAITERS: u64 = 1 << 33;
+/// One announced (waiting) writer; the count occupies bits 34 and up.
+const WRITER_WAITING_UNIT: u64 = 1 << 34;
+/// Everything that refuses a reader: an active or an announced writer.
+const WRITERS_MASK: u64 = !(READERS_MASK | WAITERS);
 
 /// How a party blocked on the gate wants to be woken.
 #[derive(Clone)]
@@ -58,23 +66,23 @@ impl GateWake {
     }
 }
 
-struct GateWaiter {
-    writer: bool,
-    wake: GateWake,
-}
-
 /// A reader-counting, writer-preferring gate over one object.
 ///
 /// See the [module docs](self) for the protocol.  The lost-wake discipline is
 /// the usual one: a blocked party *first* [`enlist`](ReadGate::enlist)s its
-/// waker, *then* re-tries acquisition; a releasing party *first* publishes
-/// the new state (with `Release` ordering), *then* drains and fires the
-/// waiter list.  Either the retry sees the new state or the waker sees the
-/// enlisted entry.  Wakes may be spurious (the state can be re-taken before
-/// the woken party retries); callers loop.
+/// waker, *then* re-tries acquisition; a releasing party publishes the new
+/// state with one RMW and drains and fires the waiter list iff that RMW
+/// returned the waiter bit.  `enlist` sets the bit with an RMW after its
+/// push, and the drain clears it with an RMW before taking the list, both
+/// under the list's lock.  RMWs on one word are totally ordered, so either
+/// the release comes after the enlist (and sees the bit, or a drain that
+/// already took the entry) or before it (and the retry, which reads the
+/// word after the enlist's RMW, sees the release).  No fence is needed.
+/// Wakes may be spurious (the state can be re-taken before the woken party
+/// retries); callers loop.
 ///
-/// Entries are one-shot, and *every* release event drains them all — also
-/// one that leaves a waiter's own condition false (a writer retracting its
+/// Entries are one-shot, and every release event that finds the waiter bit
+/// drains them all — also one that leaves a waiter's own condition false (a writer retracting its
 /// announcement while it still holds the gate, the last reader leaving with
 /// a writer announced).  So an entry is routinely consumed before its owner
 /// has parked, and the owner then parks with nothing enlisted.  That is
@@ -85,7 +93,7 @@ struct GateWaiter {
 /// the reader behind a writer this way.
 pub struct ReadGate {
     state: AtomicU64,
-    waiters: SpinLock<Vec<GateWaiter>>,
+    waiters: SpinLock<Vec<GateWake>>,
 }
 
 impl Default for ReadGate {
@@ -109,7 +117,7 @@ impl ReadGate {
     pub fn try_read(&self) -> bool {
         let mut current = self.state.load(Ordering::Relaxed);
         loop {
-            if current & !READERS_MASK != 0 {
+            if current & WRITERS_MASK != 0 {
                 return false;
             }
             debug_assert!(current & READERS_MASK < READERS_MASK, "reader overflow");
@@ -141,7 +149,7 @@ impl ReadGate {
         // `a` = reader count after this release.
         qs_obs::trace(qs_obs::TraceKind::ReadRelease, (prev & READERS_MASK) - 1, 0);
         if prev & READERS_MASK == 1 {
-            self.wake_waiters();
+            self.wake_if_waiting(prev);
         }
     }
 
@@ -181,15 +189,16 @@ impl ReadGate {
     pub fn retract_writer(&self) {
         let prev = self.state.fetch_sub(WRITER_WAITING_UNIT, Ordering::AcqRel);
         debug_assert!(prev >= WRITER_WAITING_UNIT, "retract without announce");
-        self.wake_waiters();
+        self.wake_if_waiting(prev);
     }
 
     /// Releases the write hold and wakes all enlisted waiters (readers and
-    /// writers alike; whoever retries first wins).
+    /// writers alike; whoever retries first wins).  With nobody enlisted
+    /// this is one RMW and takes no lock.
     pub fn end_write(&self) {
         let prev = self.state.fetch_and(!WRITER_ACTIVE, Ordering::Release);
         debug_assert!(prev & WRITER_ACTIVE != 0, "end_write without a write hold");
-        self.wake_waiters();
+        self.wake_if_waiting(prev);
     }
 
     /// Takes the gate in write mode, spinning/parking the calling thread
@@ -205,7 +214,7 @@ impl ReadGate {
             if self.try_write() {
                 break;
             }
-            self.enlist(true, GateWake::Parker(Arc::clone(&parker)));
+            self.enlist(GateWake::Parker(Arc::clone(&parker)));
             if self.try_write() {
                 break;
             }
@@ -217,15 +226,30 @@ impl ReadGate {
     /// Registers a waiter to be woken at the next release event.  One-shot:
     /// the entry is consumed (or becomes stale) at the next wake round, so
     /// blocked parties re-enlist on every failed retry.
-    pub fn enlist(&self, writer: bool, wake: GateWake) {
-        self.waiters.lock().push(GateWaiter { writer, wake });
+    pub fn enlist(&self, wake: GateWake) {
+        let mut waiters = self.waiters.lock();
+        waiters.push(wake);
+        self.state.fetch_or(WAITERS, Ordering::AcqRel);
     }
 
+    /// The tail of every release: `prev` is the value the release RMW
+    /// returned, so the list is drained only if a waiter had enlisted by
+    /// then (see the [type docs](ReadGate) for why that cannot lose one).
+    fn wake_if_waiting(&self, prev: u64) {
+        if prev & WAITERS != 0 {
+            self.wake_waiters();
+        }
+    }
+
+    #[cold]
     fn wake_waiters(&self) {
-        let drained = std::mem::take(&mut *self.waiters.lock());
-        for waiter in drained {
-            let _ = waiter.writer;
-            waiter.wake.fire();
+        let drained = {
+            let mut waiters = self.waiters.lock();
+            self.state.fetch_and(!WAITERS, Ordering::AcqRel);
+            std::mem::take(&mut *waiters)
+        };
+        for wake in drained {
+            wake.fire();
         }
     }
 
@@ -242,7 +266,7 @@ impl ReadGate {
     /// `true` while a writer is announced or active — the signal that
     /// readers are (or are about to be) refused (racy snapshot).
     pub fn writer_contended(&self) -> bool {
-        self.state.load(Ordering::Acquire) & !READERS_MASK != 0
+        self.state.load(Ordering::Acquire) & WRITERS_MASK != 0
     }
 }
 
@@ -261,8 +285,128 @@ impl std::fmt::Debug for ReadGate {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
     use std::thread;
     use std::time::Duration;
+
+    /// Rounds per release flavour in the enlist-against-release race.
+    const RACE_ROUNDS: usize = 100_000;
+
+    /// How a holder lets go of the gate in one race round.
+    #[derive(Clone, Copy)]
+    enum Release {
+        EndWrite,
+        EndRead,
+        RetractWriter,
+    }
+
+    /// Spins (yielding now and then) until `done` holds.
+    fn spin_until(mut done: impl FnMut() -> bool) {
+        let mut spins = 0u32;
+        while !done() {
+            spins += 1;
+            if spins.is_multiple_of(64) {
+                thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+
+    /// One party takes the gate and releases it through `release`; the
+    /// other blocks on it at the same time — in [`ReadGate::write`], or as a
+    /// reader that enlists a parker and re-tries — and must be woken.  The
+    /// holder releases a varying number of spins after the waiter starts its
+    /// attempt, so releases land all along the waiter's try, enlist, retry
+    /// and park.  A round that is not done within the timeout is a lost
+    /// wake-up.
+    fn race_releases_against_waiters(release: Release) {
+        /// `go` value that ends the waiter thread.
+        const STOP: usize = usize::MAX;
+        let gate = Arc::new(ReadGate::new());
+        // Round `r` is announced as `2 * (r + 1) + as_writer`; the waiter
+        // acknowledges it by storing `r + 1` in `started`.
+        let go = Arc::new(AtomicUsize::new(0));
+        let started = Arc::new(AtomicUsize::new(0));
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let waiter = {
+            let (gate, go, started) = (Arc::clone(&gate), Arc::clone(&go), Arc::clone(&started));
+            thread::spawn(move || {
+                let parker = Arc::new(Parker::new());
+                for round in 1.. {
+                    let mut signal = 0;
+                    spin_until(|| {
+                        signal = go.load(Ordering::Acquire);
+                        signal == STOP || signal >> 1 == round
+                    });
+                    if signal == STOP {
+                        return;
+                    }
+                    started.store(round, Ordering::Release);
+                    if signal & 1 == 1 {
+                        gate.write();
+                        gate.end_write();
+                    } else {
+                        loop {
+                            if gate.try_read() {
+                                break;
+                            }
+                            gate.enlist(GateWake::Parker(Arc::clone(&parker)));
+                            if gate.try_read() {
+                                break;
+                            }
+                            parker.park_until(|| !gate.writer_contended());
+                        }
+                        gate.end_read();
+                    }
+                    done_tx.send(()).unwrap();
+                }
+            })
+        };
+        for round in 0..RACE_ROUNDS {
+            // The waiter that the held gate refuses: a reader never blocks
+            // another reader, so a read hold is raced by a writer, and a
+            // writer announcement (which refuses readers) by a reader.
+            let as_writer = match release {
+                Release::EndWrite => {
+                    assert!(gate.try_write());
+                    round % 2 == 0
+                }
+                Release::EndRead => {
+                    assert!(gate.try_read());
+                    true
+                }
+                Release::RetractWriter => {
+                    gate.announce_writer();
+                    false
+                }
+            };
+            go.store(2 * (round + 1) + usize::from(as_writer), Ordering::Release);
+            spin_until(|| started.load(Ordering::Acquire) == round + 1);
+            for _ in 0..round % 97 {
+                std::hint::spin_loop();
+            }
+            match release {
+                Release::EndWrite => gate.end_write(),
+                Release::EndRead => gate.end_read(),
+                Release::RetractWriter => gate.retract_writer(),
+            }
+            if done_rx.recv_timeout(Duration::from_secs(5)).is_err() {
+                panic!("round {round}: the waiter was never woken ({gate:?})");
+            }
+        }
+        go.store(STOP, Ordering::Release);
+        waiter.join().unwrap();
+        assert!(gate.writable());
+        assert!(!gate.writer_contended());
+    }
+
+    #[test]
+    fn a_waiter_enlisted_against_a_release_is_always_woken() {
+        for release in [Release::EndWrite, Release::EndRead, Release::RetractWriter] {
+            race_releases_against_waiters(release);
+        }
+    }
 
     #[test]
     fn readers_share_writers_exclude() {
@@ -309,9 +453,30 @@ mod tests {
             g2.end_write();
             got_it
         });
-        thread::sleep(Duration::from_millis(20));
+        // Release only once the writer has announced itself, so the release
+        // always races a blocked writer rather than one not yet started.
+        while !gate.writer_contended() {
+            thread::yield_now();
+        }
         gate.end_read();
         assert!(writer.join().unwrap());
+    }
+
+    #[test]
+    fn enlisted_waiters_do_not_refuse_readers() {
+        let gate = ReadGate::new();
+        gate.enlist(GateWake::Hook(Arc::new(|| {})));
+        assert!(gate.try_read(), "the waiter bit is not a writer");
+        assert!(!gate.writer_contended());
+        assert!(
+            format!("{gate:?}").contains("writers_waiting: 0"),
+            "{gate:?}"
+        );
+        assert!(!gate.try_write(), "the reader holds the gate");
+        gate.end_read();
+        assert!(gate.writable());
+        assert!(gate.try_write());
+        gate.end_write();
     }
 
     #[test]
@@ -320,12 +485,9 @@ mod tests {
         let fired = Arc::new(AtomicUsize::new(0));
         assert!(gate.try_read());
         let counter = Arc::clone(&fired);
-        gate.enlist(
-            true,
-            GateWake::Hook(Arc::new(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            })),
-        );
+        gate.enlist(GateWake::Hook(Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        })));
         assert_eq!(fired.load(Ordering::SeqCst), 0);
         gate.end_read();
         assert_eq!(fired.load(Ordering::SeqCst), 1, "last reader out wakes");

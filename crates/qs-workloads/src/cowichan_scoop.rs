@@ -62,13 +62,12 @@ struct Worker {
 /// Pulls `len` values out of a worker with the access shape dictated by the
 /// optimisation level: naive (query per element) or statically coalesced
 /// (one sync, then unsynced reads).
-fn pull_values<T: Send + 'static, R: Send + Copy + 'static>(
+fn pull_values<R: Send + Copy + 'static>(
     guard: &mut Separate<'_, Worker>,
     statically_coalesced: bool,
     len: usize,
     read: impl Fn(&mut Worker, usize) -> R + Send + Copy + 'static,
     mut sink: impl FnMut(usize, R),
-    _marker: std::marker::PhantomData<T>,
 ) {
     if statically_coalesced {
         guard.sync();
@@ -169,13 +168,12 @@ fn randmat(cluster: &Cluster, params: &CowichanParams) -> (IntMatrix, TimedRun) 
         let rows = range.len();
         let base_row = range.start;
         worker.separate(|s| {
-            pull_values::<u32, u32>(
+            pull_values(
                 s,
                 cluster.statically_coalesced,
                 rows * nr,
                 move |w, i| w.int_rows[i / nr][i % nr],
                 |i, value| matrix.set(base_row + i / nr, i % nr, value),
-                std::marker::PhantomData,
             );
         });
     }
@@ -249,13 +247,12 @@ fn thresh(cluster: &Cluster, params: &CowichanParams) -> (Matrix<bool>, TimedRun
         let rows = range.len();
         let base_row = range.start;
         worker.separate(|s| {
-            pull_values::<bool, bool>(
+            pull_values(
                 s,
                 cluster.statically_coalesced,
                 rows * nr,
                 move |w, i| w.mask_rows[i / nr][i % nr],
                 |i, value| mask.set(base_row + i / nr, i % nr, value),
-                std::marker::PhantomData,
             );
         });
     }
@@ -295,13 +292,12 @@ fn winnow(cluster: &Cluster, params: &CowichanParams) -> (Vec<Point>, TimedRun) 
     for worker in &cluster.workers {
         let count = worker.separate(|s| s.query(|w| w.candidates.len()));
         worker.separate(|s| {
-            pull_values::<(u32, usize, usize), (u32, usize, usize)>(
+            pull_values(
                 s,
                 cluster.statically_coalesced,
                 count,
                 |w, i| w.candidates[i],
                 |_, value| all.push(value),
-                std::marker::PhantomData,
             );
         });
     }
@@ -370,21 +366,19 @@ fn outer_from_points(cluster: &Cluster, points: &[Point]) -> (Matrix<f64>, Vec<f
         let rows = range.len();
         let base_row = range.start;
         worker.separate(|s| {
-            pull_values::<f64, f64>(
+            pull_values(
                 s,
                 cluster.statically_coalesced,
                 rows * n,
                 move |w, i| w.float_rows[i / n][i % n],
                 |i, value| matrix.set(base_row + i / n, i % n, value),
-                std::marker::PhantomData,
             );
-            pull_values::<f64, f64>(
+            pull_values(
                 s,
                 cluster.statically_coalesced,
                 rows,
                 |w, i| w.partial[i],
                 |i, value| vector[base_row + i] = value,
-                std::marker::PhantomData,
             );
         });
     }
@@ -438,13 +432,12 @@ fn product_from(cluster: &Cluster, matrix: &Matrix<f64>, vector: &[f64]) -> (Vec
         let rows = range.len();
         let base_row = range.start;
         worker.separate(|s| {
-            pull_values::<f64, f64>(
+            pull_values(
                 s,
                 cluster.statically_coalesced,
                 rows,
                 |w, i| w.partial[i],
                 |i, value| result[base_row + i] = value,
-                std::marker::PhantomData,
             );
         });
     }

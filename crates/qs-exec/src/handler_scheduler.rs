@@ -48,15 +48,24 @@
 //! `Idle` task sits in no run queue, so the claim makes the caller its only
 //! stepper.  A `Scheduled` task already sits in a run queue, and claiming it
 //! would have it stepped twice at once; a `Running`/`Notified` one has a
-//! stepper.  On any of those the party falls back to an ordinary notify.
+//! stepper.  On any of those [`TaskHandle::run_here`] falls back to an
+//! ordinary notify, while [`TaskHandle::try_run_here`] leaves the flag
+//! alone, so a party that expects the current stepper to finish soon can
+//! retry the claim a few times before it notifies.
+//!
 //! After its step the party releases the task by the worker's own
-//! `Running → Idle` CAS, and a step that ends `Notified` or out of budget
-//! goes to the pool exactly as a worker's would.  The party also bounds
-//! the step ([`PooledTask::step_here`]'s `budget`): it runs others' work
-//! only when its own wait depends on that work anyway, and a party that
-//! published no work of its own runs none.  The pool's threads start
-//! with the first task queued, so a pool whose tasks are only ever stepped
-//! by such parties runs none.
+//! `Running → Idle` CAS.  When that CAS fails because a notify came in
+//! during the step, the party steps the task again on its own thread, with
+//! the same budget, a bounded number of times: the notifier is usually
+//! another client whose work waits behind the block the party still holds
+//! open, and one more poll settles it for less than a worker's wake.  A
+//! step that is still notified after that, or ends out of budget, goes to
+//! the pool exactly as a worker's would.  The party also bounds the step
+//! ([`PooledTask::step_here`]'s `budget`): it runs others' work only when
+//! its own wait depends on that work anyway, and a party that published no
+//! work of its own runs none.  The pool's threads start with the first
+//! task queued, so a pool whose tasks are only ever stepped by such
+//! parties runs none.
 //!
 //! # The pressure lane
 //!
@@ -304,26 +313,37 @@ impl TaskHandle {
     /// the caller claims it (`Idle → Running`) and runs one
     /// [`PooledTask::step_here`] with `budget` on its own thread — no
     /// worker wakes, and no thread but the caller's is involved — then
-    /// releases it as a worker would.  In any other state this is an
-    /// ordinary `notify`.
+    /// releases it as a worker would, stepping again here first when a
+    /// notify came in meanwhile (see the module docs).  In any other state
+    /// this is an ordinary `notify`.
     pub fn run_here(&self, budget: usize) -> RanHere {
-        if self
-            .state
-            .flag
-            .compare_exchange(IDLE, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return RanHere {
+        match self.try_run_here(budget) {
+            Some(scheduled) => RanHere {
+                stepped: true,
+                scheduled,
+            },
+            None => RanHere {
                 stepped: false,
                 scheduled: self.notify(),
-            };
+            },
         }
+    }
+
+    /// [`run_here`](TaskHandle::run_here) without its fallback: steps the
+    /// task on the calling thread only when it is `Idle`, and otherwise
+    /// returns `None` and leaves the flag as it found it — no notify.  For a
+    /// client that wants to keep trying the claim before it settles for a
+    /// notify; it owes the task a `run_here` or a `notify` unless the work
+    /// it waits on completes meanwhile.  `Some` says whether the step handed
+    /// the task to the pool.
+    pub fn try_run_here(&self, budget: usize) -> Option<bool> {
+        self.state
+            .flag
+            .compare_exchange(IDLE, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
+            .ok()?;
         // The `Running` fence: pairs with the fence in `notify`.
         fence(Ordering::SeqCst);
-        RanHere {
-            stepped: true,
-            scheduled: step_claimed(&self.state, budget),
-        }
+        Some(step_claimed(&self.state, budget))
     }
 
     /// Returns `true` once the task reported [`StepOutcome::Done`].
@@ -380,16 +400,27 @@ fn run_inline(state: &Arc<TaskState>) {
     step_claimed(state, usize::MAX);
 }
 
+/// Extra steps a party outside the pool runs, with its own budget, when its
+/// step ends `Idle` but a notify came in meanwhile.  The notifier is most
+/// often another client of the same handler that found this party
+/// stepping, and its work usually waits behind the block this party still
+/// holds open: one more poll here settles it for the cost of a step, where
+/// handing the task on costs a worker's wake.  The bound keeps a task that
+/// is notified on every step from holding the party.
+const NOTIFIED_STEPS_HERE: usize = 4;
+
 /// Steps a task the calling thread, a party outside the pool, holds
 /// `Running` (fence already issued), then releases it: `Idle` by the
-/// `Running → Idle` CAS; `Notified` or `Yielded` to the pool as
-/// [`run_task`] hands them on, or — with no pool left — another step here,
-/// unbounded, since nobody else will take the work.  Returns whether the
-/// task went to the pool.
+/// `Running → Idle` CAS; `Notified` by stepping again here, up to
+/// [`NOTIFIED_STEPS_HERE`] times with the same budget; `Notified` beyond
+/// that, or `Yielded`, to the pool as [`run_task`] hands them on, or — with
+/// no pool left — another step here, unbounded, since nobody else will take
+/// the work.  Returns whether the task went to the pool.
 fn step_claimed(state: &Arc<TaskState>, mut budget: usize) -> bool {
     let Some(task) = state.task() else {
         return false;
     };
+    let mut notified_steps = NOTIFIED_STEPS_HERE;
     loop {
         let outcome =
             catch_unwind(AssertUnwindSafe(|| task.step_here(budget))).unwrap_or(StepOutcome::Done);
@@ -405,6 +436,14 @@ fn step_claimed(state: &Arc<TaskState>, mut budget: usize) -> bool {
                     .is_ok() =>
             {
                 return false;
+            }
+            // `Notified`: the flag can leave `Running` only that way while
+            // this thread holds it.  Taking it back to `Running` consumes
+            // the notify, and the next step's polls cover it.
+            StepOutcome::Idle if notified_steps > 0 => {
+                notified_steps -= 1;
+                state.flag.store(RUNNING, Ordering::SeqCst);
+                fence(Ordering::SeqCst);
             }
             _ => match live_pool(state) {
                 Some(shared) => {
@@ -1672,6 +1711,139 @@ mod tests {
         assert_eq!(threads[0], here);
         assert_ne!(threads[1], here, "the pool took the yielded task");
         scheduler.shutdown();
+    }
+
+    /// Notifies its own handle from each of its first `notifying` client
+    /// steps; a pool step sets `pooled`.  Every step ends `Idle`.
+    struct SelfNotifying {
+        handle: TaskHandle,
+        notifying: AtomicUsize,
+        here: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+        pooled: Event,
+    }
+
+    impl SelfNotifying {
+        fn register(scheduler: &HandlerScheduler, notifying: usize) -> Arc<Self> {
+            scheduler.register_with(|handle| {
+                Arc::new(SelfNotifying {
+                    handle,
+                    notifying: AtomicUsize::new(notifying),
+                    here: std::sync::Mutex::new(Vec::new()),
+                    pooled: Event::new(),
+                })
+            })
+        }
+    }
+
+    impl PooledTask for SelfNotifying {
+        fn step(&self) -> StepOutcome {
+            self.pooled.set();
+            StepOutcome::Idle
+        }
+
+        fn step_here(&self, _budget: usize) -> StepOutcome {
+            self.here.lock().unwrap().push(std::thread::current().id());
+            if self
+                .notifying
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok()
+            {
+                self.handle.notify();
+            }
+            StepOutcome::Idle
+        }
+    }
+
+    #[test]
+    fn a_client_step_that_was_notified_runs_again_here() {
+        let scheduler = HandlerScheduler::new(1);
+        let task = SelfNotifying::register(&scheduler, 1);
+        assert_eq!(
+            task.handle.run_here(1),
+            RanHere {
+                stepped: true,
+                scheduled: false
+            },
+            "the notified step ran again here instead of going to the pool"
+        );
+        let here = std::thread::current().id();
+        assert_eq!(*task.here.lock().unwrap(), vec![here, here]);
+        assert_eq!(scheduler.steps(), 0, "no worker stepped it");
+        assert_eq!(scheduler.peak_threads(), 0, "and none was started");
+        scheduler.shutdown();
+    }
+
+    #[test]
+    fn a_client_step_notified_on_every_step_goes_to_the_pool() {
+        let scheduler = HandlerScheduler::new(1);
+        let task = SelfNotifying::register(&scheduler, usize::MAX);
+        assert_eq!(
+            task.handle.run_here(1),
+            RanHere {
+                stepped: true,
+                scheduled: true
+            }
+        );
+        assert_eq!(task.here.lock().unwrap().len(), 1 + NOTIFIED_STEPS_HERE);
+        task.pooled.wait();
+        scheduler.shutdown();
+        assert_eq!(scheduler.steps(), 1, "the pool stepped it once");
+    }
+
+    #[test]
+    fn try_run_here_neither_claims_nor_notifies_a_busy_task() {
+        /// Pins the only worker until `gate` opens.
+        struct Pin {
+            entered: Event,
+            gate: Event,
+        }
+        impl PooledTask for Pin {
+            fn step(&self) -> StepOutcome {
+                self.entered.set();
+                self.gate.wait();
+                StepOutcome::Done
+            }
+        }
+        /// Counts its steps.
+        struct Counted(AtomicUsize, Event);
+        impl PooledTask for Counted {
+            fn step(&self) -> StepOutcome {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                self.1.set();
+                StepOutcome::Idle
+            }
+        }
+        let scheduler = HandlerScheduler::new(1);
+        // An idle task is stepped on the caller.
+        let idle = Recorder::new(StepOutcome::Idle);
+        let handle = scheduler.register(Arc::clone(&idle) as Arc<dyn PooledTask>);
+        assert_eq!(handle.try_run_here(1), Some(false));
+        assert_eq!(
+            *idle.threads.lock().unwrap(),
+            vec![std::thread::current().id()]
+        );
+        // A busy one is left alone.
+        let pin = Arc::new(Pin {
+            entered: Event::new(),
+            gate: Event::new(),
+        });
+        scheduler
+            .register(Arc::clone(&pin) as Arc<dyn PooledTask>)
+            .notify();
+        pin.entered.wait();
+        let task = Arc::new(Counted(AtomicUsize::new(0), Event::new()));
+        let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
+        assert!(handle.notify(), "queued behind the pinned worker");
+        assert_eq!(
+            handle.try_run_here(1),
+            None,
+            "a Scheduled task is not claimed"
+        );
+        assert_eq!(handle.state.flag.load(Ordering::SeqCst), SCHEDULED);
+        pin.gate.set();
+        task.1.wait();
+        scheduler.shutdown();
+        assert_eq!(task.0.load(Ordering::SeqCst), 1, "the pool stepped it once");
     }
 
     #[test]

@@ -253,9 +253,16 @@ impl<T> MutexQueue<T> {
 
     /// Closes the queue; consumers observe [`Closed`] after draining.
     pub fn close(&self) {
+        self.close_without_wake();
+        self.invoke_wake_hook(WakeReason::Close);
+    }
+
+    /// [`close`](Self::close) without invoking the wake hook, for a closer
+    /// that drives the consumer itself.  Producers blocked for space still
+    /// wake and observe the close.
+    pub fn close_without_wake(&self) {
         self.inner.lock().unwrap().closed = true;
         self.not_full.notify_all();
-        self.invoke_wake_hook(WakeReason::Close);
     }
 
     /// Returns `true` once the queue has been closed.

@@ -33,13 +33,19 @@
 //! The client's step (`HandlerCore::run_here` over
 //! [`qs_exec::TaskHandle::run_here`]) is the paper's §3.2 handoff without a
 //! worker in between: the client's wait costs no OS wake-up of a worker,
-//! and the client is not parked when its own sync completes.  It happens at exactly two points, both on the
-//! queue-of-queues path:
+//! and the client is not parked when its own sync completes.  It happens at
+//! three points:
 //!
-//! * the push of the `Sync` a `query`/`sync` is about to wait on.  The step
-//!   applies at most one drain batch ([`RuntimeConfig::max_batch`]) before
-//!   handing the handler to the pool.  Whatever it runs ahead of the `Sync`
-//!   is work the client's wait depends on anyway.
+//! * the push of the `Sync` a `query`/`sync` is about to wait on (on the
+//!   queue-of-queues path).  The step applies at most one drain batch
+//!   ([`RuntimeConfig::max_batch`]) before handing the handler to the pool.
+//!   Whatever it runs ahead of the `Sync` is work the client's wait depends
+//!   on anyway.  A handler that another party is stepping — typically the
+//!   client ahead of this one, still in its own step — is claimed again
+//!   ([`HandlerCore::try_run_here`]) for one backoff window while the sync
+//!   is pending, and only then notified; a client step that a notify
+//!   interrupted steps again on the client before it hands the handler on.
+//!   Between them, two clients of one handler keep it off the pool.
 //! * the END of a block that has logged no call since its last sync (so the
 //!   handler is parked on it with nothing left but the close).  This step
 //!   runs no client code: it processes closes and the sync tokens of the
@@ -47,6 +53,10 @@
 //!   query it finds goes to the pool.  That request may wait for something
 //!   the ending client does only after its END, so running it here could
 //!   make the client wait on itself.
+//! * [`stop`](HandlerCore::stop), with the same zero budget: a handler
+//!   with nothing queued retires on the stopping thread, so a runtime
+//!   whose handlers were only ever stepped by their clients never starts
+//!   the pool's threads.
 //!
 //! Never on a `call`, nor at the END of a block with calls outstanding: a
 //! client that logs work and walks away must not run that work itself, or
@@ -273,6 +283,19 @@ impl<T: Send + 'static> HandlerCore<T> {
         ran.stepped && !ran.scheduled
     }
 
+    /// [`run_here`](Self::run_here) only when the handler is idle: returns
+    /// `false`, and notifies nobody, when another party has it running or
+    /// scheduled.
+    pub(crate) fn try_run_here(&self, budget: usize) -> bool {
+        let Some(scheduled) = self.task.try_run_here(budget) else {
+            return false;
+        };
+        if scheduled {
+            RuntimeStats::bump(&self.stats.handler_wakeups);
+        }
+        true
+    }
+
     /// Pointer to the handler-owned object.
     ///
     /// # Safety
@@ -388,13 +411,15 @@ impl<T: Send + 'static> HandlerCore<T> {
         }
     }
 
-    /// Marks the handler as stopping and wakes it so it can exit.
+    /// Marks the handler as stopping and drives it to its exit.  The
+    /// stopping thread steps an idle handler itself, with no budget: a
+    /// handler with nothing queued retires here without the pool, and the
+    /// first call or query still queued goes to the pool, as at an END.
     pub(crate) fn stop(&self) {
         if !self.stopped.swap(true, Ordering::AcqRel) {
             self.qoq.close();
-            // The queue-of-queues has no hook of its own.
-            (self.wake_hook)(WakeReason::Close);
-            self.request_queue.close();
+            self.request_queue.close_without_wake();
+            self.run_here(0);
             // Guard waiters parked on a dying handler must not strand: wake
             // them so their next evaluation observes the shutdown.
             self.guards.signal_all();

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use qs_deadlock::{EdgeKind, ParticipantId, ProbeFn, WaitRegistry, WakerFn};
 use qs_queues::{mailbox, BlockWatcher, MailboxProducer, WakeReason};
-use qs_sync::Handoff;
+use qs_sync::{Backoff, Handoff};
 
 use crate::deadlock::{current_waiter, BlockTracking};
 use crate::handler::{ClientMailbox, HandlerCore};
@@ -392,7 +392,12 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// steps an idle handler itself (see [`HandlerCore::run_here`]):
     /// the step applies everything queued ahead of the sync, then the sync,
     /// and parks the handler on this block's queue — so the wait below
-    /// usually finds the handoff complete.
+    /// usually finds the handoff complete.  A handler that another party is
+    /// stepping (most often the client ahead, still in its own step) is
+    /// usually idle again once that step ends, so the claim is retried for
+    /// one [`Backoff`] window before the client settles for a notify, which
+    /// would hand the handler to a worker; the retries stop as soon as that
+    /// other party completes the sync.
     fn force_sync(&mut self) {
         RuntimeStats::bump(&self.core.stats.syncs_performed);
         let handoff = Arc::clone(&self.sync_handoff);
@@ -405,7 +410,17 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
                 let pending = Arc::clone(&handoff);
                 tracking.query_edge(Some(Arc::new(move || !pending.is_ready()) as ProbeFn))
             });
-            self.core.run_here(self.core.config.max_batch.max(1));
+            let budget = self.core.config.max_batch.max(1);
+            let backoff = Backoff::new();
+            // Every exit but a completed sync has claimed or notified the
+            // handler, as a push with a wake would have.
+            while !handoff.is_ready() && !self.core.try_run_here(budget) {
+                if backoff.is_completed() {
+                    self.core.run_here(budget);
+                    break;
+                }
+                backoff.snooze();
+            }
         } else {
             self.enqueue(sync);
         }

@@ -2,7 +2,8 @@
 //! steps it on its own thread, and the pool's workers step it otherwise.
 //!
 //! Deterministic checks only — counts, thread ids and logs, no wall-clock
-//! ratios: a synced block wakes no worker; a call whose block ends unsynced
+//! ratios: a synced block wakes no worker; stopping an idle handler starts
+//! no pool thread; a call whose block ends unsynced
 //! never runs on the client that logged it; a nested client step completes;
 //! an END runs no other client's request, neither one that waits for what
 //! the ending client does next nor one that waits for a reservation the
@@ -54,6 +55,17 @@ fn synced_blocks_on_an_idle_pooled_handler_wake_no_worker() {
         0,
         "the client stepped its handler: neither the sync nor the END woke a worker"
     );
+}
+
+#[test]
+fn stopping_an_idle_handler_starts_no_pool_thread() {
+    // The stopping thread retires an idle handler itself: after one synced
+    // block, nothing ever reached the pool, so it never started.
+    let rt = Runtime::new(pooled());
+    let h = rt.spawn_handler(5u64);
+    assert_eq!(h.separate(|s| s.query(|n| *n)), 5);
+    assert_eq!(h.shutdown_and_take(), Some(5));
+    assert_eq!(rt.scheduler_peak_threads(), 0);
 }
 
 #[test]

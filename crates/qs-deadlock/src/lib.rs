@@ -752,6 +752,52 @@ pub fn adaptive_tick(
     }
 }
 
+/// The monitor's two-scan confirmation: a cycle is reported only once two
+/// consecutive scans have seen it with identical edges, so a cycle that
+/// forms and dissolves between two scans is never reported.
+#[derive(Default)]
+struct Confirmation {
+    /// Cycles seen on the previous scan, awaiting confirmation.
+    candidates: HashSet<Vec<EdgeId>>,
+    /// Cycles already reported; keyed by edge ids, which are never reused,
+    /// so one concrete deadlock instance is reported exactly once.
+    reported: HashSet<Vec<EdgeId>>,
+}
+
+impl Confirmation {
+    /// Whether a cycle from the last scan awaits confirmation.
+    fn pending(&self) -> bool {
+        !self.candidates.is_empty()
+    }
+
+    /// Scans `registry` once and returns the cycles this scan confirms.
+    fn scan(&mut self, registry: &WaitRegistry) -> Vec<DeadlockReport> {
+        // Prune reported-cycle memory whose edges are all gone: ids are
+        // never reused, so a pruned key can never suppress a fresh cycle,
+        // and the set stays bounded by the number of *live* deadlocks.
+        self.reported
+            .retain(|key| key.iter().any(|&edge| registry.edge_exists(edge)));
+        let mut confirmed = Vec::new();
+        let mut next_candidates = HashSet::new();
+        for report in registry.scan() {
+            let key = report.cycle_key();
+            if self.reported.contains(&key) {
+                continue;
+            }
+            if self.candidates.contains(&key) {
+                // Seen on two consecutive scans with identical edges:
+                // confirmed.
+                self.reported.insert(key);
+                confirmed.push(report);
+            } else {
+                next_candidates.insert(key);
+            }
+        }
+        self.candidates = next_candidates;
+        confirmed
+    }
+}
+
 fn monitor_loop(
     registry: &Arc<WaitRegistry>,
     tick: Duration,
@@ -760,17 +806,13 @@ fn monitor_loop(
     scans: &AtomicU64,
     on_report: &dyn Fn(&DeadlockReport),
 ) {
-    // Cycles seen on the previous scan, awaiting confirmation.
-    let mut candidates: HashSet<Vec<EdgeId>> = HashSet::new();
-    // Cycles already reported; keyed by edge ids, which are never reused, so
-    // one concrete deadlock instance is reported exactly once.
-    let mut reported: HashSet<Vec<EdgeId>> = HashSet::new();
+    let mut confirmation = Confirmation::default();
     let mut scanned_version = u64::MAX;
     let mut interval = tick;
     while !stop.load(Ordering::Acquire) {
         interval = adaptive_tick(
             tick,
-            registry.has_probed_edges() || !candidates.is_empty(),
+            registry.has_probed_edges() || confirmation.pending(),
             registry.edge_count() == 0,
             interval,
         );
@@ -785,41 +827,24 @@ fn monitor_loop(
         // effective graph can change without the version moving, so those
         // keep the scanner ticking too.)
         let version = registry.version();
-        if version == scanned_version && candidates.is_empty() && !registry.has_probed_edges() {
+        if version == scanned_version && !confirmation.pending() && !registry.has_probed_edges() {
             continue;
         }
         scanned_version = version;
         scans.fetch_add(1, Ordering::Relaxed);
-        // Prune reported-cycle memory whose edges are all gone: ids are
-        // never reused, so a pruned key can never suppress a fresh cycle,
-        // and the set stays bounded by the number of *live* deadlocks.
-        reported.retain(|key| key.iter().any(|&edge| registry.edge_exists(edge)));
-        let mut next_candidates = HashSet::new();
-        for report in registry.scan() {
-            let key = report.cycle_key();
-            if reported.contains(&key) {
-                continue;
-            }
-            if candidates.contains(&key) {
-                // Seen on two consecutive scans with identical edges:
-                // confirmed.
-                reported.insert(key);
-                qs_obs::trace(
-                    qs_obs::TraceKind::DeadlockReport,
-                    report.edges.len() as u64,
-                    0,
-                );
-                on_report(&report);
-                if break_cycles {
-                    if let Some(edge) = report.breakable_edge() {
-                        registry.break_edge(edge.id);
-                    }
+        for report in confirmation.scan(registry) {
+            qs_obs::trace(
+                qs_obs::TraceKind::DeadlockReport,
+                report.edges.len() as u64,
+                0,
+            );
+            on_report(&report);
+            if break_cycles {
+                if let Some(edge) = report.breakable_edge() {
+                    registry.break_edge(edge.id);
                 }
-            } else {
-                next_candidates.insert(key);
             }
         }
-        candidates = next_candidates;
     }
 }
 
@@ -1150,31 +1175,34 @@ mod tests {
 
     #[test]
     fn monitor_does_not_report_transient_cycles() {
+        // The monitor's confirmation step, driven scan by scan: each cycle
+        // is seen by exactly one scan and dropped before the next, so none
+        // may ever be reported — however the monitor's ticks would fall.
         let registry = WaitRegistry::new();
         let a = registry.participant("a");
         let b = registry.participant("b");
-        let reports: Arc<Mutex<Vec<DeadlockReport>>> = Arc::default();
-        let sink = Arc::clone(&reports);
-        let monitor = DeadlockMonitor::spawn(
-            Arc::clone(&registry),
-            Duration::from_millis(20),
-            false,
-            move |report| sink.lock().unwrap().push(report.clone()),
-        );
-        // Rapidly create and destroy cycles: each lives well under one tick,
-        // so no cycle can be seen by two consecutive scans.
+        let mut confirmation = Confirmation::default();
         for _ in 0..50 {
             let ab = registry.register(a, b, EdgeKind::Query, None, None);
             let ba = registry.register(b, a, EdgeKind::Query, None, None);
-            std::thread::sleep(Duration::from_millis(1));
+            assert!(
+                confirmation.scan(&registry).is_empty(),
+                "a cycle seen once must not be reported"
+            );
+            assert!(confirmation.pending(), "the scan saw the cycle");
             drop(ab);
             drop(ba);
+            assert!(
+                confirmation.scan(&registry).is_empty(),
+                "sub-tick cycles must not be reported"
+            );
+            assert!(!confirmation.pending());
         }
-        std::thread::sleep(Duration::from_millis(80));
-        assert!(
-            reports.lock().unwrap().is_empty(),
-            "sub-tick cycles must not be reported"
-        );
-        drop(monitor);
+        // The control: a cycle that outlives two scans is reported, once.
+        let _ab = registry.register(a, b, EdgeKind::Query, None, None);
+        let _ba = registry.register(b, a, EdgeKind::Query, None, None);
+        assert!(confirmation.scan(&registry).is_empty());
+        assert_eq!(confirmation.scan(&registry).len(), 1);
+        assert!(confirmation.scan(&registry).is_empty(), "reported once");
     }
 }

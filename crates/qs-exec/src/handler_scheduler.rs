@@ -18,7 +18,8 @@
 //! guarantees the two properties an M:N handler loop needs:
 //!
 //! * **a task is never enqueued twice**: only the `Idle → Scheduled` and
-//!   `Running → Idle`-failed transitions enqueue, and both are CAS-guarded;
+//!   `Running → Idle`-failed transitions enqueue (or hand the task to a
+//!   parked driver, see below), and both are CAS-guarded;
 //! * **a wake is never lost**: a notify that finds the task `Running` moves
 //!   it to `Notified`, and the worker's `Running → Idle` CAS then fails and
 //!   reschedules instead of parking, so work enqueued *while* the task was
@@ -59,13 +60,30 @@
 //! the same budget, a bounded number of times: the notifier is usually
 //! another client whose work waits behind the block the party still holds
 //! open, and one more poll settles it for less than a worker's wake.  A
-//! step that is still notified after that, or ends out of budget, goes to
-//! the pool exactly as a worker's would.  The party also bounds the step
-//! ([`PooledTask::step_here`]'s `budget`): it runs others' work only when
-//! its own wait depends on that work anyway, and a party that published no
-//! work of its own runs none.  The pool's threads start with the first
-//! task queued, so a pool whose tasks are only ever stepped by such
-//! parties runs none.
+//! step that is still notified after that, or ends out of budget, is handed
+//! on as a notify hands on an idle task (below).  The party also bounds the
+//! step ([`PooledTask::step_here`]'s `budget`): it runs others' work only
+//! when its own wait depends on that work anyway, and a party that
+//! published no work of its own runs none.  The pool's threads start with
+//! the first task queued, so a pool whose tasks are only ever stepped by
+//! such parties runs none.
+//!
+//! A party that is about to *park* until the task has processed its work
+//! may register as the task's **parked driver**
+//! ([`TaskHandle::park_driver`]): one atomic word in the task's state
+//! holds it, the latest to register (an evicted driver is put back when
+//! the one that evicted it leaves).  A notify that takes the task
+//! `Idle → Scheduled` and finds a driver in the slot takes it out, hands
+//! the task to it and unparks it ([`Wake::Driver`]); with the slot empty
+//! the task goes to the pool ([`Wake::Pool`]).  Either way every
+//! `Scheduled` task has exactly one owner — a run queue of the pool, or
+//! one driver — and only that owner may step it: the driver stores
+//! `Running`, issues the `Running` fence and steps as a claiming party
+//! does ([`ParkedDriver::drive`]).  A driver that no longer needs the task
+//! when it was handed it (its wait ended meanwhile) passes it on as a
+//! notify would — to the driver it evicted, or to the pool — and never
+//! drops it ([`ParkedDriver::leave`]).  No party ever claims a `Scheduled`
+//! task.
 //!
 //! # The pressure lane
 //!
@@ -107,9 +125,9 @@
 //! long-pinned step as blocked.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -156,14 +174,30 @@ pub trait PooledTask: Send + Sync + 'static {
     }
 }
 
+/// Where a wake sent a task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// The task was idle and went to the pool's run queues (a "handler
+    /// wakeup").
+    Pool,
+    /// The task was idle and went to the client parked as its driver (see
+    /// [`TaskHandle::park_driver`]).
+    Driver,
+    /// The wake was already covered: the task was scheduled, running or
+    /// done, and nobody new was woken.
+    Covered,
+}
+
 /// What a [`TaskHandle::run_here`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RanHere {
     /// The calling thread stepped the task.
     pub stepped: bool,
-    /// The task went to the pool: the fallback notify scheduled it, or the
-    /// step ended notified or out of budget and handed it on.
-    pub scheduled: bool,
+    /// Where the task went: [`Wake::Pool`] when the fallback notify queued
+    /// it or the step ended notified or out of budget and handed it on,
+    /// [`Wake::Driver`] when the fallback notify handed it to a parked
+    /// driver, [`Wake::Covered`] otherwise.
+    pub wake: Wake,
 }
 
 // Schedule-flag states.
@@ -213,7 +247,22 @@ struct TaskState {
     /// while the task is `Running`/`Scheduled` still upgrades its next
     /// enqueue.
     pressure: AtomicBool,
+    /// The client parked as this task's driver, or null: one reference of
+    /// an `Arc<Driver>`, put here by [`TaskHandle::park_driver`] and taken
+    /// out by whoever swaps or exchanges it back to null — the waking
+    /// notifier, or the driver leaving.
+    driver: AtomicPtr<Driver>,
     scheduler: Weak<Shared>,
+}
+
+impl Drop for TaskState {
+    fn drop(&mut self) {
+        let driver = *self.driver.get_mut();
+        if !driver.is_null() {
+            // SAFETY: the slot owns one reference of the `Arc` it holds.
+            drop(unsafe { Arc::from_raw(driver) });
+        }
+    }
 }
 
 impl TaskState {
@@ -245,10 +294,11 @@ impl Clone for TaskHandle {
 
 impl TaskHandle {
     /// Wakes the task: schedules it if idle, or flags the running step to
-    /// re-check its queues before parking.  Returns `true` when this call
-    /// transitioned the task from idle to scheduled (a "handler wakeup");
-    /// duplicates and notifies against running/done tasks return `false`.
-    pub fn notify(&self) -> bool {
+    /// re-check its queues before parking.  An idle task goes to the client
+    /// parked as its driver when there is one ([`Wake::Driver`]), to the
+    /// pool otherwise ([`Wake::Pool`]); duplicates and notifies against
+    /// running/done tasks wake nobody ([`Wake::Covered`]).
+    pub fn notify(&self) -> Wake {
         // The caller has just published work, typically with a Release
         // store into a queue, and the fast paths below only *load* the
         // flag.  Without this fence that load may be satisfied before the
@@ -269,8 +319,7 @@ impl TaskHandle {
                         .compare_exchange(IDLE, SCHEDULED, Ordering::SeqCst, Ordering::SeqCst)
                         .is_ok()
                     {
-                        schedule(Arc::clone(&self.state));
-                        return true;
+                        return schedule(Arc::clone(&self.state));
                     }
                 }
                 RUNNING => {
@@ -280,11 +329,11 @@ impl TaskHandle {
                         .compare_exchange(RUNNING, NOTIFIED, Ordering::SeqCst, Ordering::SeqCst)
                         .is_ok()
                     {
-                        return false;
+                        return Wake::Covered;
                     }
                 }
                 // SCHEDULED, NOTIFIED, DONE: the wake is already covered.
-                _ => return false,
+                _ => return Wake::Covered,
             }
         }
     }
@@ -301,7 +350,7 @@ impl TaskHandle {
     /// The pressure marking is sticky until the task's next enqueue: a
     /// pressure wake that finds the task `Running` or already `Scheduled`
     /// still upgrades its next trip through the queues.
-    pub fn notify_pressure(&self) -> bool {
+    pub fn notify_pressure(&self) -> Wake {
         self.state.pressure.store(true, Ordering::SeqCst);
         self.notify()
     }
@@ -318,13 +367,13 @@ impl TaskHandle {
     /// this is an ordinary `notify`.
     pub fn run_here(&self, budget: usize) -> RanHere {
         match self.try_run_here(budget) {
-            Some(scheduled) => RanHere {
+            Some(wake) => RanHere {
                 stepped: true,
-                scheduled,
+                wake,
             },
             None => RanHere {
                 stepped: false,
-                scheduled: self.notify(),
+                wake: self.notify(),
             },
         }
     }
@@ -334,9 +383,9 @@ impl TaskHandle {
     /// returns `None` and leaves the flag as it found it — no notify.  For a
     /// client that wants to keep trying the claim before it settles for a
     /// notify; it owes the task a `run_here` or a `notify` unless the work
-    /// it waits on completes meanwhile.  `Some` says whether the step handed
-    /// the task to the pool.
-    pub fn try_run_here(&self, budget: usize) -> Option<bool> {
+    /// it waits on completes meanwhile.  `Some` says where the step handed
+    /// the task on ([`Wake::Covered`]: nowhere, it released it).
+    pub fn try_run_here(&self, budget: usize) -> Option<Wake> {
         self.state
             .flag
             .compare_exchange(IDLE, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
@@ -346,27 +395,261 @@ impl TaskHandle {
         Some(step_claimed(&self.state, budget))
     }
 
+    /// Registers the calling thread as the task's parked driver: a client
+    /// about to park until the task has processed work it published.  The
+    /// next notify that takes the task `Idle → Scheduled` hands the task to
+    /// this thread instead of the pool and unparks it (see the module
+    /// docs).  A driver already in the slot is evicted: no wake comes to it
+    /// until this one leaves and puts it back.  The caller must re-check
+    /// what it waits for, and may claim an idle task with
+    /// [`try_run_here`](Self::try_run_here), after registering and before
+    /// it parks; a wake before the registration went to the pool.
+    pub fn park_driver(&self) -> ParkedDriver {
+        let mut parked = ParkedDriver {
+            state: Arc::clone(&self.state),
+            driver: Arc::new(Driver {
+                thread: std::thread::current(),
+                fate: AtomicU8::new(PARKED),
+            }),
+            below: None,
+            in_slot: false,
+        };
+        parked.enter_slot();
+        parked
+    }
+
+    /// Whether the next notify would hand the task to a parked driver: one
+    /// holds the slot, and the task is idle.
+    pub fn driver_waiting(&self) -> bool {
+        !self.state.driver.load(Ordering::SeqCst).is_null()
+            && self.state.flag.load(Ordering::SeqCst) == IDLE
+    }
+
     /// Returns `true` once the task reported [`StepOutcome::Done`].
     pub fn is_done(&self) -> bool {
         self.state.flag.load(Ordering::SeqCst) == DONE
     }
 }
 
-impl std::fmt::Debug for TaskHandle {
+/// The record a parked driver leaves in its task's slot.
+struct Driver {
+    thread: Thread,
+    /// `PARKED` while in the slot.  Whoever takes the record out of the
+    /// slot, other than its driver, sets it: `HANDED` by a notifier (the
+    /// task is `Scheduled`, and this driver is its only owner), `EVICTED`
+    /// by a later driver.  A driver leaving while evicted sets `LEFT`, so
+    /// its evictor does not put it back.
+    fate: AtomicU8,
+}
+
+// Driver fates.
+const PARKED: u8 = 0;
+const HANDED: u8 = 1;
+const EVICTED: u8 = 2;
+const LEFT: u8 = 3;
+
+/// A client registered as its task's parked driver
+/// ([`TaskHandle::park_driver`]).  A wake that finds the task idle hands it
+/// to the driver in the slot: [`is_handed`](Self::is_handed) turns true and
+/// the thread is unparked.  The client then [`drive`](Self::drive)s the
+/// task while what it waits for is still pending, and
+/// [`repark`](Self::repark)s for the next wake; once its wait is over it
+/// [`leave`](Self::leave)s, which passes a task handed over meanwhile on —
+/// never drops it.  Dropping the guard leaves.
+///
+/// The slot holds one driver: the latest to register.  The driver it
+/// evicted waits on, and is put back in the slot when the evicting driver
+/// leaves, so a client whose wait ends first does not take the slot with
+/// it.
+pub struct ParkedDriver {
+    state: Arc<TaskState>,
+    driver: Arc<Driver>,
+    /// The driver this one evicted, put back when this one leaves.
+    below: Option<Arc<Driver>>,
+    /// Whether the record may be in the slot: from registering until a
+    /// wake hands the task over.
+    in_slot: bool,
+}
+
+impl ParkedDriver {
+    /// Whether a wake handed the task to this driver.
+    pub fn is_handed(&self) -> bool {
+        self.driver.fate.load(Ordering::SeqCst) == HANDED
+    }
+
+    /// Steps the task a wake handed to this driver, as
+    /// [`TaskHandle::run_here`] would with `budget`, and releases it the
+    /// same way.  The slot no longer holds this driver until
+    /// [`repark`](Self::repark).  Returns where the step handed the task
+    /// on.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the task was not handed over.
+    pub fn drive(&mut self, budget: usize) -> Wake {
+        assert!(self.is_handed(), "drive before a wake handed the task over");
+        self.in_slot = false;
+        self.state.flag.store(RUNNING, Ordering::SeqCst);
+        // The `Running` fence: pairs with the fence in `notify`.
+        fence(Ordering::SeqCst);
+        step_claimed(&self.state, budget)
+    }
+
+    /// Registers this driver again after [`drive`](Self::drive), as
+    /// [`TaskHandle::park_driver`] does.
+    pub fn repark(&mut self) {
+        if !self.in_slot {
+            self.driver.fate.store(PARKED, Ordering::SeqCst);
+            self.enter_slot();
+        }
+    }
+
+    /// Leaves the slot and puts back the driver this one evicted.  A task a
+    /// wake handed to this driver — before the leave, or racing it — is
+    /// passed on as a notify would hand it on (to the driver put back, or
+    /// to the pool), so that wake is not lost.  Returns where it went.
+    pub fn leave(mut self) -> Wake {
+        self.leave_slot()
+    }
+
+    fn enter_slot(&mut self) {
+        let raw = Arc::into_raw(Arc::clone(&self.driver)).cast_mut();
+        let evicted = self.state.driver.swap(raw, Ordering::SeqCst);
+        self.in_slot = true;
+        if !evicted.is_null() {
+            // SAFETY: the slot owned one reference; the swap moved it here.
+            let evicted = unsafe { Arc::from_raw(evicted) };
+            evicted.fate.store(EVICTED, Ordering::SeqCst);
+            self.below = Some(evicted);
+        }
+    }
+
+    fn leave_slot(&mut self) -> Wake {
+        let handed = std::mem::take(&mut self.in_slot) && self.take_out();
+        if let Some(below) = self.below.take() {
+            self.put_back(below);
+        }
+        if handed {
+            schedule(Arc::clone(&self.state))
+        } else {
+            Wake::Covered
+        }
+    }
+
+    /// Takes this driver out of the slot.  Returns `true` when a notifier
+    /// took it first: the task is then `Scheduled` and this driver's to
+    /// pass on.
+    fn take_out(&self) -> bool {
+        let raw = Arc::as_ptr(&self.driver).cast_mut();
+        let backoff = Backoff::new();
+        loop {
+            if self
+                .state
+                .driver
+                .compare_exchange(
+                    raw,
+                    std::ptr::null_mut(),
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                )
+                .is_ok()
+            {
+                // SAFETY: the slot owned one reference; the exchange moved
+                // it here.
+                drop(unsafe { Arc::from_raw(raw) });
+                return false;
+            }
+            match self.driver.fate.load(Ordering::SeqCst) {
+                // Whoever took the record is between its exchange and its
+                // fate store, or a leaving evictor is putting it back.
+                PARKED => backoff.snooze(),
+                HANDED => return true,
+                EVICTED => {
+                    if self
+                        .driver
+                        .fate
+                        .compare_exchange(EVICTED, LEFT, Ordering::SeqCst, Ordering::SeqCst)
+                        .is_ok()
+                    {
+                        return false;
+                    }
+                }
+                _ => return false,
+            }
+        }
+    }
+
+    /// Puts `below`, the driver this one evicted, back in the slot, unless
+    /// it has left or the slot holds another driver.
+    fn put_back(&self, below: Arc<Driver>) {
+        if below
+            .fate
+            .compare_exchange(EVICTED, PARKED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            return;
+        }
+        let raw = Arc::into_raw(Arc::clone(&below)).cast_mut();
+        if self
+            .state
+            .driver
+            .compare_exchange(
+                std::ptr::null_mut(),
+                raw,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
+            .is_err()
+        {
+            // SAFETY: `raw` came from `into_raw` above and was not stored.
+            drop(unsafe { Arc::from_raw(raw) });
+            below.fate.store(EVICTED, Ordering::SeqCst);
+        }
+    }
+}
+
+impl Drop for ParkedDriver {
+    fn drop(&mut self) {
+        self.leave_slot();
+    }
+}
+
+impl std::fmt::Debug for ParkedDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskHandle")
-            .field("done", &self.is_done())
+        f.debug_struct("ParkedDriver")
+            .field("handed", &self.is_handed())
             .finish()
     }
 }
 
-/// Hands a `Scheduled` task to the pool, or — when the scheduler is gone or
-/// shut down — runs it inline on the calling thread so a task with pending
-/// work can never be stranded.
-fn schedule(state: Arc<TaskState>) {
+/// Hands a `Scheduled` task on: to its parked driver, when one holds the
+/// slot; to the pool; or — when the scheduler is gone or shut down — runs
+/// it inline on the calling thread so a task with pending work can never
+/// be stranded.
+fn schedule(state: Arc<TaskState>) -> Wake {
+    // A load first: the slot is empty on almost every wake, and an empty
+    // slot needs no read-modify-write.  A driver that registers after this
+    // load finds the task `Scheduled` and waits for the pool's step.
+    if !state.driver.load(Ordering::SeqCst).is_null() {
+        let raw = state.driver.swap(std::ptr::null_mut(), Ordering::SeqCst);
+        if !raw.is_null() {
+            // SAFETY: the slot owned one reference; the swap moved it here.
+            let driver = unsafe { Arc::from_raw(raw) };
+            let thread = driver.thread.clone();
+            driver.fate.store(HANDED, Ordering::SeqCst);
+            thread.unpark();
+            return Wake::Driver;
+        }
+    }
     match live_pool(&state) {
-        Some(shared) => enqueue_runnable(&shared, state),
-        None => run_inline(&state),
+        Some(shared) => {
+            enqueue_runnable(&shared, state);
+            Wake::Pool
+        }
+        None => {
+            run_inline(&state);
+            Wake::Covered
+        }
     }
 }
 
@@ -413,12 +696,13 @@ const NOTIFIED_STEPS_HERE: usize = 4;
 /// `Running` (fence already issued), then releases it: `Idle` by the
 /// `Running → Idle` CAS; `Notified` by stepping again here, up to
 /// [`NOTIFIED_STEPS_HERE`] times with the same budget; `Notified` beyond
-/// that, or `Yielded`, to the pool as [`run_task`] hands them on, or — with
-/// no pool left — another step here, unbounded, since nobody else will take
-/// the work.  Returns whether the task went to the pool.
-fn step_claimed(state: &Arc<TaskState>, mut budget: usize) -> bool {
+/// that, or `Yielded`, on as a notify hands an idle task on — to the parked
+/// driver, if one waits, or to the pool — or, with no pool left, another
+/// step here, unbounded, since nobody else will take the work.  Returns
+/// where the task went.
+fn step_claimed(state: &Arc<TaskState>, mut budget: usize) -> Wake {
     let Some(task) = state.task() else {
-        return false;
+        return Wake::Covered;
     };
     let mut notified_steps = NOTIFIED_STEPS_HERE;
     loop {
@@ -427,7 +711,7 @@ fn step_claimed(state: &Arc<TaskState>, mut budget: usize) -> bool {
         match outcome {
             StepOutcome::Done => {
                 state.mark_done();
-                return false;
+                return Wake::Covered;
             }
             StepOutcome::Idle
                 if state
@@ -435,7 +719,7 @@ fn step_claimed(state: &Arc<TaskState>, mut budget: usize) -> bool {
                     .compare_exchange(RUNNING, IDLE, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok() =>
             {
-                return false;
+                return Wake::Covered;
             }
             // `Notified`: the flag can leave `Running` only that way while
             // this thread holds it.  Taking it back to `Running` consumes
@@ -445,18 +729,15 @@ fn step_claimed(state: &Arc<TaskState>, mut budget: usize) -> bool {
                 state.flag.store(RUNNING, Ordering::SeqCst);
                 fence(Ordering::SeqCst);
             }
-            _ => match live_pool(state) {
-                Some(shared) => {
-                    state.flag.store(SCHEDULED, Ordering::SeqCst);
-                    enqueue_runnable(&shared, Arc::clone(state));
-                    return true;
-                }
-                None => {
-                    budget = usize::MAX;
-                    state.flag.store(RUNNING, Ordering::SeqCst);
-                    fence(Ordering::SeqCst);
-                }
-            },
+            _ if live_pool(state).is_some() => {
+                state.flag.store(SCHEDULED, Ordering::SeqCst);
+                return schedule(Arc::clone(state));
+            }
+            _ => {
+                budget = usize::MAX;
+                state.flag.store(RUNNING, Ordering::SeqCst);
+                fence(Ordering::SeqCst);
+            }
         }
     }
 }
@@ -1103,6 +1384,7 @@ impl HandlerScheduler {
                 task: Mutex::new(task),
                 flag: AtomicU8::new(IDLE),
                 pressure: AtomicBool::new(false),
+                driver: AtomicPtr::new(std::ptr::null_mut()),
                 scheduler: Arc::downgrade(&self.shared),
             }),
         }
@@ -1627,7 +1909,7 @@ mod tests {
                 ran,
                 RanHere {
                     stepped: true,
-                    scheduled: false
+                    wake: Wake::Covered
                 }
             );
         }
@@ -1675,7 +1957,7 @@ mod tests {
             handle.run_here(1),
             RanHere {
                 stepped: false,
-                scheduled: false
+                wake: Wake::Covered
             },
             "Running → Notified, no claim"
         );
@@ -1700,7 +1982,7 @@ mod tests {
             handle.run_here(1),
             RanHere {
                 stepped: true,
-                scheduled: true
+                wake: Wake::Pool
             }
         );
         while task.steps() < 2 {
@@ -1762,7 +2044,7 @@ mod tests {
             task.handle.run_here(1),
             RanHere {
                 stepped: true,
-                scheduled: false
+                wake: Wake::Covered
             },
             "the notified step ran again here instead of going to the pool"
         );
@@ -1781,7 +2063,7 @@ mod tests {
             task.handle.run_here(1),
             RanHere {
                 stepped: true,
-                scheduled: true
+                wake: Wake::Pool
             }
         );
         assert_eq!(task.here.lock().unwrap().len(), 1 + NOTIFIED_STEPS_HERE);
@@ -1817,7 +2099,7 @@ mod tests {
         // An idle task is stepped on the caller.
         let idle = Recorder::new(StepOutcome::Idle);
         let handle = scheduler.register(Arc::clone(&idle) as Arc<dyn PooledTask>);
-        assert_eq!(handle.try_run_here(1), Some(false));
+        assert_eq!(handle.try_run_here(1), Some(Wake::Covered));
         assert_eq!(
             *idle.threads.lock().unwrap(),
             vec![std::thread::current().id()]
@@ -1833,7 +2115,11 @@ mod tests {
         pin.entered.wait();
         let task = Arc::new(Counted(AtomicUsize::new(0), Event::new()));
         let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
-        assert!(handle.notify(), "queued behind the pinned worker");
+        assert_eq!(
+            handle.notify(),
+            Wake::Pool,
+            "queued behind the pinned worker"
+        );
         assert_eq!(
             handle.try_run_here(1),
             None,
@@ -1844,6 +2130,143 @@ mod tests {
         task.1.wait();
         scheduler.shutdown();
         assert_eq!(task.0.load(Ordering::SeqCst), 1, "the pool stepped it once");
+    }
+
+    /// Runs `body` on its own thread and fails the test, instead of hanging
+    /// it, when `body` has not returned within a minute.
+    fn within<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(body());
+        });
+        result
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{what}: still running after 60 s"))
+    }
+
+    #[test]
+    fn a_wake_hands_an_idle_task_to_its_parked_driver() {
+        let scheduler = HandlerScheduler::new(1);
+        let task = DrainTask::new();
+        let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
+        let mut driver = handle.park_driver();
+        assert!(handle.driver_waiting());
+        assert!(!driver.is_handed());
+        task.pending.fetch_add(1, Ordering::SeqCst);
+        assert_eq!(handle.notify(), Wake::Driver);
+        assert!(driver.is_handed());
+        assert!(!handle.driver_waiting(), "the wake took the driver out");
+        assert_eq!(handle.notify(), Wake::Covered, "the driver owns the task");
+        assert_eq!(driver.drive(1), Wake::Covered, "released idle");
+        assert_eq!(task.executed.load(Ordering::SeqCst), 1);
+        // Back in the slot, the next wake comes here again.
+        driver.repark();
+        task.pending.fetch_add(1, Ordering::SeqCst);
+        assert_eq!(handle.notify(), Wake::Driver);
+        assert_eq!(driver.drive(1), Wake::Covered);
+        assert_eq!(driver.leave(), Wake::Covered);
+        assert_eq!(task.executed.load(Ordering::SeqCst), 2);
+        assert_eq!(scheduler.steps(), 0, "no worker stepped it");
+        assert_eq!(scheduler.peak_threads(), 0, "and none was started");
+        // With the slot empty, a wake goes to the pool.
+        task.pending.fetch_add(1, Ordering::SeqCst);
+        assert_eq!(handle.notify(), Wake::Pool);
+        scheduler.shutdown();
+        assert_eq!(task.executed.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn a_driver_whose_wait_ended_passes_a_handed_task_on() {
+        // The wake comes in after the driver's own wait is over (another
+        // party completed it): leaving must hand the task to the pool, or
+        // nobody ever steps it and the queued unit never runs.
+        let executed = within("handed task passed on", || {
+            let scheduler = HandlerScheduler::new(1);
+            let task = DrainTask::new();
+            let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
+            let driver = handle.park_driver();
+            task.pending.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(handle.notify(), Wake::Driver);
+            let passed = driver.leave();
+            while task.executed.load(Ordering::SeqCst) < 1 {
+                std::thread::yield_now();
+            }
+            scheduler.shutdown();
+            (passed, task.executed.load(Ordering::SeqCst))
+        });
+        assert_eq!(executed, (Wake::Pool, 1));
+    }
+
+    #[test]
+    fn a_later_driver_evicts_the_earlier_and_puts_it_back_on_leaving() {
+        let scheduler = HandlerScheduler::new(1);
+        let task = DrainTask::new();
+        let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
+        let mut first = handle.park_driver();
+        let second = handle.park_driver();
+        task.pending.fetch_add(1, Ordering::SeqCst);
+        assert_eq!(handle.notify(), Wake::Driver);
+        assert!(second.is_handed() && !first.is_handed());
+        // The second leaves with the task: it goes to the first, put back.
+        assert_eq!(second.leave(), Wake::Driver);
+        assert!(first.is_handed());
+        assert_eq!(first.drive(1), Wake::Covered);
+        assert_eq!(first.leave(), Wake::Covered);
+        assert_eq!(task.executed.load(Ordering::SeqCst), 1);
+        // An evicted driver that leaves first is not put back.
+        let first = handle.park_driver();
+        let second = handle.park_driver();
+        assert_eq!(first.leave(), Wake::Covered);
+        assert_eq!(second.leave(), Wake::Covered);
+        assert!(!handle.driver_waiting());
+        assert_eq!(scheduler.peak_threads(), 0);
+        scheduler.shutdown();
+    }
+
+    #[test]
+    fn racing_drivers_and_a_pool_lose_no_wake() {
+        // Two clients each publish a unit without a wake and wait for it the
+        // way a sync does: claim the idle task, else register as its driver
+        // and notify (a wake that may come back to itself), then drive what
+        // they are handed.  They evict and put back each other, race the
+        // pool for the task, and leave with handed tasks.  A lost wake
+        // leaves a unit unexecuted and hangs a client.
+        const ROUNDS: usize = 10_000;
+        let executed = within("driver race", || {
+            let scheduler = HandlerScheduler::new(1);
+            let task = DrainTask::new();
+            let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
+            let published = Arc::new(AtomicUsize::new(0));
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    let (task, handle, published) = (&task, &handle, &published);
+                    scope.spawn(move || {
+                        for _ in 0..ROUNDS {
+                            let ticket = published.fetch_add(1, Ordering::SeqCst);
+                            task.pending.fetch_add(1, Ordering::SeqCst);
+                            let done = || task.executed.load(Ordering::SeqCst) > ticket;
+                            if handle.try_run_here(1).is_some() && done() {
+                                continue;
+                            }
+                            let mut driver = handle.park_driver();
+                            handle.notify();
+                            while !done() {
+                                if driver.is_handed() {
+                                    driver.drive(1);
+                                    driver.repark();
+                                } else {
+                                    std::thread::yield_now();
+                                }
+                            }
+                            driver.leave();
+                        }
+                    });
+                }
+            });
+            scheduler.shutdown();
+            task.executed.load(Ordering::SeqCst)
+        });
+        assert_eq!(executed, 2 * ROUNDS);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   work-stealing worker pool with a lost-wakeup-free re-arming protocol
 //!   and blocked-worker compensation, so handler count is not bounded by OS
 //!   thread count; a client about to wait on an idle task steps it on its
-//!   own thread instead ([`TaskHandle::run_here`]);
+//!   own thread instead ([`TaskHandle::run_here`]), and a client parked
+//!   waiting on a task is handed it by the next wake
+//!   ([`TaskHandle::park_driver`]);
 //! * [`deque`] — the per-worker work-stealing deques (owner-LIFO,
 //!   thief-FIFO) the handler scheduler's workers run on.
 
@@ -29,7 +31,9 @@ pub mod pool;
 pub mod scope;
 
 pub use deque::{steal_deque, Stealer, Worker};
-pub use handler_scheduler::{HandlerScheduler, PooledTask, RanHere, StepOutcome, TaskHandle};
+pub use handler_scheduler::{
+    HandlerScheduler, ParkedDriver, PooledTask, RanHere, StepOutcome, TaskHandle, Wake,
+};
 pub use pool::ThreadPool;
 pub use scope::{parallel_chunks, parallel_for, Scope};
 

@@ -34,7 +34,7 @@
 //! [`qs_exec::TaskHandle::run_here`]) is the paper's §3.2 handoff without a
 //! worker in between: the client's wait costs no OS wake-up of a worker,
 //! and the client is not parked when its own sync completes.  It happens at
-//! three points:
+//! four points:
 //!
 //! * the push of the `Sync` a `query`/`sync` is about to wait on (on the
 //!   queue-of-queues path).  The step applies at most one drain batch
@@ -50,13 +50,35 @@
 //!   handler is parked on it with nothing left but the close).  This step
 //!   runs no client code: it processes closes and the sync tokens of the
 //!   clients behind, which only wake those clients, and the first call or
-//!   query it finds goes to the pool.  That request may wait for something
-//!   the ending client does only after its END, so running it here could
-//!   make the client wait on itself.
+//!   query it finds goes on as a wake would send it: to a parked driver
+//!   (below), or to the pool.  That request may wait for something the
+//!   ending client does only after its END, so running it here could make
+//!   the client wait on itself.
 //! * [`stop`](HandlerCore::stop), with the same zero budget: a handler
 //!   with nothing queued retires on the stopping thread, so a runtime
 //!   whose handlers were only ever stepped by their clients never starts
 //!   the pool's threads.
+//! * the **parked driver**: a client whose sync is still pending after its
+//!   step, or after a backoff window of failed claims, registers its
+//!   thread in the handler's one driver slot
+//!   ([`qs_exec::TaskHandle::park_driver`]), keeping its deadlock Query
+//!   edge, and re-checks its sync and the idle claim before it parks.  A
+//!   wake that then finds the handler idle — typically the unsynced END,
+//!   or a call, of the block ahead — hands the handler to that client
+//!   instead of the pool and unparks it (`driver_wakes`, not
+//!   `handler_wakeups`), and the client steps it with one drain batch as
+//!   budget, as at its `Sync` push.  That is sound for the same reason:
+//!   everything ahead of the client's `Sync` in queue-of-queues order is
+//!   work its own wait depends on, and the step cannot pass the client's
+//!   own private queue (see below).  The ending client still never runs
+//!   the calls it logged.  A client whose sync completed before it took a
+//!   handler it was handed passes the handler on — to the driver it
+//!   evicted, or to the pool — and never drops it: what follows its sync
+//!   is not its to run.  The slot holds the latest client to park; the
+//!   one it evicted is put back when that client leaves.  Clients parked
+//!   on a `reserve().when` guard are not drivers: they hold no
+//!   reservation, their set may span handlers, and a queued call may wait
+//!   on them.
 //!
 //! Never on a `call`, nor at the END of a block with calls outstanding: a
 //! client that logs work and walks away must not run that work itself, or
@@ -76,9 +98,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use qs_deadlock::{EdgeGuard, EdgeKind, ParticipantId};
-use qs_exec::{PooledTask, StepOutcome, TaskHandle};
+use qs_exec::{PooledTask, StepOutcome, TaskHandle, Wake};
 use qs_queues::{Closed, MailboxConsumer, MutexQueue, QueueOfQueues, WakeHook, WakeReason};
-use qs_sync::{Backoff, Event, GateWake, ReadGate, SpinLock};
+use qs_sync::{Backoff, Event, GateWake, Handoff, ReadGate, SpinLock};
 
 use crate::config::RuntimeConfig;
 use crate::deadlock::{HandlerScope, Tracking};
@@ -129,7 +151,7 @@ fn batch_prealloc(max_batch: usize) -> usize {
 /// leave its object's gate).
 fn wake_hook(task: TaskHandle, stats: Arc<RuntimeStats>) -> WakeHook {
     Arc::new(move |reason| {
-        let scheduled = match reason {
+        let wake = match reason {
             WakeReason::Pressure => {
                 RuntimeStats::bump(&stats.pressure_wakes);
                 task.notify_pressure()
@@ -137,10 +159,18 @@ fn wake_hook(task: TaskHandle, stats: Arc<RuntimeStats>) -> WakeHook {
             WakeReason::Guard | WakeReason::Writable => task.notify_pressure(),
             _ => task.notify(),
         };
-        if scheduled {
-            RuntimeStats::bump(&stats.handler_wakeups);
-        }
+        count_wake(&stats, wake);
     })
+}
+
+/// Counts where a wake sent the handler: the pool (`handler_wakeups`) or a
+/// parked driver (`driver_wakes`).
+fn count_wake(stats: &RuntimeStats, wake: Wake) {
+    match wake {
+        Wake::Pool => RuntimeStats::bump(&stats.handler_wakeups),
+        Wake::Driver => RuntimeStats::bump(&stats.driver_wakes),
+        Wake::Covered => {}
+    }
 }
 
 /// Requests a handler may apply in one step before yielding (fairness
@@ -273,27 +303,76 @@ impl<T: Send + 'static> HandlerCore<T> {
     /// left of, steps it here when the pool has it idle, applying at most
     /// `budget` requests (with none, only sync tokens; see `apply_batch`).
     /// Otherwise — busy or already scheduled — the task is notified as for
-    /// any push.  Returns whether this thread stepped the handler and left
-    /// nothing to the pool.
+    /// any push.  Returns whether this thread stepped the handler and
+    /// handed it on to nobody.
     pub(crate) fn run_here(&self, budget: usize) -> bool {
         let ran = self.task.run_here(budget);
-        if ran.scheduled {
-            RuntimeStats::bump(&self.stats.handler_wakeups);
-        }
-        ran.stepped && !ran.scheduled
+        count_wake(&self.stats, ran.wake);
+        ran.stepped && ran.wake == Wake::Covered
     }
 
     /// [`run_here`](Self::run_here) only when the handler is idle: returns
     /// `false`, and notifies nobody, when another party has it running or
     /// scheduled.
     pub(crate) fn try_run_here(&self, budget: usize) -> bool {
-        let Some(scheduled) = self.task.try_run_here(budget) else {
+        let Some(wake) = self.task.try_run_here(budget) else {
             return false;
         };
-        if scheduled {
-            RuntimeStats::bump(&self.stats.handler_wakeups);
-        }
+        count_wake(&self.stats, wake);
         true
+    }
+
+    /// Gets the handler through `sync`, a `Sync` this client pushed without
+    /// a wake and is about to wait on (see the module docs): the client
+    /// steps an idle handler with one drain batch as budget, and retries
+    /// that claim for one backoff window while another party has the
+    /// handler.  If the sync is still pending then, the client parks as the
+    /// handler's driver: a wake that finds the handler idle hands it to
+    /// this thread, which steps it with the same budget, instead of to the
+    /// pool.  Returns once `sync` has settled.
+    pub(crate) fn drive_sync(&self, sync: &Handoff<()>) {
+        let budget = self.config.max_batch.max(1);
+        let settled = || sync.is_ready() || sync.is_abandoned();
+        let backoff = Backoff::new();
+        // Every exit but a completed sync has claimed or notified the
+        // handler, as a push with a wake would have.
+        while !settled() && !self.try_run_here(budget) {
+            if backoff.is_completed() {
+                self.run_here(budget);
+                break;
+            }
+            backoff.snooze();
+        }
+        if settled() {
+            return;
+        }
+        let mut driver = self.task.park_driver();
+        // A wake between the last step and the registration went to the
+        // pool; one that finds the handler idle from here on comes to this
+        // thread.  Re-check the sync, and claim an idle handler once more,
+        // before parking.
+        if !settled() {
+            self.try_run_here(budget);
+        }
+        loop {
+            if sync.wait_settled_or(|| driver.is_handed()) {
+                // A wake that raced the sync's completion is passed on:
+                // what follows this client's sync is not ours to run.
+                count_wake(&self.stats, driver.leave());
+                return;
+            }
+            count_wake(&self.stats, driver.drive(budget));
+            // A wake between the step's release and the repark went to
+            // the pool or another driver; none is lost.
+            if !settled() {
+                driver.repark();
+            }
+        }
+    }
+
+    /// Whether the next wake hands this handler to a parked driver.
+    pub(crate) fn has_parked_driver(&self) -> bool {
+        self.task.driver_waiting()
     }
 
     /// Pointer to the handler-owned object.
@@ -990,6 +1069,14 @@ impl<T: Send + 'static> Handler<T> {
     /// The runtime statistics block shared by this handler.
     pub fn stats(&self) -> &Arc<RuntimeStats> {
         &self.core.stats
+    }
+
+    /// Whether a client is parked in a sync on this handler as its driver
+    /// while the handler is idle: the next wake hands the handler to that
+    /// client (counted in [`RuntimeStats::driver_wakes`]) instead of the
+    /// pool.
+    pub fn has_parked_driver(&self) -> bool {
+        self.core.has_parked_driver()
     }
 }
 

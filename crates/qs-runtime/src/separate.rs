@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use qs_deadlock::{EdgeKind, ParticipantId, ProbeFn, WaitRegistry, WakerFn};
 use qs_queues::{mailbox, BlockWatcher, MailboxProducer, WakeReason};
-use qs_sync::{Backoff, Handoff};
+use qs_sync::Handoff;
 
 use crate::deadlock::{current_waiter, BlockTracking};
 use crate::handler::{ClientMailbox, HandlerCore};
@@ -395,9 +395,12 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// usually finds the handoff complete.  A handler that another party is
     /// stepping (most often the client ahead, still in its own step) is
     /// usually idle again once that step ends, so the claim is retried for
-    /// one [`Backoff`] window before the client settles for a notify, which
+    /// one backoff window before the client settles for a notify, which
     /// would hand the handler to a worker; the retries stop as soon as that
-    /// other party completes the sync.
+    /// other party completes the sync.  A client whose sync is still
+    /// pending then parks as the handler's driver, with its deadlock edge
+    /// held: the next wake that finds the handler idle hands it to this
+    /// client instead of a worker (see [`HandlerCore::drive_sync`]).
     fn force_sync(&mut self) {
         RuntimeStats::bump(&self.core.stats.syncs_performed);
         let handoff = Arc::clone(&self.sync_handoff);
@@ -410,17 +413,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
                 let pending = Arc::clone(&handoff);
                 tracking.query_edge(Some(Arc::new(move || !pending.is_ready()) as ProbeFn))
             });
-            let budget = self.core.config.max_batch.max(1);
-            let backoff = Backoff::new();
-            // Every exit but a completed sync has claimed or notified the
-            // handler, as a push with a wake would have.
-            while !handoff.is_ready() && !self.core.try_run_here(budget) {
-                if backoff.is_completed() {
-                    self.core.run_here(budget);
-                    break;
-                }
-                backoff.snooze();
-            }
+            self.core.drive_sync(&handoff);
         } else {
             self.enqueue(sync);
         }

@@ -102,9 +102,15 @@ pub struct RuntimeStats {
     pub backpressure_rejections: AtomicU64,
     /// Pooled scheduling: handlers handed to the worker pool — an
     /// idle→scheduled transition (a producer's wake hook re-armed a parked
-    /// handler), or a client's own step of the handler that ended by
-    /// handing it on.
+    /// handler) that found no parked driver, a client's own step of the
+    /// handler that ended by handing it on, or a parked driver passing on a
+    /// handler it was handed after its sync had completed.  A hand-over to
+    /// a parked driver counts in `driver_wakes` instead.
     pub handler_wakeups: AtomicU64,
+    /// Pooled scheduling: handlers a wake handed to a client parked in a
+    /// sync on them (the handler's parked driver) instead of the pool; that
+    /// client steps the handler on its own thread.
+    pub driver_wakes: AtomicU64,
     /// Pooled scheduling: steps that exhausted their request budget and
     /// yielded the worker with work still pending.
     pub handler_yields: AtomicU64,
@@ -198,6 +204,7 @@ impl RuntimeStats {
             backpressure_stalls: self.backpressure_stalls.load(Ordering::Relaxed),
             backpressure_rejections: self.backpressure_rejections.load(Ordering::Relaxed),
             handler_wakeups: self.handler_wakeups.load(Ordering::Relaxed),
+            driver_wakes: self.driver_wakes.load(Ordering::Relaxed),
             handler_yields: self.handler_yields.load(Ordering::Relaxed),
             pressure_wakes: self.pressure_wakes.load(Ordering::Relaxed),
             budget_shrinks: self.budget_shrinks.load(Ordering::Relaxed),
@@ -268,6 +275,9 @@ pub struct StatsSnapshot {
     /// Pooled scheduling: handlers handed to the worker pool (see
     /// [`RuntimeStats::handler_wakeups`]).
     pub handler_wakeups: u64,
+    /// Pooled scheduling: handlers handed to a client parked in a sync on
+    /// them instead of the pool (see [`RuntimeStats::driver_wakes`]).
+    pub driver_wakes: u64,
     /// Pooled scheduling: steps that yielded on an exhausted budget.
     pub handler_yields: u64,
     /// Pooled scheduling: pressure wakes fired by bounded-mailbox producers
@@ -386,6 +396,7 @@ impl StatsSnapshot {
                 .backpressure_rejections
                 .saturating_sub(earlier.backpressure_rejections),
             handler_wakeups: self.handler_wakeups.saturating_sub(earlier.handler_wakeups),
+            driver_wakes: self.driver_wakes.saturating_sub(earlier.driver_wakes),
             handler_yields: self.handler_yields.saturating_sub(earlier.handler_yields),
             pressure_wakes: self.pressure_wakes.saturating_sub(earlier.pressure_wakes),
             budget_shrinks: self.budget_shrinks.saturating_sub(earlier.budget_shrinks),
@@ -525,6 +536,7 @@ mod tests {
             backpressure_stalls: 120,
             backpressure_rejections: 121,
             handler_wakeups: 122,
+            driver_wakes: 133,
             handler_yields: 123,
             pressure_wakes: 124,
             budget_shrinks: 125,
@@ -564,6 +576,7 @@ mod tests {
             backpressure_stalls: early.backpressure_stalls + 21,
             backpressure_rejections: early.backpressure_rejections + 22,
             handler_wakeups: early.handler_wakeups + 23,
+            driver_wakes: early.driver_wakes + 33,
             handler_yields: early.handler_yields + 24,
             pressure_wakes: early.pressure_wakes + 25,
             budget_shrinks: early.budget_shrinks + 26,
@@ -600,6 +613,7 @@ mod tests {
             backpressure_stalls: 21,
             backpressure_rejections: 22,
             handler_wakeups: 23,
+            driver_wakes: 33,
             handler_yields: 24,
             pressure_wakes: 25,
             budget_shrinks: 26,

@@ -145,21 +145,8 @@ impl<T> Handoff<T> {
     /// the value will never arrive, and surfacing that beats parking the
     /// consumer forever.
     pub fn wait(&self) -> T {
-        let backoff = Backoff::new();
-        loop {
-            match self.state.load(Ordering::Acquire) {
-                READY => break,
-                ABANDONED => Self::panic_abandoned(),
-                _ => {}
-            }
-            if backoff.is_completed() {
-                self.park_until_ready();
-                if self.state.load(Ordering::Acquire) == ABANDONED {
-                    Self::panic_abandoned();
-                }
-                break;
-            }
-            backoff.snooze();
+        if !self.wait_settled_or(|| false) || self.is_abandoned() {
+            Self::panic_abandoned();
         }
         // SAFETY: READY was observed with acquire ordering, so the write in
         // `complete` happens-before this read, and the protocol gives the
@@ -168,6 +155,28 @@ impl<T> Handoff<T> {
         self.round.fetch_add(1, Ordering::Relaxed);
         self.state.store(IDLE, Ordering::Release);
         value
+    }
+
+    /// Waits, without taking the value, until it is deposited or the
+    /// handoff is abandoned (`true`), or until `interrupted` returns `true`
+    /// (`false`).  Spins for one [`Backoff`] window, then parks.  Whoever
+    /// makes `interrupted` true must unpark the waiting thread afterwards;
+    /// the value, once it arrives, is still taken with
+    /// [`wait`](Handoff::wait).
+    pub fn wait_settled_or(&self, mut interrupted: impl FnMut() -> bool) -> bool {
+        let backoff = Backoff::new();
+        loop {
+            if matches!(self.state.load(Ordering::Acquire), READY | ABANDONED) {
+                return true;
+            }
+            if interrupted() {
+                return false;
+            }
+            if backoff.is_completed() {
+                return self.park_until_settled(interrupted);
+            }
+            backoff.snooze();
+        }
     }
 
     fn panic_abandoned() -> ! {
@@ -193,7 +202,7 @@ impl<T> Handoff<T> {
         self.wait()
     }
 
-    fn park_until_ready(&self) {
+    fn park_until_settled(&self, mut interrupted: impl FnMut() -> bool) -> bool {
         loop {
             {
                 let mut waiter = self.waiter.lock().unwrap();
@@ -205,16 +214,18 @@ impl<T> Handoff<T> {
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 ) {
-                    Ok(_) => *waiter = Some(std::thread::current()),
-                    Err(READY) | Err(ABANDONED) => return,
-                    Err(_) => *waiter = Some(std::thread::current()),
+                    Ok(_) | Err(WAITING) => *waiter = Some(std::thread::current()),
+                    Err(_) => return true, // READY or ABANDONED
                 }
             }
             loop {
+                if interrupted() {
+                    return false;
+                }
                 std::thread::park();
                 match self.state.load(Ordering::Acquire) {
-                    READY | ABANDONED => return,
-                    WAITING => continue, // spurious wake-up
+                    READY | ABANDONED => return true,
+                    WAITING => continue, // spurious wake-up or interrupt
                     _ => break,          // retry registration
                 }
             }
@@ -253,6 +264,34 @@ mod tests {
         assert_eq!(h.wait(), 42);
         assert!(!h.is_ready());
         assert_eq!(h.rounds(), 1);
+    }
+
+    #[test]
+    fn an_interrupted_wait_returns_and_the_value_still_arrives() {
+        // The waiter checks its interrupt (not yet raised), is unparked by
+        // it and returns `false`; the value deposited after that is still
+        // taken by its `wait`.
+        let h = Arc::new(Handoff::<u32>::new());
+        let interrupt = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (checked_tx, checked) = std::sync::mpsc::channel();
+        let (returned_tx, returned) = std::sync::mpsc::channel();
+        let waiter = {
+            let (h, interrupt) = (Arc::clone(&h), Arc::clone(&interrupt));
+            thread::spawn(move || {
+                let settled = h.wait_settled_or(|| {
+                    let _ = checked_tx.send(());
+                    interrupt.load(Ordering::SeqCst)
+                });
+                returned_tx.send(settled).unwrap();
+                h.wait()
+            })
+        };
+        checked.recv().expect("the waiter checks its interrupt");
+        interrupt.store(true, Ordering::SeqCst);
+        waiter.thread().unpark();
+        assert!(!returned.recv().unwrap(), "interrupted, not settled");
+        h.complete(9);
+        assert_eq!(waiter.join().unwrap(), 9);
     }
 
     #[test]

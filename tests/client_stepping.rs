@@ -2,8 +2,10 @@
 //! steps it on its own thread, and the pool's workers step it otherwise.
 //!
 //! Deterministic checks only — counts, thread ids and logs, no wall-clock
-//! ratios: a synced block wakes no worker; stopping an idle handler starts
-//! no pool thread; a call whose block ends unsynced
+//! ratios: a synced block wakes no worker; spawning a handler, or stopping
+//! an idle one, starts no pool thread; a client parked in its sync takes
+//! the wakes of the block ahead of it, and a client parked on a failed
+//! guard takes none; a call whose block ends unsynced
 //! never runs on the client that logged it; a nested client step completes;
 //! an END runs no other client's request, neither one that waits for what
 //! the ending client does next nor one that waits for a reservation the
@@ -196,6 +198,127 @@ fn an_end_leaves_other_clients_requests_to_the_pool_while_its_thread_holds_a_res
             assert_eq!(h1.separate(|s| s.query(|n| *n)), 7, "round {round}");
         });
     }
+}
+
+/// Spins until `ready` holds: a handshake, not a timed wait.
+fn wait_until(ready: impl Fn() -> bool) {
+    while !ready() {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn spawning_a_handler_starts_no_pool_thread() {
+    let rt = Runtime::new(pooled());
+    let _h = rt.spawn_handler(0u64);
+    assert_eq!(rt.scheduler_peak_threads(), 0);
+}
+
+#[test]
+fn a_consumer_parked_in_its_query_takes_the_producers_end_wake() {
+    // The producer's block is open and synced; the consumer's query queues
+    // behind it and parks as the handler's driver.  The producer's call and
+    // its unsynced END then go to the consumer, which runs the call and the
+    // close on its own thread: no worker is woken, none is ever started.
+    let (seen, end, total, peak) = within("parked driver", || {
+        let rt = Runtime::new(pooled());
+        let h = rt.spawn_handler(0u64);
+        let opened = Arc::new(Barrier::new(2));
+        let consumer = {
+            let (h, opened) = (h.clone(), Arc::clone(&opened));
+            std::thread::spawn(move || {
+                opened.wait(); // the producer's block is open and synced
+                h.separate(|s| s.query(|n| *n))
+            })
+        };
+        let start = rt.stats_snapshot();
+        let before_end = h.separate(|s| {
+            assert_eq!(s.query(|n| *n), 0);
+            opened.wait();
+            wait_until(|| h.has_parked_driver());
+            s.call(|n| *n += 1);
+            wait_until(|| h.has_parked_driver());
+            rt.stats_snapshot()
+        });
+        let end = rt.stats_snapshot().since(&before_end);
+        let seen = consumer.join().expect("consumer");
+        let total = rt.stats_snapshot().since(&start);
+        (seen, end, total, rt.scheduler_peak_threads())
+    });
+    assert_eq!(seen, 1, "the query saw the call's effect");
+    assert_eq!(end.handler_wakeups, 0, "the END woke no worker");
+    assert_eq!(end.driver_wakes, 1, "the END went to the parked consumer");
+    assert_eq!(total.handler_wakeups, 0);
+    assert_eq!(peak, 0, "no pool thread was started");
+}
+
+#[test]
+fn a_client_parked_on_a_failed_guard_is_not_a_driver() {
+    // The consumer's `reserve().when` evaluations fail and it parks on the
+    // handler's guard registry.  It holds no reservation, so it must not
+    // take the producer's wake: that goes to the pool.
+    let (taken, wake) = within("guard waiter", || {
+        let rt = Runtime::new(pooled());
+        let h = rt.spawn_handler(0u64);
+        let consumer = {
+            let h = h.clone();
+            std::thread::spawn(move || {
+                reserve(&h)
+                    .when(|n: &u64| *n > 0)
+                    .run(|s| s.query(std::mem::take))
+            })
+        };
+        // Past its spin window of re-evaluations, the consumer parks.
+        let spin_window = WaitConfig::default().spin_retries as u64;
+        wait_until(|| rt.stats_snapshot().wait_condition_retries > spin_window);
+        assert!(!h.has_parked_driver(), "a guard waiter took the slot");
+        let before = rt.stats_snapshot();
+        // Read before the END: the consumer is signalled, and may sync
+        // again, only once the handler has processed the close.
+        let wake = h.separate(|s| {
+            s.call(|n| *n = 7);
+            rt.stats_snapshot().since(&before)
+        });
+        (consumer.join().expect("consumer"), wake)
+    });
+    assert_eq!(taken, 7);
+    assert_eq!(wake.handler_wakeups, 1, "the call's wake went to the pool");
+    assert_eq!(wake.driver_wakes, 0, "and not to the guard waiter");
+}
+
+#[test]
+fn a_guarded_producer_and_consumer_pass_ten_thousand_items_in_order() {
+    // The driver slot's race test: one producer and one consumer on one
+    // handler behind `reserve().when`, so each parks in its sync behind
+    // the other's open block, is handed the other's wakes, evicts and is
+    // put back.  A lost wake hangs a client; a misordered step shows in
+    // the items.
+    const ITEMS: u64 = 10_000;
+    const CAPACITY: usize = 4;
+    let received = within("guard hand-over hammer", || {
+        let rt = Runtime::new(pooled());
+        let buffer = rt.spawn_handler(std::collections::VecDeque::<u64>::new());
+        let producer = {
+            let buffer = buffer.clone();
+            std::thread::spawn(move || {
+                for item in 0..ITEMS {
+                    reserve(&buffer)
+                        .when(|q: &std::collections::VecDeque<u64>| q.len() < CAPACITY)
+                        .run(|s| s.call(move |q| q.push_back(item)));
+                }
+            })
+        };
+        let mut received = Vec::with_capacity(ITEMS as usize);
+        while (received.len() as u64) < ITEMS {
+            let taken = reserve(&buffer)
+                .when(|q: &std::collections::VecDeque<u64>| q.len() >= 2)
+                .run(|s| s.query(|q| q.drain(..2).collect::<Vec<u64>>()));
+            received.extend(taken);
+        }
+        producer.join().expect("producer");
+        received
+    });
+    assert!(received.iter().copied().eq(0..ITEMS), "items out of order");
 }
 
 #[test]

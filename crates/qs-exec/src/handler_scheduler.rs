@@ -1,5 +1,5 @@
-//! M:N scheduling of handlers: many resumable tasks on a small
-//! work-stealing worker pool.
+//! M:N scheduling of handlers: many resumable tasks on a small worker
+//! pool with one run queue.
 //!
 //! The paper keeps handler creation cheap with user-level threads (§3).  A
 //! thread per handler would cap the number of *live* handlers at the number
@@ -85,20 +85,24 @@
 //! drops it ([`ParkedDriver::leave`]).  No party ever claims a `Scheduled`
 //! task.
 //!
-//! # The pressure lane
+//! # The run queue and the pressure lane
 //!
-//! Wakes come in two flavours: plain [`TaskHandle::notify`] and
-//! [`TaskHandle::notify_pressure`], fired by producers that crossed a
+//! A task the pool owns waits in one of two FIFOs: the injector, or the
+//! pressure lane.  Wakes come in two flavours: plain [`TaskHandle::notify`]
+//! and [`TaskHandle::notify_pressure`], fired by producers that crossed a
 //! bounded queue's half-full watermark or blocked on a full one.
-//! Pressure-woken tasks enter a dedicated FIFO consulted before the
-//! injector, the deques and every worker's LIFO slot, so the consumer of a
-//! backpressured pipeline runs promptly instead of queueing behind
-//! burst-mode peers — the scheduling half of keeping the fine
-//! producer/consumer interleaving a thread per consumer would get from the
-//! OS futex.
-//! Budget-exhausted (`Yielded`) tasks re-enter through the global FIFO
-//! rather than the owner's LIFO deque, so one hot handler cannot starve its
-//! deque peers between shared polls.
+//! Pressure-woken tasks enter the lane, which workers consult before the
+//! injector, so the consumer of a backpressured pipeline runs promptly
+//! instead of queueing behind burst-mode peers — the scheduling half of
+//! keeping the fine producer/consumer interleaving a thread per consumer
+//! would get from the OS futex.  Every `PLAIN_FIRST_INTERVAL`th
+//! acquisition a worker reads the injector first, so the lane cannot
+//! starve it either.
+//!
+//! A worker's task that is still runnable after its step — out of budget
+//! (`Yielded`), or notified while it ran — goes to the back of the same
+//! FIFOs, behind every peer that was already runnable, so one hot handler
+//! cannot keep a worker from the tasks queued behind it.
 //!
 //! # Blocking edges and compensation
 //!
@@ -133,8 +137,6 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use qs_queues::MutexQueue;
 use qs_sync::Backoff;
-
-use crate::deque::{steal_deque, Stealer, Worker};
 
 /// What a [`PooledTask::step`] reports back to its scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -340,7 +342,7 @@ impl TaskHandle {
 
     /// A *pressure wake*: like [`notify`](TaskHandle::notify), but the task
     /// is routed through the scheduler's priority lane — consulted before
-    /// every worker's LIFO deque — so a consumer whose producer is blocked
+    /// the injector — so a consumer whose producer is blocked
     /// (or nearly blocked) on a bounded queue runs promptly instead of
     /// queueing behind burst-mode peers.  The runtime also routes guard
     /// wakes here: clients parked on a `reserve().when` condition resume
@@ -643,7 +645,7 @@ fn schedule(state: Arc<TaskState>) -> Wake {
     }
     match live_pool(&state) {
         Some(shared) => {
-            enqueue_runnable(&shared, state);
+            shared.enqueue(state);
             Wake::Pool
         }
         None => {
@@ -659,19 +661,6 @@ fn live_pool(state: &TaskState) -> Option<Arc<Shared>> {
         .scheduler
         .upgrade()
         .filter(|shared| !shared.shutdown.load(Ordering::Acquire))
-}
-
-/// Routes a `Scheduled` task into the priority lane when a pressure wake is
-/// pending for it, the plain injector otherwise.  Consuming the pressure
-/// flag here (the single enqueue decision point) means a pressure wake
-/// arriving at any flag state upgrades exactly one subsequent enqueue.
-fn enqueue_runnable(shared: &Arc<Shared>, state: Arc<TaskState>) {
-    if state.pressure.swap(false, Ordering::SeqCst) {
-        qs_obs::trace(qs_obs::TraceKind::SchedPressure, 0, 0);
-        shared.enqueue_priority(state);
-    } else {
-        shared.enqueue(state);
-    }
 }
 
 /// Degraded post-shutdown execution of a `Scheduled` task: the notifying
@@ -743,23 +732,21 @@ fn step_claimed(state: &Arc<TaskState>, mut budget: usize) -> Wake {
 }
 
 struct Shared {
-    /// External (non-worker) submissions and post-yield overflow.
+    /// The run queue: every runnable task the pool owns that no pressure
+    /// wake routed to `priority`, in the order it became runnable.
     injector: MutexQueue<Arc<TaskState>>,
     /// The pressure lane: tasks whose producers are blocked (or nearly
-    /// blocked) on a bounded queue.  Consulted before the injector, the
-    /// deques *and* each worker's LIFO slot, so a backpressured pipeline's
-    /// consumer never queues behind burst-mode peers.  Every
-    /// `SHARED_POLL_INTERVAL`th acquisition inverts the order (plain
-    /// sources first) so a perpetually-pressured pipeline cannot starve
-    /// plain-woken tasks.
+    /// blocked) on a bounded queue.  Consulted before the injector, so a
+    /// backpressured pipeline's consumer never queues behind burst-mode
+    /// peers.  Every `PLAIN_FIRST_INTERVAL`th acquisition inverts the
+    /// order (injector first) so a perpetually-pressured pipeline cannot
+    /// starve plain-woken tasks.
     priority: MutexQueue<Arc<TaskState>>,
     /// Lock-free occupancy count of `priority`: workers check it before
     /// touching the lane's mutex, keeping the (overwhelmingly common)
     /// pressure-free acquisition path free of the global lock.
     priority_len: AtomicUsize,
-    /// Thief handles onto every core worker's deque.
-    stealers: Vec<Stealer<Arc<TaskState>>>,
-    /// Tasks currently sitting in the injector or a deque.
+    /// Tasks currently sitting in the injector or the pressure lane.
     queued: AtomicUsize,
     /// Core workers currently parked.
     sleeping: AtomicUsize,
@@ -777,7 +764,6 @@ struct Shared {
     worker_tids: Vec<AtomicU64>,
     /// Steps started (statistics).
     steps: AtomicU64,
-    steals: AtomicU64,
     panics: AtomicU64,
     /// Tasks enqueued through the pressure lane (statistics).
     pressure_scheduled: AtomicU64,
@@ -787,24 +773,40 @@ struct Shared {
     extra_handles: Mutex<Vec<JoinHandle<()>>>,
     live_threads: AtomicUsize,
     peak_threads: AtomicUsize,
-    /// The core workers' deques until the first task is queued, when
+    /// `true` until the first task is queued, when
     /// [`start_threads`](Self::start_threads) spawns the core workers and
-    /// the monitor; `None` from then on, and from shutdown.  A pool whose
+    /// the monitor; `false` from then on, and from shutdown.  A pool whose
     /// tasks are only ever stepped by clients starts no thread.
-    unstarted: Mutex<Option<Vec<Worker<Arc<TaskState>>>>>,
+    unstarted: Mutex<bool>,
     started: AtomicBool,
     /// The core workers' and the monitor's threads, once started.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
+    /// Queues a `Scheduled` task: in the pressure lane when a pressure wake
+    /// is pending for it, in the injector otherwise.  Consuming the
+    /// pressure flag here (the single enqueue decision point) means a
+    /// pressure wake arriving at any flag state upgrades exactly one
+    /// subsequent enqueue.  The lane's occupancy count is raised *before*
+    /// the push: any taker that would find the item also sees a nonzero
+    /// count (the reverse order could make a concurrent `take_priority`
+    /// skip a visible task).
     fn enqueue(self: &Arc<Self>, state: Arc<TaskState>) {
         self.queued.fetch_add(1, Ordering::SeqCst);
-        self.injector.enqueue(state);
-        if self.injector.is_closed() {
+        let lane = if state.pressure.swap(false, Ordering::SeqCst) {
+            qs_obs::trace(qs_obs::TraceKind::SchedPressure, 0, 0);
+            self.pressure_scheduled.fetch_add(1, Ordering::Relaxed);
+            self.priority_len.fetch_add(1, Ordering::SeqCst);
+            &self.priority
+        } else {
+            &self.injector
+        };
+        lane.enqueue(state);
+        if lane.is_closed() {
             // Shutdown finished behind our back; no worker will ever look at
-            // the injector again.  Drain it here so the task still runs.
-            self.drain_injector_inline();
+            // the queues again.  Drain them here so the task still runs.
+            self.drain_inline();
         } else {
             self.start_threads();
             self.wake_one();
@@ -819,18 +821,18 @@ impl Shared {
             return;
         }
         let mut unstarted = self.unstarted.lock();
-        let Some(deques) = unstarted.take() else {
+        if !std::mem::take(&mut *unstarted) {
             return;
-        };
+        }
         let mut threads = self.threads.lock();
-        for (index, deque) in deques.into_iter().enumerate() {
+        for index in 0..self.step_started.len() {
             let shared = Arc::clone(self);
             shared.note_thread_started();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("qs-hsched-worker-{index}"))
                     .spawn(move || {
-                        worker_loop(index, deque, Arc::clone(&shared));
+                        worker_loop(index, Arc::clone(&shared));
                         shared.note_thread_exited();
                     })
                     .expect("failed to spawn scheduler worker"),
@@ -844,24 +846,6 @@ impl Shared {
                 .expect("failed to spawn scheduler monitor"),
         );
         self.started.store(true, Ordering::Release);
-    }
-
-    /// Like [`enqueue`](Self::enqueue), but through the pressure lane.  The
-    /// occupancy count is raised *before* the push: any taker that would
-    /// find the item also sees a nonzero count (the reverse order could
-    /// make a concurrent `take_priority` skip a visible task).
-    fn enqueue_priority(self: &Arc<Self>, state: Arc<TaskState>) {
-        self.pressure_scheduled.fetch_add(1, Ordering::Relaxed);
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        self.priority_len.fetch_add(1, Ordering::SeqCst);
-        self.priority.enqueue(state);
-        if self.priority.is_closed() {
-            // Shutdown finished behind our back (see `enqueue`).
-            self.drain_priority_inline();
-        } else {
-            self.start_threads();
-            self.wake_one();
-        }
     }
 
     /// Grabs the next pressure-lane task, if any.  The common (empty-lane)
@@ -879,21 +863,10 @@ impl Shared {
         None
     }
 
-    /// Runs everything still in the pressure lane inline (shutdown path and
-    /// the enqueue/close race).
-    fn drain_priority_inline(&self) {
-        while let Ok(Some(task)) = self.priority.try_dequeue() {
-            self.priority_len.fetch_sub(1, Ordering::SeqCst);
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            run_inline(&task);
-        }
-    }
-
-    /// Runs everything still in the injector inline (shutdown path and the
+    /// Runs everything still queued inline (shutdown path and the
     /// enqueue/close race).
-    fn drain_injector_inline(&self) {
-        while let Ok(Some(task)) = self.injector.try_dequeue() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
+    fn drain_inline(&self) {
+        while let Some(task) = self.take() {
             run_inline(&task);
         }
     }
@@ -910,31 +883,17 @@ impl Shared {
         self.idle_cond.notify_all();
     }
 
-    /// Grabs a task from the pressure lane, the injector or any core deque
-    /// (used by extra workers and by core workers whose own deque ran dry).
-    fn take_shared(&self, skip_deque: Option<usize>) -> Option<Arc<TaskState>> {
-        self.take_priority().or_else(|| self.take_plain(skip_deque))
+    /// Grabs the next runnable task: the pressure lane's first, else the
+    /// injector's.
+    fn take(&self) -> Option<Arc<TaskState>> {
+        self.take_priority().or_else(|| self.take_plain())
     }
 
-    /// Grabs a task from the plain (non-pressure) shared sources: the
-    /// injector, then any core deque.
-    fn take_plain(&self, skip_deque: Option<usize>) -> Option<Arc<TaskState>> {
-        if let Ok(Some(task)) = self.injector.try_dequeue() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(task);
-        }
-        for (victim, stealer) in self.stealers.iter().enumerate() {
-            if Some(victim) == skip_deque {
-                continue;
-            }
-            if let Some(task) = stealer.steal() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                qs_obs::trace(qs_obs::TraceKind::SchedSteal, victim as u64, 0);
-                return Some(task);
-            }
-        }
-        None
+    /// Grabs the injector's first task.
+    fn take_plain(&self) -> Option<Arc<TaskState>> {
+        let task = self.injector.try_dequeue().ok().flatten()?;
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        Some(task)
     }
 
     /// `1 + millis since scheduler creation` (the +1 keeps 0 free as the
@@ -954,11 +913,10 @@ impl Shared {
 }
 
 /// Runs one step of `state` and routes the outcome: `Done` parks the flag
-/// terminally, `Yielded` goes back to the *global* runnable FIFO (fairness:
-/// re-entering through the owner's LIFO deque would let one hot handler be
-/// re-popped immediately and starve its deque peers), `Idle` parks unless a
-/// notify raced in.
-fn run_task(shared: &Arc<Shared>, local: Option<&Worker<Arc<TaskState>>>, state: Arc<TaskState>) {
+/// terminally, `Idle` parks unless a notify raced in, and a task still
+/// runnable — `Yielded`, or `Idle` but notified during the step — goes to
+/// the back of the run queue.
+fn run_task(shared: &Arc<Shared>, state: Arc<TaskState>) {
     let Some(task) = state.task() else {
         return;
     };
@@ -973,89 +931,41 @@ fn run_task(shared: &Arc<Shared>, local: Option<&Worker<Arc<TaskState>>>, state:
     });
     match outcome {
         StepOutcome::Done => state.mark_done(),
-        StepOutcome::Yielded => {
-            state.flag.store(SCHEDULED, Ordering::SeqCst);
-            // A yield is a fairness event: the task goes to the back of the
-            // global FIFO (or the pressure lane when its producers are
-            // backpressured), behind every peer that was already runnable.
-            enqueue_runnable(shared, state);
-        }
-        StepOutcome::Idle => {
+        StepOutcome::Idle
             if state
                 .flag
                 .compare_exchange(RUNNING, IDLE, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
-            {
-                // A producer notified while the step was running: the task
-                // stays runnable so the new work cannot be lost.
-                state.flag.store(SCHEDULED, Ordering::SeqCst);
-                requeue(shared, local, state);
-            }
+                .is_ok() => {}
+        // `Yielded`, or `Notified`: a producer notified while the step was
+        // running, and the task stays runnable so the new work cannot be
+        // lost.  Either way it goes behind every peer already runnable.
+        _ => {
+            state.flag.store(SCHEDULED, Ordering::SeqCst);
+            shared.enqueue(state);
         }
     }
 }
 
-/// Re-enqueues a task that was notified mid-step: the owner's deque for
-/// locality (the task's queues were just hot in this worker's cache), unless
-/// a pressure wake raced in, which routes through the priority lane.
-fn requeue(shared: &Arc<Shared>, local: Option<&Worker<Arc<TaskState>>>, state: Arc<TaskState>) {
-    if state.pressure.swap(false, Ordering::SeqCst) {
-        qs_obs::trace(qs_obs::TraceKind::SchedPressure, 0, 0);
-        shared.enqueue_priority(state);
-        return;
-    }
-    match local {
-        Some(deque) => {
-            shared.queued.fetch_add(1, Ordering::SeqCst);
-            deque.push(state);
-            // Another worker may be parked while this deque now holds work.
-            shared.wake_one();
-        }
-        None => shared.enqueue(state),
-    }
-}
+/// Every Nth acquisition a worker takes from the injector before the
+/// pressure lane, so a perpetually-backpressured pipeline — which
+/// re-enters the lane on every yield — cannot starve plain-woken tasks:
+/// pressure buys promptness, never exclusivity.
+const PLAIN_FIRST_INTERVAL: u32 = 16;
 
-/// A worker consults the shared sources (injector, sibling deques) first on
-/// every Nth task acquisition.  Without this, a handler that yields on its
-/// budget goes back to the owner's LIFO deque and is immediately re-popped,
-/// so one hot handler could starve every task waiting in the injector.
-/// The same rotation also inverts the pressure lane's precedence (plain
-/// sources first on the Nth acquisition), so a perpetually-backpressured
-/// pipeline — which re-enters the priority lane on every yield — cannot
-/// starve plain-woken tasks either: pressure buys promptness, never
-/// exclusivity.
-const SHARED_POLL_INTERVAL: u32 = 16;
-
-fn worker_loop(index: usize, local: Worker<Arc<TaskState>>, shared: Arc<Shared>) {
+fn worker_loop(index: usize, shared: Arc<Shared>) {
     shared.worker_tids[index].store(current_thread_id(), Ordering::SeqCst);
     let backoff = Backoff::new();
     let mut acquisitions = 0u32;
     loop {
         acquisitions = acquisitions.wrapping_add(1);
-        let pop_local = || {
-            local.pop().inspect(|_| {
-                shared.queued.fetch_sub(1, Ordering::SeqCst);
-            })
-        };
-        // The pressure lane outranks the LIFO slot on ordinary
-        // acquisitions (a backpressured pipeline's consumer must not wait
-        // behind this worker's own burst-mode tasks); every Nth
-        // acquisition inverts the order so neither the lane nor the LIFO
-        // slot can starve the plain shared sources.
-        let task = if acquisitions.is_multiple_of(SHARED_POLL_INTERVAL) {
-            shared
-                .take_plain(Some(index))
-                .or_else(|| shared.take_priority())
-                .or_else(pop_local)
+        let task = if acquisitions.is_multiple_of(PLAIN_FIRST_INTERVAL) {
+            shared.take_plain().or_else(|| shared.take_priority())
         } else {
-            shared
-                .take_priority()
-                .or_else(pop_local)
-                .or_else(|| shared.take_plain(Some(index)))
+            shared.take()
         };
         if let Some(task) = task {
             shared.step_started[index].store(shared.now_marker(), Ordering::SeqCst);
-            run_task(&shared, Some(&local), task);
+            run_task(&shared, task);
             shared.step_started[index].store(0, Ordering::SeqCst);
             backoff.reset();
             continue;
@@ -1085,13 +995,13 @@ fn worker_loop(index: usize, local: Worker<Arc<TaskState>>, shared: Arc<Shared>)
     }
 }
 
-/// Compensation worker: pulls from the injector and the core deques only,
+/// Compensation worker: pulls from the run queues like a core worker,
 /// retires after a stretch of idleness or on shutdown.
 fn extra_worker_loop(shared: Arc<Shared>) {
     let mut idle_rounds = 0u32;
     while idle_rounds < 64 {
-        if let Some(task) = shared.take_shared(None) {
-            run_task(&shared, None, task);
+        if let Some(task) = shared.take() {
+            run_task(&shared, task);
             idle_rounds = 0;
             continue;
         }
@@ -1322,18 +1232,10 @@ impl HandlerScheduler {
     /// queued.
     pub fn new(workers: usize) -> Arc<Self> {
         let workers = workers.max(1);
-        let mut deques = Vec::with_capacity(workers);
-        let mut stealers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (deque, stealer) = steal_deque();
-            deques.push(deque);
-            stealers.push(stealer);
-        }
         let shared = Arc::new(Shared {
             injector: MutexQueue::new(),
             priority: MutexQueue::new(),
             priority_len: AtomicUsize::new(0),
-            stealers,
             queued: AtomicUsize::new(0),
             sleeping: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
@@ -1343,7 +1245,6 @@ impl HandlerScheduler {
             step_started: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             worker_tids: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             steps: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             pressure_scheduled: AtomicU64::new(0),
             extras_spawned: AtomicU64::new(0),
@@ -1351,7 +1252,7 @@ impl HandlerScheduler {
             extra_handles: Mutex::new(Vec::new()),
             live_threads: AtomicUsize::new(0),
             peak_threads: AtomicUsize::new(0),
-            unstarted: Mutex::new(Some(deques)),
+            unstarted: Mutex::new(true),
             started: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
         });
@@ -1393,13 +1294,6 @@ impl HandlerScheduler {
     /// Number of core worker threads.
     pub fn workers(&self) -> usize {
         self.core_workers
-    }
-
-    /// Tasks successfully stolen from a core worker's deque by another
-    /// thread (sibling worker, compensation worker, or the shutdown
-    /// drainer).  Injector grabs are not steals and are not counted.
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
     }
 
     /// Total steps started.
@@ -1449,13 +1343,13 @@ impl HandlerScheduler {
             return;
         }
         // No thread starts from here on.
-        drop(self.shared.unstarted.lock().take());
+        *self.shared.unstarted.lock() = false;
         self.shared.wake_all();
         let threads: Vec<_> = self.shared.threads.lock().drain(..).collect();
         for handle in threads {
             while !handle.is_finished() {
-                match self.shared.take_shared(None) {
-                    Some(task) => run_task(&self.shared, None, task),
+                match self.shared.take() {
+                    Some(task) => run_task(&self.shared, task),
                     None => std::thread::sleep(Duration::from_millis(1)),
                 }
             }
@@ -1472,8 +1366,7 @@ impl HandlerScheduler {
         }
         self.shared.priority.close();
         self.shared.injector.close();
-        self.shared.drain_priority_inline();
-        self.shared.drain_injector_inline();
+        self.shared.drain_inline();
     }
 }
 
@@ -1489,7 +1382,6 @@ impl std::fmt::Debug for HandlerScheduler {
             .field("workers", &self.core_workers)
             .field("live_threads", &self.live_threads())
             .field("steps", &self.steps())
-            .field("steals", &self.steals())
             .finish()
     }
 }
@@ -1637,31 +1529,36 @@ mod tests {
         assert!(scheduler.steps() >= 50);
     }
 
+    /// Blocks its step until `gate` opens.
+    struct Blocker {
+        gate: Arc<Event>,
+    }
+
+    impl PooledTask for Blocker {
+        fn step(&self) -> StepOutcome {
+            self.gate.wait();
+            StepOutcome::Done
+        }
+    }
+
+    /// Opens `gate`.
+    struct Opener {
+        gate: Arc<Event>,
+    }
+
+    impl PooledTask for Opener {
+        fn step(&self) -> StepOutcome {
+            self.gate.set();
+            StepOutcome::Done
+        }
+    }
+
     #[test]
     fn blocked_worker_is_compensated() {
         // Task A blocks its (only) worker until task B has run; without the
         // monitor spawning an extra worker this deadlocks.
         let scheduler = HandlerScheduler::new(1);
         let gate = Arc::new(Event::new());
-
-        struct Blocker {
-            gate: Arc<Event>,
-        }
-        impl PooledTask for Blocker {
-            fn step(&self) -> StepOutcome {
-                self.gate.wait();
-                StepOutcome::Done
-            }
-        }
-        struct Opener {
-            gate: Arc<Event>,
-        }
-        impl PooledTask for Opener {
-            fn step(&self) -> StepOutcome {
-                self.gate.set();
-                StepOutcome::Done
-            }
-        }
 
         let blocker = scheduler.register(Arc::new(Blocker {
             gate: Arc::clone(&gate),
@@ -1688,25 +1585,6 @@ mod tests {
         let scheduler = HandlerScheduler::new(1);
         let gate = Arc::new(Event::new());
 
-        struct Blocker {
-            gate: Arc<Event>,
-        }
-        impl PooledTask for Blocker {
-            fn step(&self) -> StepOutcome {
-                self.gate.wait();
-                StepOutcome::Done
-            }
-        }
-        struct Opener {
-            gate: Arc<Event>,
-        }
-        impl PooledTask for Opener {
-            fn step(&self) -> StepOutcome {
-                self.gate.set();
-                StepOutcome::Done
-            }
-        }
-
         let blocker = scheduler.register(Arc::new(Blocker {
             gate: Arc::clone(&gate),
         }));
@@ -1726,8 +1604,9 @@ mod tests {
 
     #[test]
     fn yielding_task_does_not_starve_the_injector() {
-        // Regression: a hot task re-queued to its owner's LIFO deque must
-        // not keep a single worker from ever consulting the injector.
+        // A hot task that yields over and over must not keep a single
+        // worker from the task queued behind it: each yield goes to the
+        // back of the run queue.
         struct Hog {
             yields_left: AtomicUsize,
             other_done_first: Arc<AtomicBool>,
@@ -2145,6 +2024,53 @@ mod tests {
     }
 
     #[test]
+    fn a_task_notified_during_its_pool_step_goes_behind_the_tasks_it_woke() {
+        // Task A's pool step wakes the idle task B, then notifies A itself,
+        // and ends `Idle`: the notified A goes to the back of the one run
+        // queue, behind B, so the only worker steps A, B, A.
+        use std::sync::Mutex as StdMutex;
+
+        struct Step {
+            name: char,
+            order: Arc<StdMutex<Vec<char>>>,
+            /// A's handles: B's, then its own; notified on its first step.
+            wakes: StdMutex<Vec<TaskHandle>>,
+        }
+        impl PooledTask for Step {
+            fn step(&self) -> StepOutcome {
+                self.order.lock().unwrap().push(self.name);
+                for handle in std::mem::take(&mut *self.wakes.lock().unwrap()) {
+                    handle.notify();
+                }
+                StepOutcome::Idle
+            }
+        }
+        let order = within("notified task order", || {
+            let scheduler = HandlerScheduler::new(1);
+            let order: Arc<StdMutex<Vec<char>>> = Arc::default();
+            let step = |name, wakes| Step {
+                name,
+                order: Arc::clone(&order),
+                wakes: StdMutex::new(wakes),
+            };
+            let b = scheduler.register(Arc::new(step('B', Vec::new())));
+            let mut a = None;
+            scheduler.register_with(|handle| {
+                a = Some(handle.clone());
+                Arc::new(step('A', vec![b, handle]))
+            });
+            assert_eq!(a.unwrap().notify(), Wake::Pool);
+            while order.lock().unwrap().len() < 3 {
+                std::thread::yield_now();
+            }
+            scheduler.shutdown();
+            let order = order.lock().unwrap().clone();
+            order
+        });
+        assert_eq!(order, vec!['A', 'B', 'A']);
+    }
+
+    #[test]
     fn a_wake_hands_an_idle_task_to_its_parked_driver() {
         let scheduler = HandlerScheduler::new(1);
         let task = DrainTask::new();
@@ -2298,9 +2224,9 @@ mod tests {
     }
 
     #[test]
-    fn work_is_stolen_across_workers() {
+    fn many_tasks_queued_at_once_all_run_on_two_workers() {
         let scheduler = HandlerScheduler::new(2);
-        // Many independent yield-happy tasks force cross-deque traffic.
+        // Both workers take from the one run queue.
         let handles: Vec<_> = (0..64)
             .map(|_| {
                 let task = DrainTask::new();

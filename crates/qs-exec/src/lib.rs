@@ -14,23 +14,20 @@
 //!   pool (parallel-for, fork/join);
 //! * [`HandlerScheduler`] — the "lightweight threads" layer: M:N scheduling
 //!   of handlers as resumable [`PooledTask`]s multiplexed onto a fixed
-//!   work-stealing worker pool with a lost-wakeup-free re-arming protocol
-//!   and blocked-worker compensation, so handler count is not bounded by OS
-//!   thread count; a client about to wait on an idle task steps it on its
-//!   own thread instead ([`TaskHandle::run_here`]), and a client parked
-//!   waiting on a task is handed it by the next wake
-//!   ([`TaskHandle::park_driver`]);
-//! * [`deque`] — the per-worker work-stealing deques (owner-LIFO,
-//!   thief-FIFO) the handler scheduler's workers run on.
+//!   worker pool with a lost-wakeup-free re-arming protocol and
+//!   blocked-worker compensation, so handler count is not bounded by OS
+//!   thread count.  A runnable task waits in one FIFO run queue, or in a
+//!   pressure lane that workers consult before it; a client about to wait
+//!   on an idle task steps it on its own thread instead
+//!   ([`TaskHandle::run_here`]), and a client parked waiting on a task is
+//!   handed it by the next wake ([`TaskHandle::park_driver`]).
 
 #![warn(missing_docs)]
 
-pub mod deque;
 pub mod handler_scheduler;
 pub mod pool;
 pub mod scope;
 
-pub use deque::{steal_deque, Stealer, Worker};
 pub use handler_scheduler::{
     HandlerScheduler, ParkedDriver, PooledTask, RanHere, StepOutcome, TaskHandle, Wake,
 };

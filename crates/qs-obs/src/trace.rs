@@ -38,8 +38,6 @@ pub enum TraceKind {
     MailboxDrain,
     /// A producer stalled on a full mailbox (`a` = handler id).
     MailboxStall,
-    /// A scheduler worker stole work (`a` = worker, `b` = victim).
-    SchedSteal,
     /// A scheduler worker parked idle (`a` = worker).
     SchedPark,
     /// A handler went through the pressure lane (`a` = handler id).
@@ -61,7 +59,7 @@ pub enum TraceKind {
 
 impl TraceKind {
     /// Every kind (docs, tests, exporters).
-    pub const ALL: [TraceKind; 18] = [
+    pub const ALL: [TraceKind; 17] = [
         TraceKind::HandlerSpawn,
         TraceKind::HandlerRetire,
         TraceKind::ReserveAcquire,
@@ -71,7 +69,6 @@ impl TraceKind {
         TraceKind::MailboxEnqueue,
         TraceKind::MailboxDrain,
         TraceKind::MailboxStall,
-        TraceKind::SchedSteal,
         TraceKind::SchedPark,
         TraceKind::SchedPressure,
         TraceKind::GuardSignal,
@@ -94,7 +91,6 @@ impl TraceKind {
             TraceKind::MailboxEnqueue => "mailbox.enqueue",
             TraceKind::MailboxDrain => "mailbox.drain",
             TraceKind::MailboxStall => "mailbox.stall",
-            TraceKind::SchedSteal => "sched.steal",
             TraceKind::SchedPark => "sched.park",
             TraceKind::SchedPressure => "sched.pressure",
             TraceKind::GuardSignal => "guard.signal",
@@ -438,7 +434,7 @@ mod tests {
         std::thread::Builder::new()
             .name("obs-chrome-test".into())
             .spawn(|| {
-                trace_always(TraceKind::SchedSteal, 1, 2);
+                trace_always(TraceKind::SchedPark, 1, 2);
                 trace_always(TraceKind::DeadlockReport, 3, 0);
             })
             .unwrap()
@@ -453,14 +449,13 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.get("ph").and_then(|p| p.as_str()) == Some("M")));
-        let steal = events
+        let park = events
             .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("sched.steal"))
+            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("sched.park"))
             .expect("recorded event exported");
-        assert_eq!(steal.get("cat").and_then(|c| c.as_str()), Some("sched"));
+        assert_eq!(park.get("cat").and_then(|c| c.as_str()), Some("sched"));
         assert_eq!(
-            steal
-                .get("args")
+            park.get("args")
                 .and_then(|a| a.get("a"))
                 .and_then(|v| v.as_f64()),
             Some(1.0)

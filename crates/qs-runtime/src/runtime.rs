@@ -170,13 +170,9 @@ impl Runtime {
     }
 
     /// Convenience: a point-in-time snapshot of the statistics, including
-    /// the scheduler's steal count and the deadlock monitor's scan
-    /// count when either is running.
+    /// the deadlock monitor's scan count when it is running.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let mut snapshot = self.inner.stats.snapshot();
-        if let Some(scheduler) = self.inner.scheduler.lock().as_ref() {
-            snapshot.scheduler_steals = scheduler.steals();
-        }
         if let Some(deadlock) = self.inner.deadlock.as_ref() {
             snapshot.monitor_scans = deadlock.monitor.scan_count();
         }

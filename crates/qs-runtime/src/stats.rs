@@ -297,9 +297,9 @@ pub struct StatsSnapshot {
     pub peak_concurrent_readers: u64,
     /// Handler steps that had to wait for readers before applying a batch.
     pub writer_waits: u64,
-    /// Pooled scheduling: tasks stolen across scheduler workers.  Tracked by
-    /// the scheduler, merged in by [`crate::Runtime::stats_snapshot`]; zero
-    /// in a snapshot taken directly from [`RuntimeStats`].
+    /// Always 0: the handler pool has one run queue, so no worker steals
+    /// from another.  Kept while the benchmark still reports it as
+    /// `exec.steals_per_kop`; goes when that row does.
     pub scheduler_steals: u64,
     /// Full cycle-detection scans the deadlock monitor has run (adaptive
     /// tick; skipped idle ticks not included).  Tracked by the monitor,

@@ -396,10 +396,8 @@ fn two_preloaded_handlers_share_one_worker_fairly() {
         eprintln!("skipping streak assertion: compensation fired on all {ATTEMPTS} attempts");
         return;
     };
-    // Persisted budgets + yield-to-global-FIFO give strict ~1024-request
-    // alternation.  The old fresh-budget-per-step behaviour let the first
-    // handler hold the worker for 16+ consecutive budgets (its LIFO deque
-    // re-popped it until the next shared poll), i.e. streaks >= 16384.
+    // Persisted budgets + yield to the back of the one run queue give
+    // strict ~1024-request alternation.
     assert!(
         max_streak <= MAX_FAIR_STREAK,
         "one handler monopolised the single worker for {max_streak} consecutive \

@@ -3,7 +3,7 @@
 //! Go programs in the paper's benchmark suite structure everything as
 //! goroutines communicating over channels, with shared memory available but
 //! not race-checked (Table 3).  This module provides the same vocabulary:
-//! [`go`] spawns a task on a shared work-stealing pool (goroutines are
+//! [`go`](Spawner::go) spawns a task on a shared work-stealing pool (goroutines are
 //! multiplexed onto OS threads, as are our pool workers), and channels come
 //! from `crossbeam` (unbounded and bounded/rendezvous, like Go's buffered and
 //! unbuffered channels).

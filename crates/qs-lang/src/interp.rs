@@ -4,7 +4,7 @@
 //! * `create x` spawns a [`qs_runtime::Handler`] owning a fresh
 //!   [`ObjectState`]; the handler *is* the object's SCOOP processor.
 //! * `separate x, y do … end` reserves the handlers through the unified
-//!   [`qs_runtime::reserve`] entry point, so multi-target blocks get the
+//!   [`qs_runtime::reserve`](fn@qs_runtime::reserve) entry point, so multi-target blocks get the
 //!   atomic multi-reservation of §2.4/§3.3.
 //! * command calls are logged asynchronously ([`Separate::call`]), query
 //!   calls run synchronously; how the synchronisation before a query is
@@ -16,12 +16,12 @@
 //! handler processes one logged call at a time.
 //!
 //! Separate blocks come in two reservation flavours: the exclusive
-//! [`qs_runtime::reserve`]`.run(…)` path, and the **shared-read** path
+//! [`qs_runtime::reserve`](fn@qs_runtime::reserve)`.run(…)` path, and the **shared-read** path
 //! (`reserve(…).read().run(…)`) used when the block was declared
 //! `separate read` or when the effect pass proved it read-only and
 //! [`qs_runtime::RuntimeConfig::auto_read`] is enabled.  Under a read
 //! reservation queries execute on the client against `&ObjectState`
-//! ([`ObjRef::Shared`]) — a write attempt is a hard error, though the
+//! (`ObjRef::Shared`) — a write attempt is a hard error, though the
 //! checker already rejects it statically (`QS-E001`).
 
 use std::collections::HashMap;

@@ -5,7 +5,7 @@
 //! pipelining, queue structure.  This crate supplies the instrumentation
 //! discipline that makes such attribution possible on the grown system:
 //!
-//! * **[`trace`]** — a low-overhead event-tracing layer: per-thread
+//! * **[`trace`](mod@trace)** — a low-overhead event-tracing layer: per-thread
 //!   lock-free ring buffers of typed [`TraceKind`] events with monotonic
 //!   timestamps, exportable as Chrome `trace_event` JSON
 //!   ([`chrome_trace_json`]) and dumpable as a flight recorder

@@ -23,6 +23,26 @@
 //! mailbox of 1024 slots, and hundreds of blocks can be pending at once, so
 //! a ring that allocated its capacity at creation would hold 24 KiB of
 //! 24-byte requests per block to store a few of them.
+//!
+//! # Reuse
+//!
+//! A fresh ring costs three allocations — the shared header, the chunk
+//! table and the first chunk — and its free usually lands on the handler's
+//! thread, which lets go of it last.  A block's ring can serve the next
+//! block instead.  The consumer, having drained a closed ring, gives up its
+//! half with [`BoundedSpscConsumer::into_spare`] and gets the ring back
+//! instead of dropping it; once the producer half has been dropped too,
+//! and no probe cloned from either half is left, [`reopen`] resets its
+//! cursors to 0 and hands out a new producer/consumer pair over the same
+//! memory.  Which half lets go last does not matter: the consumer's handle
+//! waits wherever it was handed back until it is the only one.
+//!
+//! Only single-chunk rings are kept.  A block that logged more than
+//! [`CHUNK_SLOTS`] requests frees its ring as before: a kept ring then
+//! holds one chunk of slots, not the storage of the largest block its
+//! client ever ran.  Keeping grown rings as well was measured slower on
+//! a stream of 256-call blocks, whose ring costs are amortised over the
+//! calls anyway.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -70,8 +90,9 @@ pub struct BoundedSpsc<T> {
     tail: CachePadded<AtomicUsize>,
     /// Set once the producer closes the queue (END of the separate block).
     closed: AtomicBool,
-    /// Set when the consumer half is dropped without draining the queue:
-    /// nobody will ever make space again, so the producer must not block.
+    /// Set when the consumer half is dropped before the producer closed the
+    /// queue: nobody will ever make space again, so the producer must not
+    /// block.
     abandoned: AtomicBool,
     /// Number of blocking pushes that had to wait for space (statistics).
     stalls: AtomicUsize,
@@ -103,20 +124,7 @@ pub struct BoundedSpscConsumer<T> {
 pub fn bounded_spsc_channel<T>(
     capacity: usize,
 ) -> (BoundedSpscProducer<T>, BoundedSpscConsumer<T>) {
-    assert!(capacity > 0, "a bounded queue needs capacity >= 1");
-    let chunks = (0..capacity.div_ceil(CHUNK_SLOTS))
-        .map(|_| AtomicPtr::new(ptr::null_mut()))
-        .collect();
-    let queue = Arc::new(BoundedSpsc {
-        chunks,
-        capacity,
-        head: CachePadded::new(AtomicUsize::new(0)),
-        tail: CachePadded::new(AtomicUsize::new(0)),
-        closed: AtomicBool::new(false),
-        abandoned: AtomicBool::new(false),
-        stalls: AtomicUsize::new(0),
-        producer: Parker::new(),
-    });
+    let queue = Arc::new(BoundedSpsc::new(capacity));
     (
         BoundedSpscProducer {
             queue: Arc::clone(&queue),
@@ -126,6 +134,23 @@ pub fn bounded_spsc_channel<T>(
 }
 
 impl<T> BoundedSpsc<T> {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "a bounded queue needs capacity >= 1");
+        let chunks = (0..capacity.div_ceil(CHUNK_SLOTS))
+            .map(|_| AtomicPtr::new(ptr::null_mut()))
+            .collect();
+        BoundedSpsc {
+            chunks,
+            capacity,
+            head: CachePadded::new(AtomicUsize::new(0)),
+            tail: CachePadded::new(AtomicUsize::new(0)),
+            closed: AtomicBool::new(false),
+            abandoned: AtomicBool::new(false),
+            stalls: AtomicUsize::new(0),
+            producer: Parker::new(),
+        }
+    }
+
     /// Maximum number of items the ring can hold.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -225,6 +250,63 @@ impl<T> BoundedSpsc<T> {
     fn wake_producer(&self) {
         self.producer.wake();
     }
+
+    /// Whether the producer never reached a chunk past the first: every
+    /// sequence number below `tail` mapped into chunk 0.
+    fn within_first_chunk(&self, tail: usize) -> bool {
+        self.capacity <= CHUNK_SLOTS || tail <= CHUNK_SLOTS
+    }
+
+    /// Whether the ring can serve another block once nobody else holds it:
+    /// it ended closed and drained, was not abandoned, and never left its
+    /// first chunk.
+    fn reusable(&self) -> bool {
+        if !self.is_closed() || self.abandoned.load(Ordering::Acquire) {
+            return false;
+        }
+        // Final: the producer closed the ring after its last push.
+        let tail = self.tail.load(Ordering::Acquire);
+        self.head.load(Ordering::Acquire) == tail && self.within_first_chunk(tail)
+    }
+
+    /// Resets a [`reusable`](Self::reusable) ring to the state of a fresh
+    /// one: cursors at 0, open, no stalls counted.
+    fn reset(&mut self) {
+        *self.head.get_mut() = 0;
+        *self.tail.get_mut() = 0;
+        *self.closed.get_mut() = false;
+        *self.stalls.get_mut() = 0;
+        // Drops a wake left pending by the last block's consumer.
+        self.producer = Parker::new();
+    }
+}
+
+/// Reopens a ring that [`BoundedSpscConsumer::into_spare`] handed back as
+/// a fresh producer/consumer pair over the same slots, or drops `ring` and
+/// returns `None`.
+///
+/// The ring is reopened only if `ring` is its last handle — the producer
+/// half, and every probe cloned from either half, have been dropped — and
+/// the last block left it closed, drained and not abandoned, within its
+/// first chunk.  The reopened ring behaves as one fresh from
+/// [`bounded_spsc_channel`]: empty, open, cursors and stall count at 0.
+pub fn reopen<T>(
+    mut ring: Arc<BoundedSpsc<T>>,
+) -> Option<(BoundedSpscProducer<T>, BoundedSpscConsumer<T>)> {
+    // `get_mut` succeeds only on the last handle, and acquires every other
+    // handle's release on drop, so the consumer's last reads of the slots
+    // happen before the reset.
+    let last = Arc::get_mut(&mut ring)?;
+    if !last.reusable() {
+        return None;
+    }
+    last.reset();
+    Some((
+        BoundedSpscProducer {
+            queue: Arc::clone(&ring),
+        },
+        BoundedSpscConsumer { queue: ring },
+    ))
 }
 
 impl<T> BoundedSpscProducer<T> {
@@ -380,6 +462,16 @@ impl<T> BoundedSpscConsumer<T> {
     /// currently empty but still open, and `Err(Closed)` if it is closed and
     /// drained.
     pub fn try_dequeue(&self) -> Result<Option<T>, Closed> {
+        let dequeued = self.dequeue_without_wake();
+        if let Ok(Some(_)) = dequeued {
+            self.queue.wake_producer();
+        }
+        dequeued
+    }
+
+    /// [`try_dequeue`](Self::try_dequeue) without waking a producer parked
+    /// for space; the caller wakes it once the `head` stores are done.
+    fn dequeue_without_wake(&self) -> Result<Option<T>, Closed> {
         let queue = &*self.queue;
         let head = queue.head.load(Ordering::Relaxed);
         let tail = queue.tail.load(Ordering::Acquire);
@@ -388,7 +480,7 @@ impl<T> BoundedSpscConsumer<T> {
                 // Re-check: an item may have been pushed between the tail
                 // load and the closed load.
                 if queue.tail.load(Ordering::Acquire) != head {
-                    return self.try_dequeue();
+                    return self.dequeue_without_wake();
                 }
                 return Err(Closed);
             }
@@ -400,15 +492,24 @@ impl<T> BoundedSpscConsumer<T> {
         // until `head` moves past it.
         let value = unsafe { (*slot.get()).assume_init_read() };
         queue.head.store(head + 1, Ordering::Release);
-        queue.wake_producer();
         Ok(Some(value))
     }
 
     /// Drains up to `max` immediately available items into `out` without
     /// blocking.  Returns the number of items appended, or [`Closed`] if the
     /// ring is closed and fully drained.
+    ///
+    /// A producer parked for space is woken once, after the batch's last
+    /// `head` store: any advance of `head` makes the space it waits for, so
+    /// one wake per batch covers it, where a wake per item would cost one
+    /// locked read-modify-write per request on a line the producer reads on
+    /// every push.
     pub fn try_drain_batch(&self, out: &mut Vec<T>, max: usize) -> Result<usize, Closed> {
-        crate::batch::try_drain_with(out, max, || self.try_dequeue())
+        let drained = crate::batch::try_drain_with(out, max, || self.dequeue_without_wake());
+        if let Ok(1..) = drained {
+            self.queue.wake_producer();
+        }
+        drained
     }
 
     /// Statistics / inspection access to the underlying queue.
@@ -419,6 +520,22 @@ impl<T> BoundedSpscConsumer<T> {
     /// Shared handle to the underlying queue (for detached probes).
     pub(crate) fn shared(&self) -> Arc<BoundedSpsc<T>> {
         Arc::clone(&self.queue)
+    }
+
+    /// Gives up the consumer half and returns a handle to the ring for
+    /// [`reopen`] if the producer closed it, this consumer drained it, and
+    /// it never left its first chunk; drops the half as usual otherwise.
+    ///
+    /// The producer half may still be alive: the returned handle is kept
+    /// until it is the last, and `reopen` checks that.  Handing the ring
+    /// back from this side only means that no race between the two halves
+    /// letting go can lose a ring — the handle that decides is never
+    /// dropped.
+    pub fn into_spare(self) -> Option<Arc<BoundedSpsc<T>>> {
+        let ring = self.shared();
+        // The drop drops what is left, and leaves a closed ring unabandoned.
+        drop(self);
+        ring.reusable().then_some(ring)
     }
 }
 
@@ -435,6 +552,11 @@ impl<T> Drop for BoundedSpscConsumer<T> {
         // last look) can strand one item until the ring drops.
         while let Ok(Some(item)) = self.try_dequeue() {
             drop(item);
+        }
+        // A closed ring's producer pushes nothing more: the ring is not
+        // abandoned, only done with, and stays fit for `reopen`.
+        if self.queue.is_closed() {
+            return;
         }
         // Nobody will ever drain this queue again: release any producer
         // blocked on a full ring (see `try_push` for the discard semantics).
@@ -729,5 +851,145 @@ mod tests {
         thread::sleep(std::time::Duration::from_millis(30));
         drop(rx);
         producer.join().unwrap();
+    }
+
+    #[test]
+    fn a_batch_drain_releases_a_producer_blocked_on_a_full_ring() {
+        let (tx, rx) = bounded_spsc_channel(2);
+        tx.try_push(1).unwrap();
+        tx.try_push(2).unwrap();
+        let queue = rx.shared();
+        let producer = thread::spawn(move || {
+            let stalled = tx.push(3);
+            (tx, stalled)
+        });
+        // The push counts its stall before it waits; then give it time to
+        // finish its backoff and park.
+        while queue.total_stalls() == 0 {
+            thread::yield_now();
+        }
+        thread::sleep(std::time::Duration::from_millis(30));
+        let mut out = Vec::new();
+        assert_eq!(rx.try_drain_batch(&mut out, 8), Ok(2));
+        let (tx, stalled) = producer.join().unwrap();
+        assert!(stalled, "the push waited for the batch drain");
+        assert_eq!(out, vec![1, 2]);
+        assert_eq!(rx.try_dequeue(), Ok(Some(3)));
+        assert_eq!(tx.queue().total_stalls(), 1);
+    }
+
+    /// A block's worth of traffic on `tx`/`rx`: `items` pushed and drained,
+    /// a stall, then the close.
+    fn run_block(tx: &BoundedSpscProducer<usize>, rx: &BoundedSpscConsumer<usize>, items: usize) {
+        for i in 0..items {
+            tx.push(i);
+            assert_eq!(rx.try_dequeue(), Ok(Some(i)));
+        }
+        tx.queue.stalls.fetch_add(1, Ordering::Relaxed);
+        tx.close();
+        assert_eq!(rx.try_dequeue(), Err(Closed));
+    }
+
+    /// Reopens `ring`, failing the test if it cannot be.
+    fn reopened<T>(ring: Arc<BoundedSpsc<T>>) -> (BoundedSpscProducer<T>, BoundedSpscConsumer<T>) {
+        reopen(ring).unwrap_or_else(|| panic!("the ring must reopen"))
+    }
+
+    #[test]
+    fn a_reopened_ring_starts_empty_at_cursor_zero_with_flags_cleared() {
+        let (tx, rx) = bounded_spsc_channel(1024);
+        run_block(&tx, &rx, 5);
+        let first_chunk = tx.queue.chunks[0].load(Ordering::Relaxed);
+        let ring = rx.into_spare().expect("closed, drained, one chunk");
+        drop(tx);
+        let (tx, rx) = reopened(ring);
+        let queue = tx.queue();
+        assert_eq!(queue.total_enqueued(), 0);
+        assert_eq!(queue.total_dequeued(), 0);
+        assert_eq!(queue.total_stalls(), 0);
+        assert!(!queue.is_closed());
+        assert!(!queue.abandoned.load(Ordering::Relaxed));
+        assert_eq!(allocated_chunks(queue), 1, "the first chunk is kept");
+        assert_eq!(queue.chunks[0].load(Ordering::Relaxed), first_chunk);
+        assert_eq!(rx.try_dequeue(), Ok(None), "empty and open");
+        for i in 0..3 {
+            tx.push(i);
+        }
+        tx.close();
+        let mut out = Vec::new();
+        assert_eq!(rx.try_drain_batch(&mut out, 8), Ok(3));
+        assert_eq!(out, vec![0, 1, 2]);
+        assert_eq!(rx.try_dequeue(), Err(Closed));
+        // And again, the producer dropped before the consumer let go.
+        drop(tx);
+        let (tx, rx) = reopened(rx.into_spare().expect("a second block"));
+        assert_eq!(tx.queue().total_enqueued(), 0);
+        drop(rx);
+    }
+
+    #[test]
+    fn a_ring_is_not_recycled_while_another_handle_holds_it() {
+        // The producer half.
+        let (tx, rx) = bounded_spsc_channel(8);
+        run_block(&tx, &rx, 2);
+        let ring = rx.into_spare().expect("handed back");
+        assert!(reopen(ring).is_none(), "the producer holds the ring");
+        assert_eq!(Arc::strong_count(&tx.queue), 1, "a failed reopen drops");
+        // Any other handle.
+        let (tx, rx) = bounded_spsc_channel(8);
+        run_block(&tx, &rx, 2);
+        let twin = rx.shared();
+        let ring = rx.into_spare().expect("handed back");
+        drop(tx);
+        assert!(reopen(ring).is_none(), "a twin holds the ring");
+        drop(twin);
+    }
+
+    #[test]
+    fn unclosed_undrained_abandoned_or_grown_rings_are_freed() {
+        // Unclosed: the producer never closed the block.
+        let (tx, rx) = bounded_spsc_channel::<usize>(8);
+        drop(tx);
+        assert!(rx.into_spare().is_none(), "unclosed");
+
+        // Abandoned: the consumer let go before the close.
+        let (tx, rx) = bounded_spsc_channel::<usize>(8);
+        let ring = rx.shared();
+        assert!(rx.into_spare().is_none(), "open when the consumer let go");
+        assert!(ring.abandoned.load(Ordering::Relaxed));
+        tx.close();
+        drop(tx);
+        assert!(reopen(ring).is_none(), "abandoned");
+
+        // Undrained: items left behind a close, with no consumer to drop
+        // them before the ring is checked.
+        let ring = Arc::new(BoundedSpsc::new(8));
+        let tx = BoundedSpscProducer {
+            queue: Arc::clone(&ring),
+        };
+        tx.push(1usize);
+        tx.close();
+        drop(tx);
+        assert!(reopen(ring).is_none(), "undrained");
+
+        // Grown: the block logged past the first chunk.
+        let (tx, rx) = bounded_spsc_channel(1024);
+        run_block(&tx, &rx, CHUNK_SLOTS + 1);
+        assert!(rx.into_spare().is_none(), "grown past the first chunk");
+
+        // A ring of one chunk is kept however many laps it made.
+        let (tx, rx) = bounded_spsc_channel(CHUNK_SLOTS);
+        run_block(&tx, &rx, 3 * CHUNK_SLOTS);
+        assert!(rx.into_spare().is_some(), "a one-chunk ring");
+    }
+
+    #[test]
+    fn a_closed_rings_consumer_drop_does_not_abandon_it() {
+        let (tx, rx) = bounded_spsc_channel(4);
+        tx.push(1);
+        tx.close();
+        drop(rx);
+        assert!(!tx.queue.abandoned.load(Ordering::Relaxed));
+        assert!(tx.queue().is_empty(), "the drop drained the ring");
     }
 }

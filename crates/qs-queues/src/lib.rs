@@ -14,6 +14,17 @@
 //! "These optimizations are important as they are involved in all
 //! communication between clients and handlers."
 //!
+//! A private queue lives for one separate block, and a block of a few
+//! requests should cost a few SPSC operations, not an allocation and a
+//! cross-thread free.  So a bounded private queue's ring is reused: the
+//! handler that processed a block's close hands the ring back to the
+//! client thread that opened it ([`MailboxConsumer::into_spare`] into that
+//! thread's [`SpareRings`]), and the thread's next block reopens it with
+//! cursors reset to 0 ([`reopen_mailbox`]) once no other handle is left.
+//! Only rings that never left their first chunk of slots are kept (see
+//! [`bounded`]'s reuse rule): a kept ring costs one chunk, whatever the
+//! largest block its client ran.
+//!
 //! The crate also provides a naive lock-based queue ([`mutex_queue`]) used by
 //! the unoptimised baseline configuration and by the ablation benchmark E9,
 //! which quantifies how much the specialised queues matter.
@@ -29,8 +40,9 @@
 //!   accounting update per batch on the lock-free queues — instead of paying
 //!   it per request.
 //!
-//! The [`mailbox`] module unifies the bounded and unbounded private queues
-//! behind one producer/consumer pair, keyed by an optional capacity.
+//! The [`mailbox`](mod@mailbox) module unifies the bounded and unbounded
+//! private queues behind one producer/consumer pair, keyed by an optional
+//! capacity.
 //!
 //! The blocking (backpressure) push paths additionally accept a
 //! [`BlockWatcher`], the instrumentation hook the runtime's deadlock
@@ -78,7 +90,7 @@ pub mod spsc;
 pub use bounded::{
     bounded_spsc_channel, BoundedSpsc, BoundedSpscConsumer, BoundedSpscProducer, Full,
 };
-pub use mailbox::{mailbox, MailboxConsumer, MailboxProducer};
+pub use mailbox::{mailbox, reopen_mailbox, MailboxConsumer, MailboxProducer, SpareRings};
 pub use mpsc::QueueOfQueues;
 pub use mutex_queue::MutexQueue;
 pub use spsc::{spsc_channel, SpscConsumer, SpscProducer, SpscQueue};

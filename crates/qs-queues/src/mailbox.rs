@@ -7,10 +7,22 @@
 //! backpressure variant) depending on that knob.  Both sides expose the
 //! batch-draining consumer interface, so the handler main loop is written
 //! once against mailboxes and never matches on the configuration again.
+//!
+//! A bounded mailbox's ring can serve more than one block: the consumer of
+//! a closed, drained mailbox hands the ring back with
+//! [`into_spare`](MailboxConsumer::into_spare), a [`SpareRings`] keeps it,
+//! and [`reopen_mailbox`] turns it into the next block's mailbox once the
+//! producer half is gone too (see [`crate::bounded`]'s reuse rule).
+//! Unbounded mailboxes are never kept.
 
+use std::any::{Any, TypeId};
 use std::sync::Arc;
 
-use crate::bounded::{bounded_spsc_channel, BoundedSpscConsumer, BoundedSpscProducer, Full};
+use qs_sync::SpinLock;
+
+use crate::bounded::{
+    bounded_spsc_channel, BoundedSpsc, BoundedSpscConsumer, BoundedSpscProducer, Full,
+};
 use crate::spsc::{spsc_channel, SpscConsumer, SpscProducer};
 use crate::{BlockWatcher, Closed, WakeHook, WakeReason};
 
@@ -68,6 +80,124 @@ pub fn mailbox<T>(capacity: Option<usize>) -> (MailboxProducer<T>, MailboxConsum
         },
         consumer,
     )
+}
+
+/// [`mailbox`] over a spare ring: reopens `spare` (see
+/// [`crate::bounded::reopen`]) as a bounded mailbox of its capacity with no
+/// wake hook, or drops it and returns `None` when it cannot be reopened.
+pub fn reopen_mailbox<T>(
+    spare: Arc<BoundedSpsc<T>>,
+) -> Option<(MailboxProducer<T>, MailboxConsumer<T>)> {
+    let (tx, rx) = crate::bounded::reopen(spare)?;
+    Some((
+        MailboxProducer {
+            flavour: ProducerFlavour::Bounded(tx),
+            wake_hook: None,
+        },
+        MailboxConsumer::Bounded(rx),
+    ))
+}
+
+/// Most rings one [`SpareRings`] keeps.
+///
+/// A client's rings come back in bursts: on a machine with more runnable
+/// threads than cores, a client can open blocks for a whole scheduler time
+/// slice while the handlers that will let go of their rings are not
+/// running, and then get hundreds of rings back at once.  A small cap
+/// drops most of such a burst and the client allocates again; this one
+/// holds it.  The cap does not raise a client's footprint: a ring is
+/// allocated only when the client has no spare, so the rings a client
+/// owns, in flight and spare, never outnumber the most it ever had in
+/// flight at once.
+pub const SPARE_RINGS: usize = 1024;
+
+/// The spare rings of one item type and capacity, most recently kept last.
+struct Shelf {
+    ring_type: TypeId,
+    capacity: usize,
+    rings: Vec<Arc<dyn Any + Send + Sync>>,
+}
+
+/// The spare private-queue rings of one client: rings of its ended blocks,
+/// handed back by their consumers ([`MailboxConsumer::into_spare`]), for
+/// its next blocks to reopen with [`reopen_mailbox`].
+///
+/// The consumer usually lets go on the handler's thread, so the set is
+/// shared: a lock around at most [`SPARE_RINGS`] rings, shelved by item
+/// type and capacity.  A ring handed back to a full set is dropped.
+/// Nothing is kept up front.
+#[derive(Default)]
+pub struct SpareRings {
+    shelves: SpinLock<Shelves>,
+}
+
+#[derive(Default)]
+struct Shelves {
+    shelves: Vec<Shelf>,
+    /// Rings on all shelves together.
+    kept: usize,
+}
+
+impl Shelves {
+    fn shelf<T: Send + 'static>(&mut self, capacity: usize) -> Option<&mut Shelf> {
+        let ring_type = TypeId::of::<BoundedSpsc<T>>();
+        self.shelves
+            .iter_mut()
+            .find(|shelf| shelf.ring_type == ring_type && shelf.capacity == capacity)
+    }
+}
+
+impl SpareRings {
+    /// An empty set of spare rings (allocates nothing).
+    pub const fn new() -> Self {
+        SpareRings {
+            shelves: SpinLock::new(Shelves {
+                shelves: Vec::new(),
+                kept: 0,
+            }),
+        }
+    }
+
+    /// Keeps `ring` for a later [`take`](Self::take), or drops it when
+    /// [`SPARE_RINGS`] rings are kept already.
+    pub fn keep<T: Send + 'static>(&self, ring: Arc<BoundedSpsc<T>>) {
+        let rejected = {
+            let mut shelves = self.shelves.lock();
+            if shelves.kept < SPARE_RINGS {
+                shelves.kept += 1;
+                let capacity = ring.capacity();
+                match shelves.shelf::<T>(capacity) {
+                    Some(shelf) => shelf.rings.push(ring),
+                    None => shelves.shelves.push(Shelf {
+                        ring_type: TypeId::of::<BoundedSpsc<T>>(),
+                        capacity,
+                        rings: vec![ring],
+                    }),
+                }
+                None
+            } else {
+                Some(ring)
+            }
+        };
+        // Dropped after the lock: dropping a ring can drop requests, and
+        // their drop can open a block.
+        drop(rejected);
+    }
+
+    /// Takes out the most recently kept ring of item type `T` and
+    /// `capacity` (the one most likely still in cache) that no other handle
+    /// holds any more — its producer half, and any probe cloned from either
+    /// half, are gone — for [`reopen_mailbox`].
+    pub fn take<T: Send + 'static>(&self, capacity: usize) -> Option<Arc<BoundedSpsc<T>>> {
+        let mut shelves = self.shelves.lock();
+        let rings = &mut shelves.shelf::<T>(capacity)?.rings;
+        let index = rings
+            .iter()
+            .rposition(|ring| Arc::strong_count(ring) == 1)?;
+        let ring = rings.remove(index);
+        shelves.kept -= 1;
+        Arc::downcast(ring).ok()
+    }
 }
 
 impl<T> MailboxProducer<T> {
@@ -215,6 +345,17 @@ impl<T: Send + 'static> MailboxProducer<T> {
 }
 
 impl<T> MailboxConsumer<T> {
+    /// Gives up the consumer half of a closed, drained mailbox, handing its
+    /// ring back for [`reopen_mailbox`] when
+    /// [`BoundedSpscConsumer::into_spare`] does; `None` for an unbounded
+    /// mailbox, which is dropped as usual.
+    pub fn into_spare(self) -> Option<Arc<BoundedSpsc<T>>> {
+        match self {
+            MailboxConsumer::Unbounded(_) => None,
+            MailboxConsumer::Bounded(rx) => rx.into_spare(),
+        }
+    }
+
     /// Attempts to dequeue one item without blocking.
     pub fn try_dequeue(&self) -> Result<Option<T>, Closed> {
         match self {
@@ -434,5 +575,86 @@ mod tests {
         assert_eq!(reasons.len(), 101);
         assert!(reasons[..100].iter().all(|r| *r == WakeReason::Enqueue));
         assert_eq!(reasons[100], WakeReason::Close);
+    }
+
+    /// A closed, drained bounded mailbox of `capacity`, both halves alive.
+    fn ended_block(capacity: usize) -> (MailboxProducer<u32>, MailboxConsumer<u32>) {
+        let (tx, rx) = mailbox(Some(capacity));
+        tx.enqueue(7);
+        tx.close();
+        assert_eq!(rx.try_dequeue(), Ok(Some(7)));
+        assert_eq!(rx.try_dequeue(), Err(Closed));
+        (tx, rx)
+    }
+
+    #[test]
+    fn a_ring_reopens_once_its_producer_half_is_gone() {
+        let spares = SpareRings::new();
+        let (tx, rx) = ended_block(8);
+        spares.keep(rx.into_spare().expect("closed and drained"));
+        assert!(spares.take::<u32>(8).is_none(), "the producer holds it");
+        drop(tx);
+        let ring = spares.take::<u32>(8).expect("the producer is gone");
+        assert!(reopen_mailbox(ring).is_some());
+    }
+
+    #[test]
+    fn deadlock_probes_keep_a_ring_from_being_recycled() {
+        type Probe = fn(&MailboxProducer<u32>, &MailboxConsumer<u32>) -> Box<dyn Any>;
+        let probes: [Probe; 3] = [
+            |tx, _| Box::new(tx.unblocker()),
+            |tx, _| Box::new(tx.full_probe()),
+            |_, rx| Box::new(rx.serving_probe()),
+        ];
+        for (index, probe) in probes.iter().enumerate() {
+            let spares = SpareRings::new();
+            let (tx, rx) = ended_block(8);
+            let probe = probe(&tx, &rx);
+            drop(tx);
+            spares.keep(rx.into_spare().expect("closed and drained"));
+            assert!(spares.take::<u32>(8).is_none(), "probe {index}");
+            drop(probe);
+            assert!(spares.take::<u32>(8).is_some(), "probe {index} dropped");
+        }
+    }
+
+    #[test]
+    fn unbounded_mailboxes_are_never_kept() {
+        let (tx, rx) = mailbox::<u32>(None);
+        tx.close();
+        assert_eq!(rx.try_dequeue(), Err(Closed));
+        assert!(rx.into_spare().is_none());
+    }
+
+    #[test]
+    fn spare_rings_reopen_by_item_type_and_capacity() {
+        let spares = SpareRings::new();
+        let (tx, rx) = ended_block(8);
+        drop(tx);
+        spares.keep(rx.into_spare().unwrap());
+        assert!(spares.take::<u64>(8).is_none(), "another item type");
+        assert!(spares.take::<u32>(16).is_none(), "another capacity");
+        let ring = spares.take::<u32>(8).expect("the kept ring");
+        assert!(spares.take::<u32>(8).is_none(), "taken once");
+        let (tx, rx) = reopen_mailbox(ring).expect("a spare reopens");
+        assert_eq!(tx.capacity(), Some(8));
+        tx.enqueue(1);
+        assert_eq!(rx.try_dequeue(), Ok(Some(1)));
+        assert_eq!(rx.total_enqueued(), 1, "counted from 0 again");
+    }
+
+    #[test]
+    fn spare_rings_hold_at_most_the_cap() {
+        let spares = SpareRings::new();
+        for _ in 0..SPARE_RINGS + 3 {
+            let (tx, rx) = ended_block(4);
+            drop(tx);
+            spares.keep(rx.into_spare().unwrap());
+        }
+        let mut taken = 0;
+        while spares.take::<u32>(4).is_some() {
+            taken += 1;
+        }
+        assert_eq!(taken, SPARE_RINGS);
     }
 }

@@ -9,7 +9,7 @@
 //! requests can be interleaved with the block's (guarantee 2 of §2.2).
 //!
 //! Wait conditions are expressed through the unified reservation builder:
-//! `reserve(set).when(condition)` — see [`crate::reserve`].  This module
+//! `reserve(set).when(condition)` — see [`crate::reserve`](mod@crate::reserve).  This module
 //! provides the retry policy ([`WaitConfig`]), the timeout error
 //! ([`WaitTimeout`]), and postcondition evaluation at the end of a block
 //! ([`check_postcondition`] / [`assert_postcondition`]).

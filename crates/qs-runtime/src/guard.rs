@@ -6,7 +6,7 @@
 //! operations signal.  This module is that mechanism for `reserve().when`:
 //!
 //! * A client whose wait condition evaluated false registers one
-//!   [`GuardWaiter`] with the [`GuardRegistry`] of **every** handler in its
+//!   `GuardWaiter` with the [`GuardRegistry`] of **every** handler in its
 //!   reservation set — *while the failing reservation is still open*.  While
 //!   a condition is being evaluated all of the set's handlers are parked on
 //!   the evaluating client's queues, so any state-changing block on those

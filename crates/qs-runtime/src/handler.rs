@@ -18,9 +18,9 @@
 //!
 //! Each loop exists exactly once, as a resumable *step*
 //! (`HandlerCore::step_queue_of_queues` / `HandlerCore::step_lock_based`,
-//! reached only through [`PooledHandler`]'s [`PooledTask`] impl): it polls
+//! reached only through `PooledHandler`'s [`PooledTask`] impl): it polls
 //! its queues, applies what it finds, keeps its position in
-//! [`PooledLoopState`], and *returns* [`StepOutcome::Idle`] when the queues
+//! `PooledLoopState`, and *returns* [`StepOutcome::Idle`] when the queues
 //! are momentarily empty instead of blocking.  Two parties step it:
 //!
 //! * **the pool** — every request a producer makes visible fires the
@@ -42,7 +42,7 @@
 //!   Whatever it runs ahead of the `Sync` is work the client's wait depends
 //!   on anyway.  A handler that another party is stepping — typically the
 //!   client ahead of this one, still in its own step — is claimed again
-//!   ([`HandlerCore::try_run_here`]) for one backoff window while the sync
+//!   (`HandlerCore::try_run_here`) for one backoff window while the sync
 //!   is pending, and only then notified; a client step that a notify
 //!   interrupted steps again on the client before it hands the handler on.
 //!   Between them, two clients of one handler keep it off the pool.
@@ -54,7 +54,7 @@
 //!   (below), or to the pool.  That request may wait for something the
 //!   ending client does only after its END, so running it here could make
 //!   the client wait on itself.
-//! * [`stop`](HandlerCore::stop), with the same zero budget: a handler
+//! * `HandlerCore::stop`, with the same zero budget: a handler
 //!   with nothing queued retires on the stopping thread, so a runtime
 //!   whose handlers were only ever stepped by their clients never starts
 //!   the pool's threads.
@@ -133,6 +133,23 @@ pub(crate) struct ClientMailbox<T> {
     /// blocks the wait-condition machinery itself opens — their closes are
     /// silent, or every re-evaluation by one waiter would wake all others.
     pub(crate) signal_on_close: bool,
+    /// The spare rings of the client thread that opened the block, which
+    /// the ring goes back to once the handler has processed the close
+    /// (`None` for an unbounded mailbox).
+    pub(crate) spares: Option<Arc<qs_queues::SpareRings>>,
+}
+
+impl<T: Send + 'static> ClientMailbox<T> {
+    /// Lets go of a closed, drained private queue: a ring that never left
+    /// its first chunk goes back to the spare rings of the client thread
+    /// that opened the block, instead of being freed here.
+    fn release(self) {
+        if let Some(spares) = self.spares {
+            if let Some(ring) = self.consumer.into_spare() {
+                spares.keep(ring);
+            }
+        }
+    }
 }
 
 /// Caps the batch buffer's *pre*-allocation: a huge `max_batch` (e.g.
@@ -592,13 +609,15 @@ impl<T: Send + 'static> HandlerCore<T> {
                 // `Request::End` never enters a private queue).  The
                 // finished block may have changed state a parked
                 // `reserve().when` condition depends on — signal the pending
-                // guards (probe blocks stay silent).
+                // guards (probe blocks stay silent).  The queue's ring goes
+                // back to its client for a later block.
                 Err(Closed) => {
                     state.serving = None;
                     if let Some(closed) = state.current.take() {
                         if closed.signal_on_close {
                             self.guards.signal_all();
                         }
+                        closed.release();
                     }
                 }
                 // Mid-block and momentarily empty: the handler is "parked on

@@ -39,7 +39,7 @@
 //! ## Example
 //!
 //! Reservations — single-handler or atomic multi-handler, optionally guarded
-//! by a wait condition — all go through the composable [`reserve`] entry
+//! by a wait condition — all go through the composable [`reserve`](fn@reserve) entry
 //! point:
 //!
 //! ```

@@ -4,7 +4,7 @@
 //! An exclusive reservation serialises *all* clients of a handler, even when
 //! every one of them only reads — queries commute, so serialising them buys
 //! nothing and costs a full reservation round-trip per client.  A
-//! **shared-read reservation** ([`crate::reserve`]`(&h).read()`, or a
+//! **shared-read reservation** ([`crate::reserve`](fn@crate::reserve)`(&h).read()`, or a
 //! [`read`]`(&h)` member inside a multi-handler set) instead takes the
 //! handler object's reader–writer gate ([`qs_sync::ReadGate`]) in read mode:
 //! any number of readers hold it concurrently, and they query the object
@@ -87,7 +87,7 @@ pub fn read<T: Send + 'static>(handler: &Handler<T>) -> Read<'_, T> {
 /// Shared-read reservation guard for one handler within a separate block.
 ///
 /// The read-mode counterpart of [`crate::Separate`]: obtained through
-/// [`crate::reserve`]`(&h).read()` or a [`read`]-marked member of a
+/// [`crate::reserve`](fn@crate::reserve)`(&h).read()` or a [`read`]-marked member of a
 /// reservation set.  Holds the handler object's gate in read mode for the
 /// duration of the block; queries execute directly on the client thread.
 /// Not `Send`, like every reservation guard.

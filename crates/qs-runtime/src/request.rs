@@ -15,7 +15,7 @@ pub type CallFn<T> = Box<dyn FnOnce(&mut T) + Send + 'static>;
 
 /// Producer-side guard of a request's result handoff, shared by sync tokens
 /// (`R = ()`) and handler-executed/pipelined queries: either the request
-/// executes and [`complete`](CompletionGuard::complete)s the handoff, or —
+/// executes and `complete`s the handoff, or —
 /// if it is dropped unexecuted (its mailbox abandoned mid-shutdown before
 /// the handler reached it) or unwinds mid-execution (a panicking closure,
 /// or a nested push failed by `DeadlockPolicy::Break`) — the drop abandons

@@ -54,10 +54,10 @@
 //! Every member of a set defaults to **exclusive**, but queries commute, so
 //! a member that is only read can be marked shared-read:
 //! [`reserve`]`(&h).read()` for the single-handler form, a
-//! [`crate::read`]`(&h)` marker inside a tuple, or `.read()` on a slice
+//! [`crate::read`](fn@crate::read)`(&h)` marker inside a tuple, or `.read()` on a slice
 //! reservation.  Read members skip the queues entirely — they take the
 //! handler object's reader–writer gate in read mode and query in place on
-//! the client thread (see [`crate::read`] for the full semantics, including
+//! the client thread (see [`crate::read`](mod@crate::read) for the full semantics, including
 //! the deadlock-detection story and why commands are rejected).
 //!
 //! Two protocol notes.  First, ordering: gate-reads are acquired only
@@ -365,7 +365,7 @@ impl<'h, T: Send + 'static> ReservationSet<'h> for &'h Handler<T> {
 // ---------------------------------------------------------------------------
 
 /// One member of a reservation-set tuple: a plain `&Handler<T>` (exclusive,
-/// the default) or a [`crate::read`]`(&handler)` marker (shared-read).
+/// the default) or a [`crate::read`](fn@crate::read)`(&handler)` marker (shared-read).
 ///
 /// The tuple [`ReservationSet`] implementations are generic over this
 /// trait, which is what lets exclusive and read members mix freely in one
@@ -851,8 +851,8 @@ pub struct GuardedReservation<'h, S: ReservationSet<'h>, C> {
 /// `&Handler<T>`, a tuple of handler references up to arity 4, or a
 /// `&[Handler<T>]` slice; the returned builder optionally takes a wait
 /// condition ([`when`](Reservation::when)) and a retry/timeout policy
-/// ([`timeout`](Reservation::timeout)) before running the block body
-/// ([`run`](Reservation::run) / [`try_run`](Reservation::try_run)).
+/// ([`timeout`](GuardedReservation::timeout)) before running the block body
+/// ([`run`](Reservation::run) / [`try_run`](GuardedReservation::try_run)).
 ///
 /// ```
 /// use qs_runtime::{reserve, Runtime, RuntimeConfig};
@@ -899,7 +899,7 @@ impl<'h, S: ReservationSet<'h>> Reservation<'h, S> {
 impl<'h, T: Send + 'static> Reservation<'h, &'h Handler<T>> {
     /// Downgrades the reservation to shared-read: any number of clients
     /// hold it concurrently, queries run in place on the client thread, and
-    /// commands are rejected (see [`crate::read`]).
+    /// commands are rejected (see [`crate::read`](mod@crate::read)).
     ///
     /// ```
     /// use qs_runtime::{reserve, Runtime, RuntimeConfig};
@@ -947,8 +947,8 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
     ///
     /// # Panics
     ///
-    /// Panics if a bounded [`timeout`](Reservation::timeout) policy is exhausted;
-    /// use [`try_run`](Reservation::try_run) to handle that case.
+    /// Panics if a bounded [`timeout`](GuardedReservation::timeout) policy is exhausted;
+    /// use [`try_run`](GuardedReservation::try_run) to handle that case.
     pub fn run<R>(self, body: impl FnOnce(&mut S::Guards) -> R) -> R {
         match self.try_run(body) {
             Ok(result) => result,
@@ -957,7 +957,7 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
     }
 
     /// Runs `body` once the wait condition holds, giving up according to the
-    /// configured [`timeout`](Reservation::timeout) policy.
+    /// configured [`timeout`](GuardedReservation::timeout) policy.
     ///
     /// Failed evaluations do not poll: after a brief spin window the client
     /// registers itself with every handler of the set and parks until some

@@ -12,7 +12,9 @@
 use std::sync::Arc;
 
 use qs_deadlock::{EdgeKind, ParticipantId, ProbeFn, WaitRegistry, WakerFn};
-use qs_queues::{mailbox, BlockWatcher, MailboxProducer, WakeReason};
+use qs_queues::{
+    mailbox, reopen_mailbox, BlockWatcher, MailboxConsumer, MailboxProducer, SpareRings, WakeReason,
+};
 use qs_sync::Handoff;
 
 use crate::deadlock::{current_waiter, BlockTracking};
@@ -20,11 +22,33 @@ use crate::handler::{ClientMailbox, HandlerCore};
 use crate::request::Request;
 use crate::stats::RuntimeStats;
 
+thread_local! {
+    /// The private-queue rings of this thread's ended blocks, handed back
+    /// by the handlers that processed their closes, for its next blocks
+    /// (see [`Separate::attach`]).
+    static SPARE_RINGS: Arc<SpareRings> = Arc::new(SpareRings::new());
+}
+
+/// A private queue for a block this thread is opening: a spare ring of a
+/// bounded mailbox reopened when `spares` has one free, a new mailbox
+/// otherwise (always, when unbounded).
+fn private_queue<T: Send + 'static>(
+    capacity: Option<usize>,
+    spares: Option<&SpareRings>,
+) -> (MailboxProducer<Request<T>>, MailboxConsumer<Request<T>>) {
+    spares
+        .zip(capacity)
+        .and_then(|(spares, capacity)| spares.take(capacity))
+        .and_then(reopen_mailbox)
+        .unwrap_or_else(|| mailbox(capacity))
+}
+
 /// Reservation guard for one handler within a separate block.
 ///
 /// Obtained through [`crate::Handler::separate`] or the unified
-/// [`crate::reserve`] builder.  Not `Send`: a reservation belongs to
-/// the client thread that created it, mirroring SCOOP semantics.
+/// [`crate::reserve`](fn@crate::reserve) builder.  Not `Send`: a
+/// reservation belongs to the client thread that created it, mirroring
+/// SCOOP semantics.
 pub struct Separate<'a, T: Send + 'static> {
     core: &'a Arc<HandlerCore<T>>,
     /// Producer half of the client mailbox (QoQ configuration); bounded or
@@ -100,12 +124,23 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// caller has already acquired the handler lock (directly, or through the
     /// id-ordered multi-reservation protocol in [`crate::reserve`]) and the
     /// guard simply carries it for the duration of the block.
+    ///
+    /// "Fresh" means empty and open, not newly allocated.  A bounded
+    /// private queue reopens a spare ring of this thread: the ring of an
+    /// earlier block of this thread, on any handler of the same object type
+    /// and mailbox capacity, that the handler handed back after processing
+    /// the block's close (see [`end`](Separate::end)).  The most recently
+    /// handed back is taken; a ring is allocated only when there is none.
+    /// Unbounded mailboxes are always new.
     pub(crate) fn attach(
         core: &'a Arc<HandlerCore<T>>,
         lock_guard: Option<parking_lot::MutexGuard<'a, ()>>,
     ) -> Self {
         if lock_guard.is_none() && core.config.queue_of_queues {
-            let (producer, consumer) = mailbox(core.config.mailbox_capacity);
+            let capacity = core.config.mailbox_capacity;
+            // Where the handler hands the ring back to.
+            let spares = capacity.and_then(|_| SPARE_RINGS.try_with(Arc::clone).ok());
+            let (producer, consumer) = private_queue(capacity, spares.as_deref());
             // Every request logged into this private queue must re-arm the
             // handler's driver.
             let producer = producer.with_wake_hook(Arc::clone(&core.wake_hook));
@@ -123,6 +158,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
                 client,
                 serving_probe,
                 signal_on_close: !crate::guard::in_probe_round(),
+                spares,
             });
             RuntimeStats::bump(&core.stats.private_queues_enqueued);
             Self::from_parts(core, Some(producer), None)
@@ -578,6 +614,17 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
 
     /// Ends the separate block, releasing the handler for other clients.
     ///
+    /// On the queue-of-queues path this closes the block's private queue.
+    /// When the handler processes the close — on its pool worker, or here
+    /// when this thread steps it — a bounded mailbox's ring that never grew
+    /// past its first chunk goes back to this thread, and once this guard's
+    /// producer half is dropped too, the next block this thread opens on a
+    /// handler of the same type reopens it as its private queue: a block
+    /// neither allocates a ring nor has one freed on the handler's thread.
+    /// A thread keeps at most [`qs_queues::mailbox::SPARE_RINGS`] spare
+    /// rings; a ring that grew past its first chunk, or finds the set full,
+    /// is freed as before.
+    ///
     /// Called automatically when the guard is dropped; calling it twice is
     /// harmless.
     pub fn end(&mut self) {
@@ -718,8 +765,9 @@ pub enum MailboxError {
         handler: crate::HandlerId,
     },
     /// A mutating operation (`call`, `try_call`) was attempted through a
-    /// shared-read reservation (see [`crate::read`]).  Read reservations
-    /// admit only commuting operations — `query`, `query_async`, `peek` —
+    /// shared-read reservation (see [`crate::read`](mod@crate::read)).
+    /// Read reservations admit only commuting operations — `query`,
+    /// `query_async`, `peek` —
     /// so the runtime fails the command fast instead of silently upgrading
     /// to exclusive access.
     ReadOnlyReservation {

@@ -203,7 +203,7 @@ impl Configuration {
     /// Applies `transition`, returning the events it produced.
     ///
     /// Panics if the transition is not currently enabled (schedulers must
-    /// only apply transitions obtained from [`enabled_transitions`]).
+    /// only apply transitions obtained from [`enabled_transitions`](Self::enabled_transitions)).
     pub fn apply(&mut self, transition: &Transition) -> Vec<Event> {
         match transition {
             Transition::Run(handler) => self.apply_run(handler),

@@ -32,7 +32,7 @@
 //! ## Quickstart
 //!
 //! Handlers own objects; clients reserve one or more handlers with the
-//! composable [`runtime::reserve`] entry point and interact with the objects
+//! composable [`runtime::reserve`](fn@runtime::reserve) entry point and interact with the objects
 //! through the reservation guards:
 //!
 //! ```

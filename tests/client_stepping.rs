@@ -12,8 +12,11 @@
 //! ending thread still holds; a handler body that blocks cannot wedge a
 //! one-worker pool; and §2.2's per-client order and block contiguity hold
 //! with clients stepping the handler, on both deadlock policies, with a
-//! one-worker pool as the control.  Every multi-threaded test runs under a
-//! watchdog, so a lost wake-up fails instead of hanging the suite.
+//! one-worker pool as the control; and two clients whose two-call blocks
+//! reuse private-queue rings, handed back by the pool or by themselves,
+//! have every call applied once and in order.  Every multi-threaded test
+//! runs under a watchdog, so a lost wake-up fails instead of hanging the
+//! suite.
 
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread::ThreadId;
@@ -466,6 +469,87 @@ fn per_client_order_and_block_contiguity_hold_under_client_stepping() {
             assert!(
                 trace.per_client_blocks_are_contiguous("h"),
                 "{name}, {clients} clients"
+            );
+        }
+    }
+}
+
+/// What one handler of [`reused_rings_apply_every_call_once_in_order`]
+/// has seen: per client, the sequence number its next call must carry, and
+/// how many calls carried another one.
+#[derive(Default)]
+struct Ledger {
+    next: [u64; 2],
+    misordered: u64,
+}
+
+#[test]
+fn reused_rings_apply_every_call_once_in_order() {
+    const HANDLERS: usize = 64;
+    const BLOCKS: usize = 10_000;
+    let (sent, ledgers) = within("two clients reusing rings", || {
+        let rt = Runtime::new(pooled());
+        let handlers: Vec<Handler<Ledger>> = (0..HANDLERS)
+            .map(|_| rt.spawn_handler(Ledger::default()))
+            .collect();
+        let sent: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..2)
+                .map(|client| {
+                    let handlers = &handlers;
+                    scope.spawn(move || {
+                        let mut sent = vec![0u64; HANDLERS];
+                        let mut state = 0x9e37_79b9_7f4a_7c15_u64 + client as u64;
+                        let mut next_index = || {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            (state % HANDLERS as u64) as usize
+                        };
+                        for block in 0..BLOCKS {
+                            let a = next_index();
+                            let b = (a + 1 + next_index() % (HANDLERS - 1)) % HANDLERS;
+                            let (seq_a, seq_b) = (sent[a], sent[b]);
+                            reserve((&handlers[a], &handlers[b])).run(|(x, y)| {
+                                for (s, seq) in [(&mut *x, seq_a), (y, seq_b)] {
+                                    s.call(move |ledger: &mut Ledger| {
+                                        if ledger.next[client] == seq {
+                                            ledger.next[client] += 1;
+                                        } else {
+                                            ledger.misordered += 1;
+                                        }
+                                    });
+                                }
+                                // Now and then the client processes `x`'s
+                                // close itself, so its producer half is the
+                                // one that lets go last.
+                                if block % 8 == 0 {
+                                    x.sync();
+                                }
+                            });
+                            sent[a] += 1;
+                            sent[b] += 1;
+                        }
+                        sent
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .map(|client| client.join().unwrap())
+                .collect()
+        });
+        let ledgers: Vec<([u64; 2], u64)> = handlers
+            .iter()
+            .map(|h| h.separate(|s| s.query(|ledger| (ledger.next, ledger.misordered))))
+            .collect();
+        (sent, ledgers)
+    });
+    for (index, (next, misordered)) in ledgers.into_iter().enumerate() {
+        assert_eq!(misordered, 0, "handler {index}: a call ran out of order");
+        for (client, sent) in sent.iter().enumerate() {
+            assert_eq!(
+                next[client], sent[index],
+                "handler {index}: client {client}'s calls ran other than once each"
             );
         }
     }

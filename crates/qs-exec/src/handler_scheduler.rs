@@ -104,6 +104,40 @@
 //! FIFOs, behind every peer that was already runnable, so one hot handler
 //! cannot keep a worker from the tasks queued behind it.
 //!
+//! # Parking and searching
+//!
+//! A core worker that finds both run queues empty does not park at once:
+//! it first **searches**, polling the queued-task count for one
+//! [`Backoff`] window (spins, then a few yields), and parks on the pool's
+//! condvar only if nothing arrived.  An enqueue signals the condvar only
+//! when no worker is searching: a searcher will find the task, and the
+//! futex signal and the context switch of an OS wake are saved.  A worker
+//! the enqueue does signal counts as searching from the signal on, until
+//! it takes a task or parks again, so one park is woken by at most one
+//! signal.  A searcher that takes a task while more are queued wakes the
+//! next worker, so queued work never waits behind a running step while a
+//! worker sleeps.  At most half the core workers (rounded up) search at
+//! once; the rest park directly.  Shutdown ends every search.
+//!
+//! Two Dekker pairs keep the park path from losing a wake.  Each side
+//! writes its own counter, then reads the other's, all sequentially
+//! consistent, so at least one side sees the other:
+//!
+//! * `queued` ↔ `searching`: an enqueue raises `queued`, then reads
+//!   `searching`; a searcher drops its claim, then reads `queued`.  An
+//!   enqueue that saw a searcher and did not signal is therefore seen by
+//!   that searcher after its claim ends — before it parks, or when it has
+//!   taken a task and decides whether to wake the next worker.
+//! * `queued` ↔ `sleeping`: a worker about to park raises `sleeping`
+//!   (under the idle lock), then reads `queued`, and waits only if it is
+//!   zero; an enqueue raises `queued`, then reads `sleeping`, and signals
+//!   under the idle lock, where a worker counted as sleeping is already
+//!   waiting or has already decided.
+//!
+//! [`HandlerScheduler::worker_parks`] and
+//! [`HandlerScheduler::worker_signals`] count the parks and the signals
+//! that reached a parked worker.
+//!
 //! # Blocking edges and compensation
 //!
 //! A handler step may block: a request closure can enter a nested separate
@@ -748,11 +782,23 @@ struct Shared {
     priority_len: AtomicUsize,
     /// Tasks currently sitting in the injector or the pressure lane.
     queued: AtomicUsize,
+    /// Core workers currently searching: polling `queued` before they
+    /// park, or signalled and not yet back at a task or a park.
+    searching: AtomicUsize,
+    /// Most workers that may search at once: half the core workers,
+    /// rounded up.
+    max_searching: usize,
     /// Core workers currently parked.
     sleeping: AtomicUsize,
     shutdown: AtomicBool,
-    idle_lock: Mutex<()>,
+    /// Guards the condvar; holds the signals sent and not yet taken up by
+    /// a woken worker (each carries a `searching` claim).
+    idle_lock: Mutex<usize>,
     idle_cond: Condvar,
+    /// Times a core worker parked on `idle_cond` (statistics).
+    parks: AtomicU64,
+    /// Signals that reached a parked worker (statistics).
+    signals: AtomicU64,
     /// Clock origin for the per-worker step timestamps.
     epoch: std::time::Instant,
     /// Per core worker: `1 + millis-since-epoch` at which its current step
@@ -871,11 +917,88 @@ impl Shared {
         }
     }
 
+    /// Wakes a parked worker for a task just queued, unless a worker is
+    /// searching (it will find the task) or none is parked.  The signalled
+    /// worker holds a `searching` claim from here on, so no other signal
+    /// goes out until it has taken a task or parked again.
     fn wake_one(&self) {
-        if self.sleeping.load(Ordering::SeqCst) > 0 {
-            let _guard = self.idle_lock.lock();
-            self.idle_cond.notify_one();
+        if self.searching.load(Ordering::SeqCst) > 0 || self.sleeping.load(Ordering::SeqCst) == 0 {
+            return;
         }
+        let mut signalled = self.idle_lock.lock();
+        if self.sleeping.load(Ordering::SeqCst) == 0
+            || self
+                .searching
+                .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+        {
+            return;
+        }
+        *signalled += 1;
+        self.signals.fetch_add(1, Ordering::Relaxed);
+        self.idle_cond.notify_one();
+    }
+
+    /// Claims one of the `max_searching` search slots.
+    fn start_search(&self) -> bool {
+        self.searching
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |searching| {
+                (searching < self.max_searching).then_some(searching + 1)
+            })
+            .is_ok()
+    }
+
+    /// Ends the search of a worker that took a task, and wakes the next
+    /// worker when more are queued.  The release comes before the load of
+    /// `queued`: an enqueue that saw this search and did not signal is
+    /// seen here.
+    fn end_search(&self) {
+        self.searching.fetch_sub(1, Ordering::SeqCst);
+        if self.queued.load(Ordering::SeqCst) > 0 {
+            self.wake_one();
+        }
+    }
+
+    /// Polls `queued` for one backoff window; `true` when a task arrived.
+    fn search(&self) -> bool {
+        let window = Backoff::new();
+        while !window.is_completed() {
+            if self.queued.load(Ordering::SeqCst) > 0 {
+                return true;
+            }
+            if self.shutdown.load(Ordering::Acquire) {
+                return false;
+            }
+            window.snooze();
+        }
+        false
+    }
+
+    /// Parks core worker `index` until a signal or shutdown, ending its
+    /// search if it held one.  The worker counts as sleeping *before* it
+    /// reads `queued` for the last time, so an enqueue either sees it
+    /// sleeping and signals, or is seen here.  Returns whether the worker
+    /// took up a signal, and so holds a `searching` claim.
+    fn park(&self, index: usize, searching: bool) -> bool {
+        let mut signalled = self.idle_lock.lock();
+        self.sleeping.fetch_add(1, Ordering::SeqCst);
+        if searching {
+            self.searching.fetch_sub(1, Ordering::SeqCst);
+        }
+        if self.shutdown.load(Ordering::Acquire) || self.queued.load(Ordering::SeqCst) > 0 {
+            self.sleeping.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        self.parks.fetch_add(1, Ordering::Relaxed);
+        qs_obs::trace(qs_obs::TraceKind::SchedPark, index as u64, 0);
+        self.idle_cond.wait(&mut signalled);
+        self.sleeping.fetch_sub(1, Ordering::SeqCst);
+        if *signalled == 0 {
+            // Shutdown, or a spurious wake-up.
+            return false;
+        }
+        *signalled -= 1;
+        true
     }
 
     fn wake_all(&self) {
@@ -956,6 +1079,8 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
     shared.worker_tids[index].store(current_thread_id(), Ordering::SeqCst);
     let backoff = Backoff::new();
     let mut acquisitions = 0u32;
+    // Whether this worker holds a `searching` claim.
+    let mut searching = false;
     loop {
         acquisitions = acquisitions.wrapping_add(1);
         let task = if acquisitions.is_multiple_of(PLAIN_FIRST_INTERVAL) {
@@ -964,6 +1089,9 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
             shared.take()
         };
         if let Some(task) = task {
+            if std::mem::take(&mut searching) {
+                shared.end_search();
+            }
             shared.step_started[index].store(shared.now_marker(), Ordering::SeqCst);
             run_task(&shared, task);
             shared.step_started[index].store(0, Ordering::SeqCst);
@@ -984,14 +1112,13 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
             backoff.snooze();
             continue;
         }
-        let mut guard = shared.idle_lock.lock();
-        if shared.shutdown.load(Ordering::Acquire) || shared.queued.load(Ordering::SeqCst) > 0 {
+        if !searching {
+            searching = shared.start_search();
+        }
+        if searching && shared.search() {
             continue;
         }
-        shared.sleeping.fetch_add(1, Ordering::SeqCst);
-        qs_obs::trace(qs_obs::TraceKind::SchedPark, index as u64, 0);
-        shared.idle_cond.wait(&mut guard);
-        shared.sleeping.fetch_sub(1, Ordering::SeqCst);
+        searching = shared.park(index, searching);
     }
 }
 
@@ -1237,10 +1364,14 @@ impl HandlerScheduler {
             priority: MutexQueue::new(),
             priority_len: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
+            searching: AtomicUsize::new(0),
+            max_searching: workers.div_ceil(2),
             sleeping: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            idle_lock: Mutex::new(()),
+            idle_lock: Mutex::new(0),
             idle_cond: Condvar::new(),
+            parks: AtomicU64::new(0),
+            signals: AtomicU64::new(0),
             epoch: std::time::Instant::now(),
             step_started: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             worker_tids: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -1316,6 +1447,19 @@ impl HandlerScheduler {
     /// Compensation workers ever spawned by the monitor.
     pub fn extra_workers_spawned(&self) -> u64 {
         self.shared.extras_spawned.load(Ordering::Relaxed)
+    }
+
+    /// Times a core worker parked because it found nothing to run, even
+    /// after searching.
+    pub fn worker_parks(&self) -> u64 {
+        self.shared.parks.load(Ordering::Relaxed)
+    }
+
+    /// Signals that reached a parked core worker: wakes for queued tasks,
+    /// from an enqueue, a searcher that found more work, or the monitor.
+    /// Shutdown's wake-up of every worker is not counted.
+    pub fn worker_signals(&self) -> u64 {
+        self.shared.signals.load(Ordering::Relaxed)
     }
 
     /// Worker threads currently alive (core + compensation).
@@ -2248,5 +2392,146 @@ mod tests {
             assert_eq!(task.executed.load(Ordering::SeqCst), 50);
         }
         scheduler.shutdown();
+    }
+
+    /// Waits until every core worker of `scheduler` is parked.
+    fn all_parked(scheduler: &HandlerScheduler) {
+        while scheduler.shared.sleeping.load(Ordering::SeqCst) < scheduler.workers() {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    #[test]
+    fn a_burst_against_parked_workers_runs_every_task_with_a_signal_per_park_at_most() {
+        within("burst against parked workers", || {
+            let scheduler = HandlerScheduler::new(2);
+            let tasks: Vec<_> = (0..64)
+                .map(|_| {
+                    let task = DrainTask::new();
+                    let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
+                    (task, handle)
+                })
+                .collect();
+            for round in 1..=50 {
+                // The first round starts the pool; every later one finds
+                // both workers parked.
+                if round > 1 {
+                    all_parked(&scheduler);
+                }
+                for (task, handle) in &tasks {
+                    task.pending.fetch_add(1, Ordering::SeqCst);
+                    handle.notify();
+                }
+                for (task, _) in &tasks {
+                    while task.executed.load(Ordering::SeqCst) < round {
+                        std::thread::yield_now();
+                    }
+                }
+                assert!(
+                    scheduler.worker_signals() <= scheduler.worker_parks(),
+                    "round {round}: {} signals for {} parks",
+                    scheduler.worker_signals(),
+                    scheduler.worker_parks()
+                );
+            }
+            assert!(scheduler.worker_parks() >= 49, "every round began parked");
+            scheduler.shutdown();
+        });
+    }
+
+    #[test]
+    fn notifies_racing_the_search_and_the_park_are_never_lost() {
+        // Two producers, each with its own task, publish one unit at a
+        // time and wait for it to run.  Their gaps straddle the search
+        // window — no gap, a busy wait of up to 40 µs, now and then a
+        // sleep — so a notify lands while a worker searches, while it is
+        // about to park, and while it is parked.
+        const ROUNDS: usize = 5_000;
+        let (parks, signals) = within("search/park race", || {
+            let scheduler = HandlerScheduler::new(2);
+            std::thread::scope(|scope| {
+                for producer in 0..2u64 {
+                    let task = DrainTask::new();
+                    let handle = scheduler.register(Arc::clone(&task) as Arc<dyn PooledTask>);
+                    scope.spawn(move || {
+                        let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ producer;
+                        for round in 1..=ROUNDS {
+                            seed ^= seed << 13;
+                            seed ^= seed >> 7;
+                            seed ^= seed << 17;
+                            match seed % 16 {
+                                0 => std::thread::sleep(Duration::from_micros(seed % 200)),
+                                1..=3 => {}
+                                _ => {
+                                    let until = std::time::Instant::now()
+                                        + Duration::from_nanos(seed % 40_000);
+                                    while std::time::Instant::now() < until {
+                                        std::hint::spin_loop();
+                                    }
+                                }
+                            }
+                            task.pending.fetch_add(1, Ordering::SeqCst);
+                            handle.notify();
+                            while task.executed.load(Ordering::SeqCst) < round {
+                                std::thread::yield_now();
+                            }
+                        }
+                        task.done.store(true, Ordering::SeqCst);
+                        handle.notify();
+                    });
+                }
+            });
+            let counts = (scheduler.worker_parks(), scheduler.worker_signals());
+            scheduler.shutdown();
+            counts
+        });
+        assert!(parks > 0, "the gaps let the workers park");
+        assert!(signals <= parks, "{signals} signals for {parks} parks");
+    }
+
+    #[test]
+    fn a_searcher_that_takes_a_task_wakes_a_worker_for_the_next() {
+        /// Waits, off-CPU, until the other task has started.
+        struct WaitsForB(Arc<Event>);
+        impl PooledTask for WaitsForB {
+            fn step(&self) -> StepOutcome {
+                self.0.wait();
+                StepOutcome::Done
+            }
+        }
+        /// Lets `WaitsForB` finish.
+        struct B(Arc<Event>);
+        impl PooledTask for B {
+            fn step(&self) -> StepOutcome {
+                self.0.set();
+                StepOutcome::Done
+            }
+        }
+        let extras = within("second task on the other worker", || {
+            let scheduler = HandlerScheduler::new(2);
+            let started = Arc::new(Event::new());
+            // Start the pool, then let both workers park.
+            scheduler
+                .register(Arc::new(B(Arc::new(Event::new()))))
+                .notify();
+            all_parked(&scheduler);
+            // Both queued at once against two parked workers: `a`'s
+            // enqueue signals one worker, which holds a search claim until
+            // it takes `a`, so `b`'s enqueue sends no signal; the step of
+            // `a` then waits on `b`, which only the other worker can run.
+            // The monitor would also wake that worker within a tick;
+            // `extra_workers_spawned` rules out compensation only.
+            let a = scheduler.register(Arc::new(WaitsForB(Arc::clone(&started))));
+            let b = scheduler.register(Arc::new(B(started)));
+            a.notify();
+            b.notify();
+            while !(a.is_done() && b.is_done()) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            let extras = scheduler.extra_workers_spawned();
+            scheduler.shutdown();
+            extras
+        });
+        assert_eq!(extras, 0, "no compensation worker unblocked the step");
     }
 }

@@ -275,6 +275,26 @@ impl Runtime {
             .as_ref()
             .map_or(0, |s| s.peak_threads())
     }
+
+    /// Times an M:N scheduler core worker parked because it found nothing
+    /// to run, even after searching.
+    pub fn scheduler_worker_parks(&self) -> u64 {
+        self.inner
+            .scheduler
+            .lock()
+            .as_ref()
+            .map_or(0, |s| s.worker_parks())
+    }
+
+    /// Signals that reached a parked M:N scheduler core worker (the
+    /// shutdown wake-up of every worker not counted).
+    pub fn scheduler_worker_signals(&self) -> u64 {
+        self.inner
+            .scheduler
+            .lock()
+            .as_ref()
+            .map_or(0, |s| s.worker_signals())
+    }
 }
 
 impl std::fmt::Debug for Runtime {

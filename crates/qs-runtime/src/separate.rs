@@ -56,8 +56,9 @@ pub struct Separate<'a, T: Send + 'static> {
     producer: Option<MailboxProducer<Request<T>>>,
     /// Handler lock guard (lock-based configuration).
     lock_guard: Option<parking_lot::MutexGuard<'a, ()>>,
-    /// Reusable sync handoff for this reservation.
-    sync_handoff: Arc<Handoff<()>>,
+    /// Reusable sync handoff for this reservation, made at its first sync:
+    /// a block that never syncs allocates none.
+    sync_handoff: Option<Arc<Handoff<()>>>,
     /// Deadlock-detection context (`DeadlockPolicy` on): who this block's
     /// waits belong to, whom they wait on, and how a blocked push into this
     /// block's mailbox is woken/re-validated.
@@ -205,7 +206,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             core,
             producer,
             lock_guard,
-            sync_handoff: Arc::new(Handoff::new()),
+            sync_handoff: None,
             tracking,
             signal_guards: !crate::guard::in_probe_round(),
             progress: Progress::Empty,
@@ -439,7 +440,10 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// client instead of a worker (see [`HandlerCore::drive_sync`]).
     fn force_sync(&mut self) {
         RuntimeStats::bump(&self.core.stats.syncs_performed);
-        let handoff = Arc::clone(&self.sync_handoff);
+        let handoff = Arc::clone(
+            self.sync_handoff
+                .get_or_insert_with(|| Arc::new(Handoff::new())),
+        );
         let sync = Request::Sync(crate::request::CompletionGuard::new(Arc::clone(&handoff)));
         if self.producer.is_some() {
             self.push(sync, false);

@@ -94,8 +94,9 @@ fn allocations_per_block(mut block: impl FnMut(), mut between: impl FnMut()) -> 
 /// One query on a warm handler: the block runs entirely on the client
 /// (its sync and its END step the handler here), so the count is exact.
 /// The two allocations left are the queue-of-queues node that registers
-/// the block's private queue and the block's sync handoff; the private
-/// queue itself is a ring the previous block handed back.
+/// the block's private queue and the block's sync handoff, made at the
+/// query's sync; the private queue itself is a ring the previous block
+/// handed back.
 #[test]
 fn a_one_query_block_allocates_its_queue_node_and_sync_handoff() {
     let rt = Runtime::new(RuntimeConfig::all_optimizations());
@@ -113,11 +114,11 @@ fn a_one_query_block_allocates_its_queue_node_and_sync_handoff() {
 /// workers process both closes.  Before each measured block both handlers
 /// are quiesced with a synced block, which returns only after the handler
 /// processed the measured block's close — so its rings are back with the
-/// client, and the count does not race the pool.  The five allocations left
-/// are the two queue-of-queues nodes, the two members' sync handoffs (made
-/// whether or not the block syncs) and the vector holding the set's
-/// reservation spinlocks; the calls capture nothing, so boxing them
-/// allocates nothing.
+/// client, and the count does not race the pool.  The three allocations
+/// left are the two queue-of-queues nodes and the vector holding the set's
+/// reservation spinlocks: a member's sync handoff is made at its first
+/// sync, and this block never syncs.  The calls capture nothing, so boxing
+/// them allocates nothing.
 #[test]
 fn a_two_handler_two_call_block_reuses_both_rings() {
     let rt = Runtime::new(RuntimeConfig::all_optimizations());
@@ -142,7 +143,7 @@ fn a_two_handler_two_call_block_reuses_both_rings() {
     };
     let allocations = allocations_per_block(transfer, quiesce);
     println!("two-handler two-call block: {allocations} allocations per block");
-    assert_eq!(allocations, 5.0);
+    assert_eq!(allocations, 3.0);
     let total = reserve((&from, &to)).run(|(a, b)| a.query(|v| *v) + b.query(|v| *v));
     assert_eq!(total, 2_000);
 }
